@@ -29,12 +29,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import NotSupportedError, ReproError, ResourceExhaustedError
+from repro.errors import (
+    NotSupportedError,
+    QueryCancelledError,
+    ReproError,
+    ResourceExhaustedError,
+)
 from repro.resilience.fallback import FallbackReport
 from repro.sql import parse_script
 from repro.sql.ast import CreateTable, CreateView, Delete, InsertValues, Query, Update
 from repro.qgm import build_query_graph, render_text, validate_graph
-from repro.engine import CorrelatedEvaluator, Evaluator
+from repro.qgm.clone import clone_graph
+from repro.qgm.params import bind_parameters
+from repro.engine import BatchEvaluator, CorrelatedEvaluator, Evaluator
+from repro.engine.columnar import compile_program
 from repro.optimizer import optimize_graph
 from repro.optimizer.heuristic import optimize_with_heuristic
 
@@ -45,41 +53,87 @@ STRATEGIES = ("original", "correlated", "emst", "phase1", "norewrite")
 EXECUTORS = ("tuple", "batch")
 
 
-def _build_evaluator(graph, database, strategy, executor, join_orders,
-                     governor, fault_plan):
-    """The evaluator for one (strategy, executor) choice.
+@dataclass
+class PlanRun:
+    """What :func:`run_plan` did: the result, the engine's work counters,
+    the executor that produced them (the one asked for, unless
+    ``batch_error`` says why the batch engine's run was retried on the
+    tuple engine)."""
 
-    The ``correlated`` strategy is tuple-at-a-time by definition (its
-    whole point is per-binding evaluation), so it ignores the executor
-    switch; every set-oriented strategy runs columnar under
-    ``executor="batch"``.
+    result: object
+    stats: object
+    executor: str
+    batch_error: Optional[Exception] = None
+
+
+def run_plan(planned, database, executor, governor=None, fault_plan=None,
+             params=None, retry_on_tuple=False):
+    """Run one planned statement on one executor; returns a :class:`PlanRun`.
+
+    ``planned`` is a :class:`PreparedQuery` or a server
+    :class:`~repro.server.plan_cache.CachedPlan`: anything with ``graph``,
+    ``plan``, ``strategy`` and a ``program`` slot. This is the one place
+    that maps ``(strategy, executor)`` to an engine — the prepared-query,
+    connection and server paths all come through here:
+
+    * the ``correlated`` strategy is tuple-at-a-time by definition (its
+      whole point is per-binding evaluation), so it ignores the executor
+      switch; it pushes constants down into index lookups, so ``params``
+      are bound into a clone of the graph first;
+    * ``executor="batch"`` runs the compiled program with ``params`` as
+      its parameter vector. The program is compiled on first use and kept
+      on ``planned.program`` (two threads racing on the first use both
+      compile and one assignment wins; the programs are interchangeable,
+      so no lock is taken);
+    * ``executor="tuple"`` interprets the graph, ``params`` riding in the
+      root environment.
+
+    With ``retry_on_tuple`` a batch-engine failure retries once on the
+    tuple engine (the differential oracle) — unless it is a budget or
+    cancellation trip, which would recur there, only slower.
     """
     if executor not in EXECUTORS:
         raise ReproError(
             "unknown executor %r (expected one of %s)"
             % (executor, ", ".join(EXECUTORS))
         )
+    graph = planned.graph
+    strategy = planned.strategy
+    join_orders = planned.plan.join_orders if planned.plan is not None else None
     if strategy == "correlated":
-        return CorrelatedEvaluator(
+        if params:
+            graph = bind_parameters(clone_graph(graph), params)
+        evaluator = CorrelatedEvaluator(
             graph, database, join_orders=join_orders,
             governor=governor, fault_plan=fault_plan,
         )
-    if executor == "batch":
-        from repro.engine.columnar import BatchEvaluator
-
-        evaluator_class = BatchEvaluator
-    else:
-        evaluator_class = Evaluator
+        return PlanRun(evaluator.run(), evaluator.stats, executor)
     # The Original strategy re-evaluates correlated subqueries per outer
     # row without caching, like the systems of the era.
-    return evaluator_class(
-        graph,
-        database,
+    options = dict(
         join_orders=join_orders,
         memoize_correlated=(strategy == "emst"),
         governor=governor,
         fault_plan=fault_plan,
+        params=params,
     )
+    batch_error = None
+    if executor == "batch":
+        try:
+            if planned.program is None:
+                planned.program = compile_program(graph, join_orders)
+            evaluator = BatchEvaluator(
+                graph, database, program=planned.program, **options
+            )
+            return PlanRun(evaluator.run(), evaluator.stats, "batch")
+        except (ResourceExhaustedError, QueryCancelledError):
+            raise
+        except Exception as exc:
+            if not retry_on_tuple:
+                raise
+            batch_error = exc
+    evaluator = Evaluator(graph, database, **options)
+    return PlanRun(evaluator.run(), evaluator.stats, "tuple", batch_error)
 
 
 def _describe_rules(context):
@@ -142,6 +196,9 @@ class ExecutionOutcome:
     rewrite_seconds: float = 0.0
     #: Which execution engine produced the result ("tuple" or "batch").
     executor: str = "tuple"
+    #: The batch engine's failure, when the result came from the tuple
+    #: engine's retry of it (only under a resilience policy).
+    executor_error: Optional[str] = None
     stats: Dict[str, int] = field(default_factory=dict)
     #: A FallbackReport when the query ran under a ResiliencePolicy.
     resilience: Optional[object] = None
@@ -187,9 +244,16 @@ class PreparedQuery:
     strategy: str
     resilience: Optional[object] = None
     executor: str = "tuple"
+    #: The batch executor's compiled program: built by the first
+    #: ``execute`` that needs it, reused by every later one. It depends on
+    #: ``graph`` and ``plan`` only, never on data.
+    program: Optional[object] = field(default=None, repr=False, compare=False)
 
-    def execute(self):
-        join_orders = self.plan.join_orders if self.plan is not None else None
+    def execute(self, params=None):
+        """Run the prepared plan; returns ``(Result, EvaluatorStats)``.
+        ``params`` are the values of the statement's ``?`` slots. Under a
+        resilience policy a batch-executor failure retries on the tuple
+        engine, as everywhere else."""
         governor = fault_plan = None
         if self.resilience is not None:
             # Budgets are per execution: rewrite/plan costs were paid at
@@ -197,12 +261,12 @@ class PreparedQuery:
             self.resilience.governor.begin_query()
             governor = self.resilience.governor
             fault_plan = self.resilience.fault_plan
-        evaluator = _build_evaluator(
-            self.graph, self.database, self.strategy, self.executor,
-            join_orders, governor, fault_plan,
+        run = run_plan(
+            self, self.database, self.executor,
+            governor=governor, fault_plan=fault_plan, params=params,
+            retry_on_tuple=self.resilience is not None,
         )
-        result = evaluator.run()
-        return result, evaluator.stats
+        return run.result, run.stats
 
 
 class Connection:
@@ -497,58 +561,56 @@ class Connection:
         resilience.begin_query()
         attempts = []
         last_error = None
-        # The degradation lattice: for every strategy in the chain, try
-        # the requested executor first, then (if that was "batch") retry
-        # the same strategy on the tuple engine before degrading the
-        # strategy — an executor bug must never cost rewrite quality.
-        candidates = []
+        # The degradation lattice: every strategy in the chain runs on the
+        # requested executor and, if that was "batch" and it failed, once
+        # more on the tuple engine (inside ``run_plan``, on the same
+        # prepared graph) before the strategy degrades — an executor bug
+        # must never cost rewrite quality.
         for candidate in resilience.chain_for(strategy):
-            candidates.append((candidate, executor))
-            if executor == "batch" and candidate != "correlated":
-                candidates.append((candidate, "tuple"))
-        for candidate, candidate_executor in candidates:
             try:
                 outcome = self._execute_once(
                     query, candidate, resilience, analyze=analyze,
-                    executor=candidate_executor,
+                    executor=executor,
                 )
             except Exception as exc:
                 # Fail soft on *anything* a strategy threw — a corrupted
                 # graph can surface as an arbitrary exception far from the
                 # rule that broke it. The last chain entry re-raises. Blown
                 # budgets propagate (unless the policy opts in): a limit
-                # exceeded under emst would be exceeded under original too
-                # — and a blown budget on the batch engine would also blow
-                # on the (slower) tuple engine.
+                # exceeded under emst would be exceeded under original too.
                 if (
                     isinstance(exc, ResourceExhaustedError)
                     and not resilience.fallback_on_exhaustion
                 ):
                     raise
                 attempts.append(
-                    (
-                        candidate
-                        if candidate_executor == executor
-                        else "%s (%s executor)" % (candidate, candidate_executor),
-                        "%s: %s" % (type(exc).__name__, exc),
-                    )
+                    (candidate, "%s: %s" % (type(exc).__name__, exc))
                 )
                 last_error = exc
                 continue
+            if outcome.executor_error is not None:
+                attempts.append(
+                    (
+                        "%s (%s executor)" % (candidate, executor),
+                        outcome.executor_error,
+                    )
+                )
             outcome.resilience = FallbackReport(
                 requested=strategy,
                 executed=candidate,
                 attempts=attempts,
                 quarantined=dict(resilience.quarantine.reasons),
                 requested_executor=executor,
-                executed_executor=candidate_executor,
+                executed_executor=outcome.executor,
             )
             return outcome
         raise last_error
 
     def _execute_once(self, query, strategy, resilience, analyze=False,
                       executor="tuple"):
-        """One prepare + execute under one (strategy, executor); no fallback."""
+        """One prepare + execute under one strategy; no strategy fallback
+        (under a resilience policy the executor may still degrade
+        batch -> tuple, reported on the outcome)."""
         graph, plan, heuristic, rewrite_seconds = self.prepare(
             query, strategy, resilience=resilience
         )
@@ -558,32 +620,40 @@ class Connection:
             from repro.analysis import analyze_graph
 
             report = analyze_graph(graph, catalog=self.database.catalog)
-        join_orders = plan.join_orders if plan is not None else None
         governor = resilience.governor if resilience is not None else None
         fault_plan = resilience.fault_plan if resilience is not None else None
-        started = time.perf_counter()
-        evaluator = _build_evaluator(
-            graph, self.database, strategy, executor,
-            join_orders, governor, fault_plan,
+        prepared = PreparedQuery(
+            database=self.database, graph=graph, plan=plan,
+            heuristic=heuristic, strategy=strategy, executor=executor,
         )
-        result = evaluator.run()
+        started = time.perf_counter()
+        run = run_plan(
+            prepared, self.database, executor,
+            governor=governor, fault_plan=fault_plan,
+            retry_on_tuple=resilience is not None,
+        )
         elapsed = time.perf_counter() - started
-        stats = evaluator.stats.as_dict()
+        stats = run.stats.as_dict()
         if heuristic is not None and heuristic.context is not None:
             stats.update(heuristic.context.observability())
         if heuristic is not None and heuristic.relaxed_distinct:
             stats["relaxed_distinct"] = list(heuristic.relaxed_distinct)
         if report is not None:
             stats["analysis"] = report.counts()
+        batch_error = run.batch_error
         return ExecutionOutcome(
-            result=result,
+            result=run.result,
             strategy=strategy,
             graph=graph,
             plan=plan,
             heuristic=heuristic,
             elapsed_seconds=elapsed,
             rewrite_seconds=rewrite_seconds,
-            executor=executor,
+            executor=run.executor,
+            executor_error=(
+                None if batch_error is None
+                else "%s: %s" % (type(batch_error).__name__, batch_error)
+            ),
             stats=stats,
             diagnostics=report,
         )

@@ -195,6 +195,85 @@ class Stddev(Variance):
         return None if variance is None else variance ** 0.5
 
 
+# -- single-pass grouped kernels ------------------------------------------------
+#
+# ``kernel(group_ids, values, group_count) -> [result per group]`` computes
+# one aggregate for every group in one sweep: ``group_ids[i]`` numbers the
+# group of input position ``i``. Each kernel visits a group's values in
+# input order and applies exactly the accumulator's update, so results are
+# bit-identical to feeding one accumulator per group.
+
+
+def _grouped_count_star(group_ids, values, group_count):
+    counts = [0] * group_count
+    for group in group_ids:
+        counts[group] += 1
+    return counts
+
+
+def _grouped_count(group_ids, values, group_count):
+    counts = [0] * group_count
+    for group, value in zip(group_ids, values):
+        if value is not None:
+            counts[group] += 1
+    return counts
+
+
+def _grouped_sum(group_ids, values, group_count):
+    totals = [None] * group_count
+    for group, value in zip(group_ids, values):
+        if value is not None:
+            total = totals[group]
+            totals[group] = value if total is None else total + value
+    return totals
+
+
+def _grouped_avg(group_ids, values, group_count):
+    totals = [0] * group_count
+    counts = [0] * group_count
+    for group, value in zip(group_ids, values):
+        if value is not None:
+            totals[group] += value
+            counts[group] += 1
+    return [
+        None if count == 0 else total / count
+        for total, count in zip(totals, counts)
+    ]
+
+
+def _grouped_min(group_ids, values, group_count):
+    best = [None] * group_count
+    for group, value in zip(group_ids, values):
+        if value is not None:
+            current = best[group]
+            if current is None or value < current:
+                best[group] = value
+    return best
+
+
+def _grouped_max(group_ids, values, group_count):
+    best = [None] * group_count
+    for group, value in zip(group_ids, values):
+        if value is not None:
+            current = best[group]
+            if current is None or value > current:
+                best[group] = value
+    return best
+
+
+#: Accumulator class -> its single-pass kernel. Keyed on the class (not
+#: the SQL name) so an aggregate re-registered under a built-in name, or
+#: wrapped for DISTINCT, never picks up a kernel that is not its own.
+GROUPED_KERNELS = {
+    CountStar: _grouped_count_star,
+    Count: _grouped_count,
+    Sum: _grouped_sum,
+    Avg: _grouped_avg,
+    Min: _grouped_min,
+    Max: _grouped_max,
+}
+
+
 _FACTORIES = {
     "COUNT": Count,
     "SUM": Sum,

@@ -1,77 +1,75 @@
-"""The columnar batch executor.
+"""The columnar batch executor: the execution state of a compiled program.
 
-:class:`BatchEvaluator` subclasses the tuple-at-a-time
-:class:`~repro.engine.evaluator.Evaluator` and replaces its two hottest
-box kinds — SELECT (join pipelines) and GROUPBY — with column-batch
-implementations:
+The batch engine is split in two. :func:`~repro.engine.columnar.program.
+compile_program` lowers a rewritten graph to an immutable
+:class:`~repro.engine.columnar.program.Program` of operators, once;
+:class:`BatchEvaluator` is one *execution* of that program: it owns the
+materialised rows, the transient hash indexes, the correlated memo, the
+``EvaluatorStats``, the governor's probe budget and the parameter values,
+and nothing else ever writes to them. Any number of executions may share
+one program, on threads or across ``fork``.
 
-* predicates and projections run through the vectorized compiler
-  (:func:`~repro.engine.columnar.vector.compile_vector`), one closure
-  call per *column* instead of one per row;
-* foreach quantifiers are attached by batch hash-join build/probe (or a
-  batched cross product) instead of the per-environment
-  ``_attach_quantifier`` loop — no environment-dict copy per probe;
-* group-by extracts key/argument columns once and feeds accumulator
-  slices through ``add_many``.
-
-Everything else — correlation detection, scalar subqueries, E/A filter
-quantifiers, set operations, outer joins, fixpoint orchestration — is
-inherited, so the two engines share one semantics definition wherever
-rows are produced one at a time anyway. The tuple engine remains the
-differential-testing oracle: both must produce identical row sets, and
-the resilience layer falls back batch→tuple on any batch-executor error.
+Select and groupby boxes run their compiled operators — vectorized
+predicates and projections (one closure call per *column*), batch hash
+joins, columnar group-by. Box kinds not lowered yet (set operations, outer
+joins, custom boxes), correlation handling, ``DISTINCT`` enforcement and
+fixpoint orchestration are inherited from the tuple
+:class:`~repro.engine.evaluator.Evaluator`, so the two engines share one
+semantics definition wherever rows are produced one at a time anyway. The
+tuple engine remains the differential-testing oracle: both must produce
+identical row sets, and callers that ask for it retry a failed batch
+execution on the tuple engine.
 
 Cooperative cancellation keeps the tuple engine's contract — a governor
 checkpoint at least every :data:`~repro.engine.evaluator.CHECKPOINT_INTERVAL`
-probes — by checkpointing inside the probe loops (governed variant) and
-charging batched work against the shared probe budget.
+probes — by charging batched work against the shared probe budget.
 """
 
 from __future__ import annotations
 
-from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, QuantifierType
-from repro.engine.aggregates import accumulator_factory, make_accumulator
-from repro.engine.evaluator import (
-    CHECKPOINT_INTERVAL,
-    Evaluator,
-    _hashable_equality,
-)
-from repro.engine.expressions import evaluate
-from repro.engine.columnar.columns import Batch
-from repro.engine.columnar.vector import compile_vector
+from repro.qgm.model import BoxKind
+from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
+from repro.engine.columnar.program import compile_program
 
 
 class BatchEvaluator(Evaluator):
-    """Drop-in :class:`Evaluator` replacement with columnar execution."""
+    """Drop-in :class:`Evaluator` replacement with columnar execution.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._compiled_vectors = {}
+    ``program`` is the compiled form of ``(graph, join_orders)``; callers
+    that execute one graph repeatedly compile it once and pass it to every
+    execution. Without it the graph is compiled here.
+    """
 
-    # -- compiled vectors --------------------------------------------------------
+    def __init__(
+        self, graph, database, join_orders=None, memoize_correlated=True,
+        governor=None, fault_plan=None, params=None, program=None,
+    ):
+        if program is None:
+            program = compile_program(graph, join_orders)
+        self.program = program
+        super().__init__(
+            graph, database, join_orders=join_orders,
+            memoize_correlated=memoize_correlated, governor=governor,
+            fault_plan=fault_plan, params=params,
+        )
 
-    def _vfn(self, expr):
-        """The compiled vector closure for ``expr`` (cached by identity)."""
-        fn = self._compiled_vectors.get(id(expr))
-        if fn is None:
-            fn = compile_vector(expr)
-            self._compiled_vectors[id(expr)] = fn
-        return fn
+    # -- what the program already knows ------------------------------------------
 
-    def _filter_batch(self, batch, predicate):
-        """Keep the positions where ``predicate`` is TRUE (not UNKNOWN)."""
-        if batch.length == 0:
-            # The tuple engine never evaluates predicates over an empty
-            # env list; an early-out may also leave quantifiers unbound.
-            return batch
-        values = self._vfn(predicate)(batch)
-        positions = [i for i, value in enumerate(values) if value is True]
-        if len(positions) == batch.length:
-            return batch
-        return batch.take(positions)
+    def _dependency_components(self):
+        return self.program.components, self.program.component_of
 
-    def _bulk_checkpoint(self, box, count):
+    def fixpoint_plan(self, component):
+        return self.program.fixpoints[self.program.component_of[id(component[0])]]
+
+    def _externals(self, box):
+        return self.program.externals[id(box)]
+
+    def evaluate_box(self, box, env):
+        return self.program.operators[id(box)].run(self, env)
+
+    # -- services the operators call ---------------------------------------------
+
+    def bulk_checkpoint(self, box, count):
         """Charge ``count`` units of batched work against the shared probe
         budget, checkpointing the governor at the same amortized
         granularity as the tuple engine's per-probe `_checkpoint`."""
@@ -82,7 +80,7 @@ class BatchEvaluator(Evaluator):
             self._probe_budget += CHECKPOINT_INTERVAL
             self.governor.checkpoint("join processing in box %r" % box.name)
 
-    def _scan_sources(self, child, rows, quantifier):
+    def scan_sources(self, child, rows, quantifier):
         """Zero-copy column accessors when ``rows`` is a base table's own
         row view — extraction then reads the stored column arrays."""
         if child.kind == BoxKind.BASE:
@@ -90,364 +88,3 @@ class BatchEvaluator(Evaluator):
             if rows is table.rows:
                 return {quantifier: table.column_data}
         return None
-
-    # -- select boxes ------------------------------------------------------------
-
-    def _evaluate_select(self, box, env):
-        local = set(box.quantifiers)
-        predicates = list(box.predicates)
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-        ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-
-        def quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        deferred = set()
-        join_predicates = []
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-        for predicate in predicates:
-            if quantifiers_of(predicate) & non_foreach:
-                deferred.add(id(predicate))
-            else:
-                join_predicates.append(predicate)
-
-        # One position, no slots: the batch analogue of ``[dict(env)]``.
-        batch = Batch(1, constants=dict(env))
-        bound = set()
-        applied = set()
-        for quantifier in self._join_order(box):
-            batch = self._attach_batch(
-                box, quantifier, batch, bound, join_predicates, applied
-            )
-            bound.add(quantifier)
-            if batch.length == 0:
-                break
-
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                batch = self._filter_batch(batch, predicate)
-                applied.add(id(predicate))
-
-        # Scalar subqueries stay row-at-a-time (one-row semantics and
-        # NULL-on-no-match need per-binding checks); the result rows
-        # become a new slot so deferred predicates vectorize over them.
-        for quantifier in scalar_quantifiers:
-            selectors = quantifier.selector_predicates
-            rows = [
-                self._scalar_row(quantifier, current, selectors)
-                for current in batch.row_envs()
-            ]
-            batch.add_slot(quantifier, rows)
-
-        for predicate in predicates:
-            if id(predicate) in deferred and not (
-                quantifiers_of(predicate) & set(filter_quantifiers)
-            ):
-                batch = self._filter_batch(batch, predicate)
-
-        # Existential / anti filters: inherently per-binding subqueries.
-        for quantifier in filter_quantifiers:
-            attached = [
-                p
-                for p in predicates
-                if id(p) in deferred and quantifier in quantifiers_of(p)
-            ]
-            envs = batch.row_envs()
-            positions = [
-                i
-                for i, current in enumerate(envs)
-                if self._passes_filter_quantifier(quantifier, attached, current)
-            ]
-            if len(positions) != batch.length:
-                batch = batch.take(positions)
-
-        self.stats.batches += 1
-        self.stats.batch_rows += batch.length
-        if batch.length == 0:
-            return []
-        columns = [self._vfn(column.expr)(batch) for column in box.columns]
-        if not columns:
-            return [()] * batch.length
-        return list(zip(*columns))
-
-    def _attach_batch(self, box, quantifier, batch, bound, join_predicates, applied):
-        """Join one foreach quantifier into the batch (hash or cross)."""
-        child = quantifier.input_box
-        local = set(box.quantifiers)
-
-        def refs_ok(expression, extra):
-            for ref in qe.column_refs(expression):
-                owner = ref.quantifier
-                if owner in local and owner not in extra and owner not in bound:
-                    return False
-            return True
-
-        applicable = [
-            p
-            for p in join_predicates
-            if id(p) not in applied and refs_ok(p, {quantifier})
-        ]
-
-        hash_keys = []
-        residual = []
-        for predicate in applicable:
-            pair = _hashable_equality(predicate, quantifier, local, bound)
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
-
-        child_correlated = bool(self._externals(child))
-        use_index = hash_keys and not child_correlated
-
-        if use_index:
-            index = self._hash_index(
-                child, quantifier, tuple(k[0] for k in hash_keys)
-            )
-            probe_columns = [self._vfn(k[1])(batch) for k in hash_keys]
-            result = self._probe(box, batch, quantifier, index, probe_columns)
-            for predicate in residual:
-                result = self._filter_batch(result, predicate)
-        elif child_correlated:
-            positions = []
-            new_rows = []
-            governed = self.governor is not None
-            for i, current in enumerate(batch.row_envs()):
-                child_rows = self.rows_for(child, current)
-                if governed:
-                    self._bulk_checkpoint(box, len(child_rows))
-                positions.extend([i] * len(child_rows))
-                new_rows.extend(child_rows)
-            self.stats.join_probes += len(new_rows)
-            result = batch.expand(positions, quantifier, new_rows)
-            for predicate in applicable:
-                result = self._filter_batch(result, predicate)
-        else:
-            child_rows = self.rows_for(child, {})
-            n = len(child_rows)
-            self.stats.join_probes += batch.length * n
-            self._bulk_checkpoint(box, batch.length * n)
-            if batch.length == 1 and not batch.slots:
-                # First quantifier: a straight scan, no replication.
-                result = Batch(
-                    n,
-                    slots={quantifier: child_rows},
-                    constants=batch.constants,
-                    column_sources=self._scan_sources(child, child_rows, quantifier),
-                )
-            else:
-                positions = [
-                    i for i in range(batch.length) for _ in range(n)
-                ]
-                result = batch.expand(positions, quantifier, child_rows * batch.length)
-            for predicate in applicable:
-                result = self._filter_batch(result, predicate)
-
-        for predicate in applicable:
-            applied.add(id(predicate))
-        self.stats.batches += 1
-        self.stats.batch_rows += result.length
-        return result
-
-    def _probe(self, box, batch, quantifier, index, probe_columns):
-        """Batch hash-join probe: look up every position's key, emit one
-        output position per match. NULL keys never join."""
-        positions = []
-        new_rows = []
-        probes = 0
-        matches = 0
-        get = index.get
-        governed = self.governor is not None
-        if len(probe_columns) == 1:
-            column = probe_columns[0]
-            for i, value in enumerate(column):
-                if governed:
-                    self._checkpoint(box)
-                if value is None:
-                    continue
-                probes += 1
-                rows = get((value,))
-                if rows:
-                    matches += len(rows)
-                    positions.extend([i] * len(rows))
-                    new_rows.extend(rows)
-        else:
-            for i, key in enumerate(zip(*probe_columns)):
-                if governed:
-                    self._checkpoint(box)
-                if any(value is None for value in key):
-                    continue
-                probes += 1
-                rows = get(key)
-                if rows:
-                    matches += len(rows)
-                    positions.extend([i] * len(rows))
-                    new_rows.extend(rows)
-        self.stats.batch_probes += probes
-        self.stats.batch_probe_matches += matches
-        self.stats.join_probes += matches
-        return batch.expand(positions, quantifier, new_rows)
-
-    def _hash_index(self, child, quantifier, key_exprs):
-        """As the base implementation, but transient index builds extract
-        key columns vectorized instead of evaluating per row. Cache keys
-        are unchanged, so fixpoint delta invalidation keeps working."""
-        if child.kind == BoxKind.BASE and all(
-            isinstance(k, qe.QColRef) for k in key_exprs
-        ):
-            table = self.database.table(child.table_name)
-            return table.index_on(tuple(k.column for k in key_exprs))
-        names = tuple(str(k) for k in key_exprs)
-        cache_key = (id(child), names)
-        index = self._index_cache.get(cache_key)
-        if index is not None:
-            return index
-        rows = self.rows_for(child, {})
-        build = Batch(
-            len(rows),
-            slots={quantifier: rows},
-            column_sources=self._scan_sources(child, rows, quantifier),
-        )
-        key_columns = [self._vfn(k)(build) for k in key_exprs]
-        index = {}
-        if len(key_columns) == 1:
-            for i, value in enumerate(key_columns[0]):
-                if value is None:
-                    continue
-                index.setdefault((value,), []).append(rows[i])
-        else:
-            for i, key in enumerate(zip(*key_columns)):
-                if any(value is None for value in key):
-                    continue
-                index.setdefault(key, []).append(rows[i])
-        self._index_cache[cache_key] = index
-        return index
-
-    # -- groupby boxes -----------------------------------------------------------
-
-    def _evaluate_groupby(self, box, env):
-        quantifier = box.quantifiers[0]
-        input_rows = self.rows_for(quantifier.input_box, env)
-
-        aggregate_columns = [
-            (index, column.expr)
-            for index, column in enumerate(box.columns)
-            if isinstance(column.expr, qe.QAggregate)
-        ]
-
-        if not input_rows:
-            if box.group_keys:
-                return []
-            # Scalar aggregate over an empty input: one row.
-            accumulators = [
-                make_accumulator(agg.func, star=agg.arg is None, distinct=agg.distinct)
-                for _, agg in aggregate_columns
-            ]
-            row = []
-            agg_iter = iter(accumulators)
-            for column in box.columns:
-                if isinstance(column.expr, qe.QAggregate):
-                    row.append(next(agg_iter).result())
-                else:
-                    row.append(None)
-            return [tuple(row)]
-
-        batch = Batch(
-            len(input_rows),
-            slots={quantifier: input_rows},
-            constants=dict(env),
-            column_sources=self._scan_sources(
-                quantifier.input_box, input_rows, quantifier
-            ),
-        )
-        self._bulk_checkpoint(box, len(input_rows))
-        key_columns = [self._vfn(k)(batch) for k in box.group_keys]
-        arg_columns = [
-            None if agg.arg is None else self._vfn(agg.arg)(batch)
-            for _, agg in aggregate_columns
-        ]
-
-        groups = {}
-        order = []
-        if key_columns:
-            if len(key_columns) == 1:
-                keys = key_columns[0]
-            else:
-                keys = zip(*key_columns)
-            for i, key in enumerate(keys):
-                positions = groups.get(key)
-                if positions is None:
-                    groups[key] = positions = []
-                    order.append(key)
-                positions.append(i)
-        else:
-            groups[()] = list(range(len(input_rows)))
-            order.append(())
-
-        self.stats.batches += 1
-        self.stats.batch_rows += len(input_rows)
-
-        # Per-group work is planned once: aggregates get a pre-resolved
-        # accumulator builder, bare column references gather from their
-        # already-extracted column, and only genuinely complex output
-        # expressions (rare) fall back to a per-group representative env
-        # — matching the tuple engine, which also evaluates non-aggregate
-        # outputs against one representative row per group.
-        factories = [
-            accumulator_factory(
-                agg.func, star=agg.arg is None, distinct=agg.distinct
-            )
-            for _, agg in aggregate_columns
-        ]
-        plans = []  # ("agg", slot) | ("col", column values) | ("expr", expr)
-        agg_slot = 0
-        for column in box.columns:
-            expr = column.expr
-            if isinstance(expr, qe.QAggregate):
-                plans.append(("agg", agg_slot))
-                agg_slot += 1
-            elif isinstance(expr, qe.QColRef):
-                plans.append(("col", self._vfn(expr)(batch)))
-            else:
-                plans.append(("expr", expr))
-
-        rows = []
-        total = len(input_rows)
-        for key in order:
-            positions = groups[key]
-            rep = positions[0]
-            results = []
-            for factory, column in zip(factories, arg_columns):
-                accumulator = factory()
-                if column is None:
-                    # COUNT(*): only the slice length matters.
-                    accumulator.add_many(positions)
-                elif len(positions) == total:
-                    accumulator.add_many(column)
-                else:
-                    accumulator.add_many([column[p] for p in positions])
-                results.append(accumulator.result())
-            representative_env = None
-            row = []
-            for kind, payload in plans:
-                if kind == "agg":
-                    row.append(results[payload])
-                elif kind == "col":
-                    row.append(payload[rep])
-                else:
-                    if representative_env is None:
-                        representative_env = dict(env)
-                        representative_env[quantifier] = input_rows[rep]
-                    row.append(evaluate(payload, representative_env))
-            rows.append(tuple(row))
-        return rows

@@ -1,0 +1,229 @@
+"""Compile a rewritten query graph to a reusable operator program.
+
+The paper's Table 1 times the execution of *already optimized* queries: a
+real system compiles QGM to a plan once and runs it many times.
+:func:`compile_program` is that step for the batch executor. Everything an
+execution can know from the graph and the join orders alone is decided
+here, once:
+
+* the strongly connected components of the box dependency graph, and for
+  each recursive one its :class:`~repro.engine.recursion.FixpointPlan`
+  (stratification, semi-naive members, the proven-duplicate-free set);
+* per box, its *externals* — the correlation quantifiers bound outside its
+  subtree;
+* per SELECT box a join pipeline in plan order: for every foreach
+  quantifier whether it attaches by hash probe (and with which key and
+  probe extractors), by scan, cross product or per-binding loop, which
+  predicates filter at that point, then the scalar-subquery bindings, the
+  predicates that waited for them, the E/A filters and the projection;
+* per GROUPBY box the key/argument extractors, accumulator factories,
+  single-pass kernels and output plan.
+
+A :class:`Program` is immutable after compilation and holds no rows, no
+indexes and no parameter values, so one program runs concurrently on any
+number of threads and is inherited as-is by forked workers. It depends on
+the graph, the join orders and the schema (column ordinals) — never on
+data: DML does not invalidate it, DDL does (the plan cache keys on the
+catalog version, a :class:`~repro.api.PreparedQuery` is bound to one
+graph). Mutating a graph after compiling it is not supported.
+"""
+
+from __future__ import annotations
+
+from repro.errors import ReproError
+from repro.qgm import expr as qe
+from repro.qgm.model import BoxKind, QuantifierType
+from repro.qgm.stratum import reduced_dependency_graph
+from repro.engine.evaluator import (
+    hashable_equality,
+    ordered_foreach,
+    self_recursive,
+)
+from repro.engine.recursion import FixpointPlan
+from repro.engine.columnar.operators import (
+    CorrelatedStep,
+    CrossStep,
+    FailedOp,
+    FilterQuantifierStep,
+    GroupByOp,
+    HashStep,
+    InheritedOp,
+    ScalarStep,
+    ScanStep,
+    SelectOp,
+)
+
+
+class Program:
+    """The compiled form of one ``(graph, join orders)`` pair."""
+
+    __slots__ = (
+        "graph", "join_orders", "components", "component_of", "externals",
+        "operators", "fixpoints",
+    )
+
+    def __init__(self, graph, join_orders):
+        self.graph = graph
+        self.join_orders = join_orders
+        #: Box dependency SCCs, producers first, and ``id(box) -> index``.
+        self.components, self.component_of = reduced_dependency_graph(graph)
+        boxes = [box for component in self.components for box in component]
+        #: ``id(box) -> [quantifier, ...]`` bound outside the box's subtree.
+        self.externals = _externals(boxes)
+        #: ``id(box) -> operator`` (see :mod:`.operators`).
+        self.operators = {
+            id(box): _lower(box, join_orders.get(box.box_id), self.externals)
+            for box in boxes
+        }
+        #: ``component index -> FixpointPlan`` for the recursive ones.
+        self.fixpoints = {
+            index: FixpointPlan(component)
+            for index, component in enumerate(self.components)
+            if len(component) > 1 or self_recursive(component[0])
+        }
+
+
+def compile_program(graph, join_orders=None):
+    """Lower ``graph`` under ``join_orders`` (``box id -> [quantifier
+    name, ...]``, as in :class:`~repro.optimizer.plan.GraphPlan`) to a
+    :class:`Program`."""
+    return Program(graph, join_orders or {})
+
+
+def _externals(boxes):
+    """For every box, the quantifiers referenced inside its subtree but
+    owned outside it (the correlation edges crossing the boundary)."""
+    referenced = {}
+    for box in boxes:
+        seen = {}
+        for expression in box.all_expressions():
+            for ref in qe.column_refs(expression):
+                seen.setdefault(id(ref.quantifier), ref.quantifier)
+        referenced[id(box)] = list(seen.values())
+    externals = {}
+    for box in boxes:
+        subtree = {}
+        stack = [box]
+        while stack:
+            current = stack.pop()
+            if id(current) not in subtree:
+                subtree[id(current)] = current
+                stack.extend(q.input_box for q in current.quantifiers)
+        found = {}
+        for member in subtree.values():
+            for quantifier in referenced[id(member)]:
+                owner = quantifier.parent_box
+                if owner is not None and id(owner) not in subtree:
+                    found.setdefault(id(quantifier), quantifier)
+        externals[id(box)] = list(found.values())
+    return externals
+
+
+def _lower(box, order_names, externals):
+    """The operator for one box."""
+    try:
+        if box.kind == BoxKind.SELECT:
+            return _lower_select(box, order_names, externals)
+        if box.kind == BoxKind.GROUPBY:
+            return GroupByOp(box)
+    except ReproError as error:
+        return FailedOp(box, error)
+    return InheritedOp(box)
+
+
+def _lower_select(box, order_names, externals):
+    """Decide the join pipeline of a select box — the static counterpart
+    of the tuple engine's ``_evaluate_select`` / ``_attach_quantifier``."""
+    local = set(box.quantifiers)
+    scalar_quantifiers = [
+        q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
+    ]
+    filter_quantifiers = [
+        q
+        for q in box.quantifiers
+        if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
+    ]
+    locals_of = {
+        id(predicate): {
+            ref.quantifier
+            for ref in qe.column_refs(predicate)
+            if ref.quantifier in local
+        }
+        for predicate in box.predicates
+    }
+    # Predicates touching a scalar/E/A quantifier wait until it is bound.
+    non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
+    join_predicates = [
+        p for p in box.predicates if not (locals_of[id(p)] & non_foreach)
+    ]
+    deferred = [p for p in box.predicates if locals_of[id(p)] & non_foreach]
+
+    steps = []
+    bound = set()
+    applied = set()
+    for quantifier in ordered_foreach(box, order_names):
+        reachable = bound | {quantifier}
+        applicable = [
+            p
+            for p in join_predicates
+            if id(p) not in applied and locals_of[id(p)] <= reachable
+        ]
+        # Equalities usable for hashing: one side references only this
+        # quantifier, the other only bound or outer quantifiers.
+        pairs = []
+        residual = []
+        for predicate in applicable:
+            pair = hashable_equality(predicate, quantifier, local, bound)
+            if pair is not None:
+                pairs.append(pair)
+            else:
+                residual.append(predicate)
+        if externals[id(quantifier.input_box)]:
+            step = CorrelatedStep(box, quantifier, applicable)
+        elif pairs:
+            step = HashStep(box, quantifier, pairs, applicable, residual)
+        elif not steps:
+            step = ScanStep(box, quantifier, applicable)
+        else:
+            step = CrossStep(box, quantifier, applicable)
+        steps.append(step)
+        applied.update(id(p) for p in applicable)
+        bound.add(quantifier)
+
+    filters = set(filter_quantifiers)
+    return SelectOp(
+        box,
+        steps,
+        tail=[p for p in join_predicates if id(p) not in applied],
+        scalars=[
+            ScalarStep(q, _selector_pairs(q, externals))
+            for q in scalar_quantifiers
+        ],
+        deferred=[p for p in deferred if not (locals_of[id(p)] & filters)],
+        filters=[
+            FilterQuantifierStep(
+                q, [p for p in deferred if q in locals_of[id(p)]]
+            )
+            for q in filter_quantifiers
+        ],
+    )
+
+
+def _selector_pairs(quantifier, externals):
+    """The hash ``(key, probe)`` pairs of a decorrelated scalar
+    quantifier whose selectors are all equalities over an uncorrelated
+    input; None when it must check one binding at a time."""
+    selectors = quantifier.selector_predicates
+    if (
+        not quantifier.decorrelated
+        or not selectors
+        or externals[id(quantifier.input_box)]
+    ):
+        return None
+    pairs = []
+    for predicate in selectors:
+        pair = hashable_equality(predicate, quantifier, {quantifier}, set())
+        if pair is None:
+            return None
+        pairs.append(pair)
+    return pairs

@@ -29,6 +29,7 @@ from repro.engine.expressions import (
     compare,
     compile_expr,
     like_match,
+    parameter_value,
     sql_not,
 )
 
@@ -36,10 +37,11 @@ from repro.engine.expressions import (
 def compile_vector(expr):
     """Compile ``expr`` into ``fn(batch) -> list`` (one value/position)."""
     if isinstance(expr, qe.QParam):
-        raise ExecutionError(
-            "unbound parameter ?%d reached the evaluator; bind_parameters "
-            "must run before execution" % (expr.index + 1),
-            context={"parameter": expr.index},
+        # Read at run time from the batch's environment: the compiled
+        # closure is shared by every execution, whatever it binds.
+        index = expr.index
+        return lambda batch: (
+            [parameter_value(batch.constants, index)] * batch.length
         )
     if isinstance(expr, qe.QLiteral):
         value = expr.value

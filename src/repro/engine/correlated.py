@@ -216,7 +216,8 @@ class CorrelatedEvaluator:
         if ordered_names:
             by_name = {q.name: q for q in foreach}
             ordered = [by_name[name] for name in ordered_names if name in by_name]
-            ordered += [q for q in foreach if q.name not in set(ordered_names)]
+            placed = set(ordered_names)
+            ordered += [q for q in foreach if q.name not in placed]
         else:
             ordered = foreach
         from repro.qgm.model import BoxKind

@@ -21,6 +21,7 @@ from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.qgm.stratum import reduced_dependency_graph
 from repro.engine.aggregates import make_accumulator
 from repro.engine.expressions import (
+    PARAMETERS,
     compile_expr,
     compile_predicate,
     evaluate,
@@ -97,11 +98,16 @@ class EvaluatorStats:
 
 
 class Evaluator:
-    """Evaluates a :class:`~repro.qgm.model.QueryGraph` against a database."""
+    """Evaluates a :class:`~repro.qgm.model.QueryGraph` against a database.
+
+    ``params`` are the values of the statement's ``?`` slots, for a graph
+    that still carries :class:`~repro.qgm.expr.QParam` nodes; they ride in
+    the root environment (see :data:`~repro.engine.expressions.PARAMETERS`).
+    """
 
     def __init__(
         self, graph, database, join_orders=None, memoize_correlated=True,
-        governor=None, fault_plan=None,
+        governor=None, fault_plan=None, params=None,
     ):
         self.graph = graph
         self.database = database
@@ -112,6 +118,9 @@ class Evaluator:
         self.governor = governor
         self.fault_plan = fault_plan
         self.stats = EvaluatorStats()
+        #: The environment of every uncorrelated evaluation. Shared, never
+        #: mutated: code that binds a quantifier copies it first.
+        self.root_env = {PARAMETERS: tuple(params)} if params else {}
         self._probe_budget = CHECKPOINT_INTERVAL
         self._materialized = {}
         self._correlated_memo = {}
@@ -120,18 +129,28 @@ class Evaluator:
         self._index_cache = {}
         self._compiled = {}
         self._compiled_predicates = {}
-        components, component_of = reduced_dependency_graph(graph)
-        self._component_of = component_of
-        self._components = components
+        self._components, self._component_of = self._dependency_components()
 
     # -- public --------------------------------------------------------------
 
     def run(self):
         """Evaluate the whole graph and return a :class:`Result`."""
         top = self.graph.top_box
-        rows = self.rows_for(top, {})
+        rows = self.rows_for(top, self.root_env)
         rows = _apply_order_limit(rows, self.graph.order_by, self.graph.limit)
         return Result(columns=top.column_names, rows=rows)
+
+    # -- graph analysis ------------------------------------------------------------
+
+    def _dependency_components(self):
+        """``(components, component_of)`` of the box dependency graph."""
+        return reduced_dependency_graph(self.graph)
+
+    def fixpoint_plan(self, component):
+        """The graph-only analysis :func:`run_fixpoint` runs on."""
+        from repro.engine.recursion import FixpointPlan
+
+        return FixpointPlan(component)
 
     # -- compiled expressions ----------------------------------------------------
 
@@ -162,12 +181,12 @@ class Evaluator:
         if cached is not None:
             return cached
         component = self._components[self._component_of[id(box)]]
-        if len(component) > 1 or _self_recursive(box):
+        if len(component) > 1 or self_recursive(box):
             from repro.engine.recursion import run_fixpoint
 
             run_fixpoint(self, component)
             return self._materialized[id(box)]
-        rows = self.evaluate_box(box, {})
+        rows = self.evaluate_box(box, self.root_env)
         rows = self._finalize(box, rows)
         self._materialized[id(box)] = rows
         return rows
@@ -283,14 +302,7 @@ class Evaluator:
     # -- select boxes ------------------------------------------------------------------
 
     def _join_order(self, box):
-        ordered_names = self.join_orders.get(box.box_id)
-        foreach = box.foreach_quantifiers()
-        if not ordered_names:
-            return foreach
-        by_name = {q.name: q for q in foreach}
-        ordered = [by_name[name] for name in ordered_names if name in by_name]
-        remaining = [q for q in foreach if q.name not in set(ordered_names)]
-        return ordered + remaining
+        return ordered_foreach(box, self.join_orders.get(box.box_id))
 
     def _evaluate_select(self, box, env):
         local = set(box.quantifiers)
@@ -401,7 +413,7 @@ class Evaluator:
         hash_keys = []
         residual = []
         for predicate in applicable:
-            pair = _hashable_equality(predicate, quantifier, local, bound)
+            pair = hashable_equality(predicate, quantifier, local, bound)
             if pair is not None:
                 hash_keys.append(pair)
             else:
@@ -454,15 +466,18 @@ class Evaluator:
         ):
             table = self.database.table(child.table_name)
             return table.index_on(tuple(k.column for k in key_exprs))
-        names = tuple(str(k) for k in key_exprs)
-        cache_key = (id(child), names)
+        # Keyed on the expressions' identity: the same predicate objects
+        # come back on every probe of one evaluation, and the first
+        # element lets the fixpoint drop a member's indexes by box.
+        cache_key = (id(child), tuple(id(k) for k in key_exprs))
         index = self._index_cache.get(cache_key)
         if index is not None:
             return index
         index = {}
         key_fns = [self._fn(k) for k in key_exprs]
-        for row in self.rows_for(child, {}):
-            env = {quantifier: row}
+        root_env = self.root_env
+        for row in self.rows_for(child, root_env):
+            env = {quantifier: row, **root_env}
             key = tuple(fn(env) for fn in key_fns)
             if any(v is None for v in key):
                 continue
@@ -479,7 +494,7 @@ class Evaluator:
         if quantifier.decorrelated and selectors and not self._externals(child):
             keyed = []
             for predicate in selectors:
-                pair = _hashable_equality(predicate, quantifier, {quantifier}, set())
+                pair = hashable_equality(predicate, quantifier, {quantifier}, set())
                 if pair is None:
                     keyed = None
                     break
@@ -626,7 +641,7 @@ class Evaluator:
         hash_keys = []
         residual = []
         for predicate in box.predicates:
-            pair = _hashable_equality(
+            pair = hashable_equality(
                 predicate, right_q, set(box.quantifiers), {left_q}
             )
             if pair is not None:
@@ -709,7 +724,20 @@ class Evaluator:
         return rows
 
 
-def _hashable_equality(predicate, quantifier, local, bound):
+def ordered_foreach(box, ordered_names):
+    """``box``'s foreach quantifiers in the plan's order: the named ones
+    first, as named, then the rest in declaration order."""
+    foreach = box.foreach_quantifiers()
+    if not ordered_names:
+        return foreach
+    by_name = {q.name: q for q in foreach}
+    ordered = [by_name[name] for name in ordered_names if name in by_name]
+    placed = set(ordered_names)
+    remaining = [q for q in foreach if q.name not in placed]
+    return ordered + remaining
+
+
+def hashable_equality(predicate, quantifier, local, bound):
     """If ``predicate`` is an equality usable to hash-join ``quantifier``,
     return (key_expr_over_quantifier, probe_expr_over_bound); else None."""
     if not (isinstance(predicate, qe.QBinary) and predicate.op == "="):
@@ -735,7 +763,7 @@ def _hashable_equality(predicate, quantifier, local, bound):
     return None
 
 
-def _self_recursive(box):
+def self_recursive(box):
     return any(q.input_box is box for q in box.quantifiers)
 
 

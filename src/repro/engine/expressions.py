@@ -1,7 +1,9 @@
 """Runtime evaluation of QGM expressions with SQL three-valued logic.
 
 An *environment* maps :class:`~repro.qgm.model.Quantifier` objects to the
-current row (a tuple laid out per the quantifier's input box columns).
+current row (a tuple laid out per the quantifier's input box columns), and
+the reserved key :data:`PARAMETERS` to the statement's parameter vector
+when the graph still carries :class:`~repro.qgm.expr.QParam` nodes.
 Boolean expressions evaluate to ``True``, ``False`` or ``None`` (UNKNOWN);
 predicates accept a row only when the result is ``True``.
 """
@@ -15,6 +17,39 @@ from repro.errors import ExecutionError
 from repro.qgm import expr as qe
 
 _LIKE_CACHE = {}
+
+
+class _ParametersKey:
+    """Environment key of the parameter vector (never a quantifier)."""
+
+    def __repr__(self):
+        return "PARAMETERS"
+
+
+#: ``env[PARAMETERS]`` is the tuple of values bound to the statement's
+#: ``?`` slots for this execution. Evaluators put it in their root
+#: environment, every derived environment copies it along, so compiled
+#: closures stay free of per-execution values and one compilation serves
+#: every binding.
+PARAMETERS = _ParametersKey()
+
+
+def parameter_value(env, index):
+    """The value bound to parameter slot ``index`` in ``env``."""
+    values = env.get(PARAMETERS)
+    if values is None:
+        raise ExecutionError(
+            "unbound parameter ?%d reached the evaluator; pass parameter "
+            "values to the execution or bind_parameters first" % (index + 1),
+            context={"parameter": index},
+        )
+    if index >= len(values):
+        raise ExecutionError(
+            "statement expects parameter ?%d but only %d value(s) "
+            "were bound" % (index + 1, len(values)),
+            context={"parameter": index, "bound": len(values)},
+        )
+    return values[index]
 
 #: Raw (not NULL-aware) binary operator callables, shared with the batch
 #: executor's vector compiler. The vectorized paths apply these inside
@@ -199,11 +234,7 @@ def evaluate(expr, env):
     bind correlated quantifiers before descending).
     """
     if isinstance(expr, qe.QParam):
-        raise ExecutionError(
-            "unbound parameter ?%d reached the evaluator; bind_parameters "
-            "must run before execution" % (expr.index + 1),
-            context={"parameter": expr.index},
-        )
+        return parameter_value(env, expr.index)
     if isinstance(expr, qe.QLiteral):
         return expr.value
     if isinstance(expr, qe.QColRef):
@@ -280,11 +311,8 @@ def compile_expr(expr):
     mutating, so anything reachable during execution is stable).
     """
     if isinstance(expr, qe.QParam):
-        raise ExecutionError(
-            "unbound parameter ?%d reached the evaluator; bind_parameters "
-            "must run before execution" % (expr.index + 1),
-            context={"parameter": expr.index},
-        )
+        index = expr.index
+        return lambda env: parameter_value(env, index)
     if isinstance(expr, qe.QLiteral):
         value = expr.value
         return lambda env: value

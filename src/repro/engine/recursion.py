@@ -41,7 +41,8 @@ def _dedupe(rows):
 _MAX_ROUNDS = 100000
 
 
-def _check_stratified(component):
+def _stratification_violation(component):
+    """Why ``component`` is not stratified (a message), or None."""
     member_ids = {id(box) for box in component}
     for box in component:
         for quantifier in box.quantifiers:
@@ -49,20 +50,21 @@ def _check_stratified(component):
             if not through_cycle:
                 continue
             if quantifier.qtype == QuantifierType.ANTI:
-                raise QgmError(
+                return (
                     "negation through recursion in box %r is not stratified"
                     % box.name
                 )
             if box.kind == BoxKind.GROUPBY:
-                raise QgmError(
+                return (
                     "aggregation through recursion in box %r is not stratified"
                     % box.name
                 )
             if box.kind == BoxKind.EXCEPT and quantifier is box.quantifiers[1]:
-                raise QgmError(
+                return (
                     "difference through recursion in box %r is not stratified"
                     % box.name
                 )
+    return None
 
 
 def _linear_member_quantifier(box, member_ids):
@@ -82,19 +84,66 @@ def _linear_member_quantifier(box, member_ids):
     return quantifier
 
 
+class FixpointPlan:
+    """What :func:`run_fixpoint` needs to know about a recursive component
+    that the graph alone decides: stratification, which members run
+    semi-naive, and which are proven duplicate-free. None of it depends on
+    data, so a compiled program derives it once and every execution
+    reuses it; the tuple engine derives it per run."""
+
+    def __init__(self, component):
+        self.component = component
+        self.names = sorted(box.name for box in component)
+        self.member_ids = member_ids = {id(box) for box in component}
+        self.violation = _stratification_violation(component)
+        if self.violation is not None:
+            return
+        self.linear = {
+            id(box): _linear_member_quantifier(box, member_ids)
+            for box in component
+        }
+        self.union_children = {
+            id(box): [q.input_box for q in box.quantifiers]
+            for box in component
+            if box.kind == BoxKind.UNION
+        }
+        # The runtime payoff of the duplicate-freeness proof inside the
+        # fixpoint: a box the key analysis proves duplicate-free *without*
+        # relying on an explicit enforcement emits provably disjoint row
+        # sets each round on the additive (delta-driven) paths, so the
+        # per-round dedup and known-set filtering can be skipped for it
+        # outright. Boxes still carrying ENFORCE pay their own enforcement
+        # instead.
+        from repro.qgm.keys import is_duplicate_free
+
+        self.proven = {
+            id(box): box.distinct != DistinctMode.ENFORCE
+            and bool(is_duplicate_free(box, ignore_enforce=True))
+            for box in component
+        }
+        self.additive = {
+            id(box): self.linear[id(box)] is not None
+            or id(box) in self.union_children
+            for box in component
+        }
+
+
 def run_fixpoint(evaluator, component, governor=None):
     """Evaluate all boxes of a recursive component to a fixpoint.
 
     Fills ``evaluator._materialized`` for every member with deduplicated
     rows. Linear select boxes run semi-naive (delta-driven); everything
-    else re-evaluates fully each round.
+    else re-evaluates fully each round. The graph-only analysis comes from
+    ``evaluator.fixpoint_plan(component)``.
 
     Round and deadline budgets come from ``governor`` (or the evaluator's
     governor; a default governor enforces the historical 100000-round cap
     and raises :class:`~repro.errors.ResourceExhaustedError` naming the
     limit and the recursive component).
     """
-    _check_stratified(component)
+    plan = evaluator.fixpoint_plan(component)
+    if plan.violation is not None:
+        raise QgmError(plan.violation)
 
     if governor is None:
         governor = getattr(evaluator, "governor", None)
@@ -102,46 +151,23 @@ def run_fixpoint(evaluator, component, governor=None):
         from repro.resilience.governor import ResourceGovernor
 
         governor = ResourceGovernor()
-    component_names = sorted(box.name for box in component)
+    component_names = plan.names
+    member_ids = plan.member_ids
+    linear = plan.linear
+    union_children = plan.union_children
+    proven = plan.proven
+    additive = plan.additive
+    root_env = evaluator.root_env
 
-    member_ids = {id(box) for box in component}
     seen = {id(box): set() for box in component}
     delta = {id(box): [] for box in component}
     for box in component:
         evaluator._materialized[id(box)] = []
 
-    linear = {
-        id(box): _linear_member_quantifier(box, member_ids) for box in component
-    }
-    union_children = {
-        id(box): [q.input_box for q in box.quantifiers]
-        for box in component
-        if box.kind == BoxKind.UNION
-    }
-    # The runtime payoff of the duplicate-freeness proof inside the
-    # fixpoint: a box the key analysis proves duplicate-free *without*
-    # relying on an explicit enforcement emits provably disjoint row sets
-    # each round on the additive (delta-driven) paths, so the per-round
-    # dedup and known-set filtering can be skipped for it outright.
-    # Boxes still carrying ENFORCE pay their own enforcement instead.
-    from repro.qgm.keys import is_duplicate_free
-
-    proven = {
-        id(box): box.distinct != DistinctMode.ENFORCE
-        and bool(is_duplicate_free(box, ignore_enforce=True))
-        for box in component
-    }
-    additive = {
-        id(box): linear[id(box)] is not None or id(box) in union_children
-        for box in component
-    }
-
     def clear_member_indexes():
-        evaluator._index_cache = {
-            key: value
-            for key, value in evaluator._index_cache.items()
-            if key[0] not in member_ids
-        }
+        cache = evaluator._index_cache
+        for key in [key for key in cache if key[0] in member_ids]:
+            del cache[key]
 
     rounds = 0
     changed = True
@@ -178,12 +204,12 @@ def run_fixpoint(evaluator, component, governor=None):
                 evaluator._materialized[id(member)] = delta[id(member)]
                 clear_member_indexes()
                 try:
-                    produced = evaluator.evaluate_box(box, {})
+                    produced = evaluator.evaluate_box(box, root_env)
                 finally:
                     evaluator._materialized[id(member)] = full_rows
                     clear_member_indexes()
             else:
-                produced = evaluator.evaluate_box(box, {})
+                produced = evaluator.evaluate_box(box, root_env)
             # A box still carrying DISTINCT enforcement collapses its own
             # duplicates every round: the enforcement *is* its dedup
             # operator, and its contract holds regardless of consumer.

@@ -1,18 +1,26 @@
 """Physical-plan rendering: EXPLAIN output.
 
-Synthesises, per box, the operator pipeline the evaluator will run —
-which quantifier is scanned first, which are attached by hash join vs
-nested loop, where semi/anti joins and scalar bindings apply, where
+Renders, per box, the operator pipeline of the compiled program
+(:func:`repro.engine.columnar.compile_program`) — which quantifier is
+scanned first, which are attached by hash join vs nested loop and under
+which predicates, where semi/anti joins and scalar bindings apply, where
 duplicates are eliminated — annotated with the estimator's row counts.
+
+The program is what the batch executor runs, so for ``executor="batch"``
+EXPLAIN cannot disagree with execution. The tuple engine interprets the
+graph instead of compiling it, but decides hash key vs residual vs scan
+with the same function in the same order
+(:func:`repro.engine.evaluator.hashable_equality`), so the same pipeline
+describes it.
 """
 
 from __future__ import annotations
 
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-from repro.qgm.stratum import reduced_dependency_graph
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.engine.evaluator import _hashable_equality
+from repro.engine.columnar import compile_program
+from repro.engine.columnar.operators import FailedOp, HashStep, SelectOp
 
 
 def _child_name(quantifier):
@@ -22,55 +30,34 @@ def _child_name(quantifier):
     return child.name
 
 
-def _select_pipeline(box, order_names, estimator):
-    """Describe the join pipeline of one select box."""
-    foreach = box.foreach_quantifiers()
-    by_name = {q.name: q for q in foreach}
-    ordered = [by_name[n] for n in (order_names or []) if n in by_name]
-    ordered += [q for q in foreach if q not in set(ordered)]
-
+def _select_pipeline(operator, estimator):
+    """Describe the compiled join pipeline of one select box."""
+    box = operator.box
     lines = []
-    local = set(box.quantifiers)
-    bound = set()
-    applied = set()
-    for index, quantifier in enumerate(ordered):
-        applicable = []
-        for predicate in box.predicates:
-            if id(predicate) in applied:
-                continue
-            needed = {
-                r.quantifier
-                for r in qe.column_refs(predicate)
-                if r.quantifier in local
-            }
-            if needed and needed <= (bound | {quantifier}) and all(
-                q.qtype == QuantifierType.FOREACH for q in needed
-            ):
-                applicable.append(predicate)
-        hash_keys = [
-            p
-            for p in applicable
-            if _hashable_equality(p, quantifier, local, bound) is not None
-        ]
-        rows = estimator.rows(quantifier.input_box)
-        label = "magic " if quantifier.is_magic else ""
-        if index == 0:
-            op = "SCAN"
-        elif hash_keys:
-            op = "HASHJOIN"
-        else:
-            op = "NLJOIN"
+    for index, step in enumerate(operator.steps):
+        quantifier = step.quantifier
+        label = step.label
+        if index == 0 and isinstance(step, HashStep):
+            # A hash step with nothing bound before it probes with
+            # constants or outer bindings: an index lookup, not a join.
+            label = "INDEXSCAN"
         detail = ""
-        if applicable:
-            detail = " ON " + " AND ".join(str(p) for p in applicable)
+        if step.predicates:
+            detail = " ON " + " AND ".join(str(p) for p in step.predicates)
         lines.append(
             "%s %s%s (%s, ~%d rows)%s"
-            % (op, label, quantifier.name, _child_name(quantifier), rows, detail)
+            % (
+                label,
+                "magic " if quantifier.is_magic else "",
+                quantifier.name,
+                _child_name(quantifier),
+                estimator.rows(quantifier.input_box),
+                detail,
+            )
         )
-        for predicate in applicable:
-            applied.add(id(predicate))
-        bound.add(quantifier)
-
+    probed = {
+        step.quantifier for step in operator.scalars if step.lookup is not None
+    }
     for quantifier in box.quantifiers:
         if quantifier.qtype == QuantifierType.EXISTENTIAL:
             lines.append(
@@ -83,23 +70,17 @@ def _select_pipeline(box, order_names, estimator):
                 % (kind.upper(), quantifier.name, _child_name(quantifier))
             )
         elif quantifier.qtype == QuantifierType.SCALAR:
-            mode = "decorrelated probe" if quantifier.decorrelated else "single row"
+            if quantifier in probed:
+                mode = "decorrelated probe"
+            elif quantifier.decorrelated:
+                mode = "decorrelated scan"
+            else:
+                mode = "single row"
             lines.append(
                 "SCALAR %s (%s, %s)"
                 % (quantifier.name, _child_name(quantifier), mode)
             )
-    residual = [p for p in box.predicates if id(p) not in applied]
-    filterable = [
-        p
-        for p in residual
-        if all(
-            q.qtype == QuantifierType.FOREACH
-            for q in (
-                r.quantifier for r in qe.column_refs(p) if r.quantifier in local
-            )
-        )
-    ]
-    for predicate in filterable:
+    for predicate in operator.tail_predicates:
         lines.append("FILTER %s" % predicate)
     if box.distinct == DistinctMode.ENFORCE:
         lines.append("DISTINCT")
@@ -114,14 +95,13 @@ def physical_plan(graph, plan=None, catalog=None):
     """
     catalog = catalog or graph.catalog
     estimator = CardinalityEstimator(catalog)
-    join_orders = plan.join_orders if plan is not None else {}
+    program = compile_program(
+        graph, plan.join_orders if plan is not None else None
+    )
 
-    components, _ = reduced_dependency_graph(graph)
     lines = []
-    for component in components:
-        recursive = len(component) > 1 or any(
-            q.input_box is component[0] for q in component[0].quantifiers
-        )
+    for index, component in enumerate(program.components):
+        recursive = index in program.fixpoints
         for box in component:
             if box.kind == BoxKind.BASE:
                 continue
@@ -133,10 +113,11 @@ def physical_plan(graph, plan=None, catalog=None):
             else:
                 header = "MATERIALIZE " + header
             lines.append(header)
-            if box.kind == BoxKind.SELECT:
-                for line in _select_pipeline(
-                    box, join_orders.get(box.box_id), estimator
-                ):
+            operator = program.operators[id(box)]
+            if isinstance(operator, FailedOp):
+                lines.append("  cannot compile: %s" % operator.error)
+            elif isinstance(operator, SelectOp):
+                for line in _select_pipeline(operator, estimator):
                     lines.append("  " + line)
             elif box.kind == BoxKind.GROUPBY:
                 keys = ", ".join(str(k) for k in box.group_keys) or "()"

@@ -85,9 +85,9 @@ class QParam(QLiteral):
     and analysis path that treats a literal as a bindable constant (no
     column references) treats a parameter identically — which is the whole
     point of caching rewritten plans per binding pattern. The carried
-    ``value`` is a :class:`_ParamMarker`; executing a graph that still
-    contains a :class:`QParam` is an error (bind first with
-    :func:`repro.qgm.params.bind_parameters`).
+    ``value`` is a :class:`_ParamMarker`; at execution time the node
+    reads slot ``index`` of the execution's parameter vector (or is
+    replaced by a literal beforehand, see :mod:`repro.qgm.params`).
     """
 
     def __init__(self, index):

@@ -4,12 +4,19 @@ A graph built from SQL containing ``?`` markers carries
 :class:`~repro.qgm.expr.QParam` nodes wherever a constant would sit. The
 rewrite pipeline treats them exactly like literals (that is the point:
 the rewritten, optimized graph is reusable for *any* values with the
-same binding pattern), but the execution engine refuses to evaluate
-them — callers must :func:`bind_parameters` first, which substitutes
-plain :class:`~repro.qgm.expr.QLiteral` values in place.
+same binding pattern). At execution time there are two ways to supply
+the values:
+
+* pass them to the execution — ``PreparedQuery.execute(params=...)``,
+  ``Evaluator(..., params=...)`` — and the graph stays as it is: a
+  ``QParam`` reads its slot of the execution's parameter vector. This is
+  what the query server does with its cached plans;
+* :func:`bind_parameters`, which substitutes plain
+  :class:`~repro.qgm.expr.QLiteral` values in place. The ``correlated``
+  strategy needs this (it pushes constants down into index lookups).
 
 Binding mutates the graph it is given; bind a *clone* when the unbound
-graph must stay reusable (the server's plan cache does exactly that)::
+graph must stay reusable::
 
     bound = bind_parameters(clone_graph(cached.graph), values)
 """

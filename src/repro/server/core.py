@@ -16,7 +16,8 @@ Concurrency model:
   prepared before the DDL are unreachable after it.
 * **cache misses serialize** — preparing may register statement-scoped
   inline views in the shared catalog; a single prepare lock makes that
-  safe. Post-warmup the hot path (clone, bind, execute) never takes it.
+  safe. Post-warmup the hot path (look up the plan, run its compiled
+  program with this request's parameter values) never takes it.
 * **deadlines and cancellation are cooperative** — each request gets a
   :class:`~repro.resilience.ResourceGovernor` with a clamped deadline and
   the session's cancel token; the evaluator checkpoints observe both.
@@ -34,8 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api import Connection, EXECUTORS, STRATEGIES
-from repro.engine import BatchEvaluator, CorrelatedEvaluator, Evaluator
+from repro.api import Connection, EXECUTORS, STRATEGIES, run_plan
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -44,8 +44,7 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.qgm import validate_graph
-from repro.qgm.clone import clone_graph
-from repro.qgm.params import bind_parameters, parameter_count
+from repro.qgm.params import parameter_count
 from repro.resilience.breaker import StrategyBreakerBoard
 from repro.sql import parse_script, to_sql
 from repro.sql.parameterize import (
@@ -625,45 +624,20 @@ class QueryServer:
                     len(values) - len(handle.extracted_values),
                 )
             )
-        if values and entry.param_count:
-            graph = bind_parameters(clone_graph(entry.graph), values)
-        else:
-            graph = entry.graph
-        join_orders = entry.plan.join_orders if entry.plan is not None else None
-        executor = handle.executor
-        if strategy == "correlated":
-            evaluator = CorrelatedEvaluator(
-                graph, self.database, join_orders=join_orders,
-                governor=governor,
-            )
-            result = evaluator.run()
-        else:
-            evaluator_class = BatchEvaluator if executor == "batch" else Evaluator
-            evaluator = evaluator_class(
-                graph, self.database, join_orders=join_orders,
-                memoize_correlated=(strategy == "emst"),
-                governor=governor,
-            )
-            try:
-                result = evaluator.run()
-            except (ResourceExhaustedError, QueryCancelledError):
-                # Budget/cancel trips would recur on the (slower) tuple
-                # engine: propagate, don't retry.
-                raise
-            except Exception:
-                if executor != "batch":
-                    raise
-                # Any batch-executor failure retries on the tuple oracle
-                # before the strategy-level breaker chain gets involved.
-                with self._stats_lock:
-                    self.executor_fallbacks += 1
-                executor = "tuple"
-                evaluator = Evaluator(
-                    graph, self.database, join_orders=join_orders,
-                    memoize_correlated=(strategy == "emst"),
-                    governor=governor,
-                )
-                result = evaluator.run()
+        # The cached graph is never touched: the values travel as the
+        # execution's parameter vector, and every concurrent execution of
+        # this entry shares its compiled program and nothing else.
+        run = run_plan(
+            entry, self.database, handle.executor,
+            governor=governor,
+            params=values if entry.param_count else None,
+            retry_on_tuple=True,
+        )
+        if run.batch_error is not None:
+            with self._stats_lock:
+                self.executor_fallbacks += 1
+        result = run.result
+        executor = run.executor
         return {
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],

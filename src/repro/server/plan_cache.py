@@ -22,11 +22,12 @@ Entries also record the data versions of the tables they were optimized
 against, so statistics staleness is detectable (a stale plan is still
 correct — plans never embed rows — just possibly suboptimal).
 
-Execution never runs the cached graph directly: callers clone it
-(:func:`~repro.qgm.clone.clone_graph` preserves box ids, so the cached
-join orders stay valid for the clone) and bind values into the clone.
-The cached graph itself is immutable-by-convention and safe to share
-across executor threads.
+Execution never writes to a cached entry: the graph keeps its
+:class:`~repro.qgm.expr.QParam` nodes, each request's values travel as the
+execution's parameter vector, and the batch executor's compiled program
+(:attr:`CachedPlan.program`, built by the first execution that needs it)
+holds no per-execution state. Graph and program are immutable by
+convention and shared across executor threads and forked workers.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def statement_adornment(graph):
 
 @dataclass
 class CachedPlan:
-    """One rewritten + optimized statement, ready to clone-bind-execute."""
+    """One rewritten + optimized statement, ready to execute with any
+    parameter values."""
 
     fingerprint: str
     adornment: str
@@ -89,6 +91,10 @@ class CachedPlan:
     #: compared against current versions to detect statistics staleness.
     table_versions: dict = field(default_factory=dict)
     hits: int = 0
+    #: The batch executor's compiled program (see
+    #: :func:`repro.api.run_plan`); depends on ``graph`` and ``plan``
+    #: only, so it lives exactly as long as the entry.
+    program: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def key(self):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Connection, Database
+from repro.api import PreparedQuery
 from repro.sql import parse_statement
 from repro.workloads.decision_support import build_decision_support_database
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
@@ -18,18 +19,30 @@ from tests.test_integration_suite import DS_QUERIES, EMP_QUERIES
 
 
 def run_both_executors(conn, sql, strategies=("original", "emst")):
-    """Execute under both executors (per strategy); assert they agree."""
+    """Execute under both executors (per strategy); assert they agree.
+
+    The batch side prepares once and runs its compiled program twice: the
+    second run reuses everything the first compiled and must still match
+    the tuple oracle."""
     query = parse_statement(sql)
     for strategy in strategies:
         tuple_outcome = conn.execute_query(
             query, strategy=strategy, executor="tuple"
         )
-        batch_outcome = conn.execute_query(
-            query, strategy=strategy, executor="batch"
+        graph, plan, heuristic, _ = conn.prepare(query, strategy)
+        prepared = PreparedQuery(
+            database=conn.database, graph=graph, plan=plan,
+            heuristic=heuristic, strategy=strategy, executor="batch",
         )
-        assert canonical(batch_outcome.rows) == canonical(
-            tuple_outcome.rows
-        ), "batch executor disagrees under %s on %r" % (strategy, sql)
+        first, _ = prepared.execute()
+        program = prepared.program
+        second, _ = prepared.execute()
+        assert program is not None and prepared.program is program
+        for run, result in (("first", first), ("second", second)):
+            assert canonical(result.rows) == canonical(tuple_outcome.rows), (
+                "%s run of the compiled program disagrees under %s on %r"
+                % (run, strategy, sql)
+            )
 
 
 @pytest.fixture(scope="module")

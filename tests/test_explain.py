@@ -3,6 +3,7 @@
 from repro import Connection, Database
 from repro.sql import parse_statement
 from repro.qgm import build_query_graph
+from repro.qgm import expr as qe
 from repro.optimizer import optimize_graph
 from repro.optimizer.explain import physical_plan
 
@@ -30,14 +31,40 @@ def test_cross_product_shows_nljoin(empdept_db):
     assert "NLJOIN" in text
 
 
-def test_filter_and_distinct_shown(empdept_db):
-    # A predicate over no table at all stays a residual FILTER.
+def test_constant_predicate_and_distinct_shown(empdept_db):
+    # A predicate over no table at all is applicable as soon as the first
+    # quantifier is bound, and that is where the engines apply it.
     text = plan_text(
         empdept_db,
         "SELECT DISTINCT empname FROM employee WHERE 1 = 1",
     )
-    assert "FILTER" in text
+    assert "SCAN employee (employee, ~7 rows) ON (1 = 1)" in text
+    assert "FILTER" not in text
     assert "DISTINCT" in text
+
+
+def test_filter_shown_for_a_box_without_foreach_quantifiers(empdept_db):
+    # Only a select box with nothing to join keeps its predicates for a
+    # FILTER over its single (empty-binding) row.
+    graph = build_query_graph(
+        parse_statement("SELECT empno FROM employee"), empdept_db.catalog
+    )
+    box = graph.top_box
+    box.quantifiers = []
+    box.columns[0].expr = qe.QLiteral(value=1)
+    box.predicates = [
+        qe.QBinary(op="=", left=qe.QLiteral(value=1), right=qe.QLiteral(value=1))
+    ]
+    assert "FILTER (1 = 1)" in physical_plan(graph, None, empdept_db.catalog)
+
+
+def test_constant_probe_renders_as_index_scan(empdept_db):
+    text = plan_text(
+        empdept_db,
+        "SELECT empname FROM employee WHERE workdept = 'D01'",
+    )
+    assert "INDEXSCAN employee" in text
+    assert "HASHJOIN" not in text
 
 
 def test_local_predicate_applied_at_scan(empdept_db):
