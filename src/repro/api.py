@@ -36,11 +36,15 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.resilience.fallback import FallbackReport
-from repro.sql import parse_script
+from repro.sql import ast as sql_ast, parse_script
 from repro.sql.ast import CreateTable, CreateView, Delete, InsertValues, Query, Update
 from repro.qgm import build_query_graph, render_text, validate_graph
-from repro.qgm.clone import clone_graph
-from repro.qgm.params import bind_parameters
+from repro.qgm.model import BoxKind
+
+# Unused here (every engine takes the parameter vector as is); importable
+# from this module for callers, and tests, that bind a graph by hand.
+from repro.qgm.clone import clone_graph  # noqa: F401
+from repro.qgm.params import bind_parameters  # noqa: F401
 from repro.engine import BatchEvaluator, CorrelatedEvaluator, Evaluator
 from repro.engine.columnar import compile_program
 from repro.optimizer import optimize_graph
@@ -78,15 +82,16 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
 
     * the ``correlated`` strategy is tuple-at-a-time by definition (its
       whole point is per-binding evaluation), so it ignores the executor
-      switch; it pushes constants down into index lookups, so ``params``
-      are bound into a clone of the graph first;
+      switch;
     * ``executor="batch"`` runs the compiled program with ``params`` as
       its parameter vector. The program is compiled on first use and kept
       on ``planned.program`` (two threads racing on the first use both
       compile and one assignment wins; the programs are interchangeable,
       so no lock is taken);
-    * ``executor="tuple"`` interprets the graph, ``params`` riding in the
-      root environment.
+    * ``executor="tuple"`` interprets the graph.
+
+    Every engine carries ``params`` in its root environment; no engine
+    needs them bound into the graph.
 
     With ``retry_on_tuple`` a batch-engine failure retries once on the
     tuple engine (the differential oracle) — unless it is a budget or
@@ -101,11 +106,9 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
     strategy = planned.strategy
     join_orders = planned.plan.join_orders if planned.plan is not None else None
     if strategy == "correlated":
-        if params:
-            graph = bind_parameters(clone_graph(graph), params)
         evaluator = CorrelatedEvaluator(
             graph, database, join_orders=join_orders,
-            governor=governor, fault_plan=fault_plan,
+            governor=governor, fault_plan=fault_plan, params=params,
         )
         return PlanRun(evaluator.run(), evaluator.stats, executor)
     # The Original strategy re-evaluates correlated subqueries per outer
@@ -134,6 +137,28 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
             batch_error = exc
     evaluator = Evaluator(graph, database, **options)
     return PlanRun(evaluator.run(), evaluator.stats, "tuple", batch_error)
+
+
+def parse_single_query(sql_text, other_statements=None, wrong_count=None):
+    """Parse ``sql_text`` as exactly one query plus its inline views;
+    returns the parsed script.
+
+    ``other_statements`` is the error text for a script holding anything
+    but views and queries (None: such statements are ignored), and
+    ``wrong_count`` the text for a script without exactly one query, for
+    the call sites that word these differently."""
+    script = parse_script(sql_text)
+    if other_statements is not None and any(
+        not isinstance(statement, (CreateView, Query))
+        for statement in script.statements
+    ):
+        raise ReproError(other_statements)
+    if len(script.queries) != 1:
+        raise ReproError(
+            wrong_count
+            or "expected exactly one query, got %d" % len(script.queries)
+        )
+    return script
 
 
 def _describe_rules(context):
@@ -166,7 +191,6 @@ def _describe_rules(context):
 
 def _constant_value(expr):
     """Evaluate a constant AST expression (INSERT ... VALUES rows)."""
-    from repro.sql import ast as sql_ast
     from repro.engine.expressions import arithmetic
 
     if isinstance(expr, sql_ast.Literal):
@@ -303,13 +327,10 @@ class Connection:
         executor = executor if executor is not None else self.executor
         if resilience is not None:
             resilience.begin_query()
-        script = parse_script(sql_text)
-        queries = script.queries
-        if len(queries) != 1:
-            raise ReproError("expected exactly one query, got %d" % len(queries))
+        script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             graph, plan, heuristic, _ = self.prepare(
-                queries[0], strategy, resilience=resilience
+                script.queries[0], strategy, resilience=resilience
             )
         validate_graph(graph)
         return PreparedQuery(
@@ -377,120 +398,70 @@ class Connection:
         self.database.insert(statement.table, rows)
         self.database.analyze(statement.table)
 
-    def _matching_row_mask(self, table_name, where):
-        """Evaluate a DELETE/UPDATE predicate over a base table; returns a
-        boolean per stored row (positionally). Reuses the query pipeline:
-        subqueries and correlation in the predicate work unchanged."""
-        from repro.sql import ast as sql_ast
-        from repro.qgm import build_query_graph
-        from repro.qgm.model import QuantifierType
-        from repro.engine import Evaluator
-        from repro.engine.expressions import evaluate, predicate_holds
-
-        if where is None:
-            return [True] * len(self.database.table(table_name).rows)
+    def _select_over_stored_rows(self, table, items, where):
+        """UPDATE and DELETE are a select over the table they change:
+        ``SELECT items FROM table WHERE where``, with the engine's post-join
+        phase seeded by one environment per stored row — so subqueries and
+        correlation in ``where`` and ``items`` mean what they mean in a
+        query, and every expression sees the table as it was before the
+        statement. Returns, positionally, one entry per stored row: the
+        projected ``items`` row where the predicate holds, None where not.
+        """
         query = sql_ast.Query(
             body=sql_ast.SelectCore(
-                items=[sql_ast.SelectItem(expr=sql_ast.Star())],
-                from_tables=[sql_ast.TableRef(name=table_name)],
+                items=items,
+                from_tables=[sql_ast.TableRef(name=table.schema.name)],
                 where=where,
             )
         )
         graph = build_query_graph(query, self.database.catalog)
         box = graph.top_box
         quantifier = box.foreach_quantifiers()[0]
+        if quantifier.input_box.kind != BoxKind.BASE:
+            # An aggregate puts a groupby box between the select and the
+            # table: there is no stored row to seed that select with.
+            raise NotSupportedError(
+                "aggregates over the target table are not supported in "
+                "UPDATE/DELETE (use a subquery)"
+            )
         evaluator = Evaluator(graph, self.database)
-        mask = []
-        for row in self.database.table(table_name).rows:
-            env = {quantifier: row}
-            mask.append(self._row_matches(evaluator, box, quantifier, env))
-        return mask
-
-    @staticmethod
-    def _row_matches(evaluator, box, quantifier, env):
-        from repro.qgm.model import QuantifierType
-        from repro.engine.expressions import predicate_holds
-
-        # Bind scalar subqueries, then test predicates and E/A quantifiers,
-        # mirroring one select-box iteration for a single candidate row.
-        for sub in box.quantifiers:
-            if sub.qtype == QuantifierType.SCALAR:
-                env = dict(env)
-                env[sub] = evaluator._scalar_row(
-                    sub, env, sub.selector_predicates
-                )
-        from repro.qgm import expr as qe
-
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-        for predicate in box.predicates:
-            involved = {
-                r.quantifier
-                for r in qe.column_refs(predicate)
-                if r.quantifier in set(filter_quantifiers)
-            }
-            if involved:
-                continue
-            if not predicate_holds(predicate, env):
-                return False
-        for sub in filter_quantifiers:
-            attached = [
-                p
-                for p in box.predicates
-                if any(
-                    r.quantifier is sub for r in qe.column_refs(p)
-                )
-            ]
-            if not evaluator._passes_filter_quantifier(sub, attached, env):
-                return False
-        return True
+        seeds = [{quantifier: row} for row in table.rows]
+        # The survivors are seed objects: matched by identity, never by
+        # value, so duplicate rows and 1 / 1.0 / True stay distinct.
+        survivors = evaluator.surviving(box, seeds)
+        projected = dict(zip(map(id, survivors), evaluator.project(box, survivors)))
+        return [projected.get(id(seed)) for seed in seeds]
 
     def _delete(self, statement):
         table = self.database.table(statement.table)
-        mask = self._matching_row_mask(statement.table, statement.where)
-        table.rows = [row for row, hit in zip(table.rows, mask) if not hit]
+        hits = self._select_over_stored_rows(
+            table, [sql_ast.SelectItem(expr=sql_ast.Star())], statement.where
+        )
+        table.rows = [row for row, hit in zip(table.rows, hits) if hit is None]
         table.invalidate_indexes()
         self.database.analyze(statement.table)
 
     def _update(self, statement):
-        from repro.sql import ast as sql_ast
-        from repro.qgm import build_query_graph
-        from repro.engine.expressions import evaluate
-
         table = self.database.table(statement.table)
-        mask = self._matching_row_mask(statement.table, statement.where)
-
-        # Build the assignment expressions against the table's scope.
-        query = sql_ast.Query(
-            body=sql_ast.SelectCore(
-                items=[
-                    sql_ast.SelectItem(expr=value, alias="a%d" % index)
-                    for index, (_, value) in enumerate(statement.assignments)
-                ],
-                from_tables=[sql_ast.TableRef(name=statement.table)],
-            )
-        )
-        graph = build_query_graph(query, self.database.catalog)
-        box = graph.top_box
-        quantifier = box.foreach_quantifiers()[0]
         targets = [
             table.schema.column_ordinal(column)
             for column, _ in statement.assignments
         ]
+        items = [
+            sql_ast.SelectItem(expr=value, alias="a%d" % index)
+            for index, (_, value) in enumerate(statement.assignments)
+        ]
         new_rows = []
-        for row, hit in zip(table.rows, mask):
-            if not hit:
-                new_rows.append(row)
-                continue
-            env = {quantifier: row}
-            values = [evaluate(column.expr, env) for column in box.columns]
-            updated = list(row)
-            for ordinal, value in zip(targets, values):
-                updated[ordinal] = value
-            new_rows.append(tuple(updated))
+        for row, values in zip(
+            table.rows,
+            self._select_over_stored_rows(table, items, statement.where),
+        ):
+            if values is not None:
+                row = list(row)
+                for ordinal, value in zip(targets, values):
+                    row[ordinal] = value
+                row = tuple(row)
+            new_rows.append(row)
         table.rows = new_rows
         table.invalidate_indexes()
         self.database.analyze(statement.table)
@@ -510,13 +481,10 @@ class Connection:
         executed; the report lands on ``outcome.diagnostics`` and its
         severity counts in ``outcome.stats["analysis"]``.
         """
-        script = parse_script(sql_text)
-        queries = script.queries
-        if len(queries) != 1:
-            raise ReproError("expected exactly one query, got %d" % len(queries))
+        script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             return self.execute_query(
-                queries[0], strategy=strategy, resilience=resilience,
+                script.queries[0], strategy=strategy, resilience=resilience,
                 analyze=analyze, executor=executor,
             )
 
@@ -661,12 +629,9 @@ class Connection:
     def explain(self, sql_text, strategy="emst", executor=None):
         """Return a textual explanation: the (rewritten) graph and plan."""
         executor = executor if executor is not None else self.executor
-        script = parse_script(sql_text)
-        queries = script.queries
-        if len(queries) != 1:
-            raise ReproError("expected exactly one query, got %d" % len(queries))
+        script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
-            graph, plan, heuristic, _ = self.prepare(queries[0], strategy)
+            graph, plan, heuristic, _ = self.prepare(script.queries[0], strategy)
         parts = ["strategy: %s" % strategy]
         parts.append(
             "executor: %s%s"

@@ -7,7 +7,8 @@ Three evaluation strategies mirror the paper's Table 1 columns:
   *EMST* plans run,
 * **correlated** (:mod:`repro.engine.correlated`) — tuple-at-a-time
   re-evaluation of derived-table references with the outer binding pushed
-  down, DB2-style; this is the *Correlated* column,
+  down, DB2-style; this is the *Correlated* column (a subclass of
+  :class:`Evaluator`: same box semantics, different way of reaching boxes),
 * recursive components run by (semi-)naive fixpoint
   (:mod:`repro.engine.recursion`).
 
@@ -20,7 +21,7 @@ for the batch engine.
 """
 
 from repro.engine.storage import Database, Table
-from repro.engine.evaluator import Evaluator, evaluate_graph
+from repro.engine.evaluator import Evaluator
 from repro.engine.correlated import CorrelatedEvaluator
 from repro.engine.columnar import BatchEvaluator
 
@@ -29,6 +30,5 @@ __all__ = [
     "Table",
     "Evaluator",
     "BatchEvaluator",
-    "evaluate_graph",
     "CorrelatedEvaluator",
 ]

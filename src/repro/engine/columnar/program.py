@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, QuantifierType
-from repro.qgm.stratum import reduced_dependency_graph
+from repro.qgm.model import BoxKind
+from repro.qgm.stratum import correlation_externals, reduced_dependency_graph
 from repro.engine.evaluator import (
-    hashable_equality,
+    SelectPlan,
     ordered_foreach,
     self_recursive,
+    split_hashable,
 )
 from repro.engine.recursion import FixpointPlan
 from repro.engine.columnar.operators import (
@@ -69,7 +70,7 @@ class Program:
         self.components, self.component_of = reduced_dependency_graph(graph)
         boxes = [box for component in self.components for box in component]
         #: ``id(box) -> [quantifier, ...]`` bound outside the box's subtree.
-        self.externals = _externals(boxes)
+        self.externals = correlation_externals(boxes)
         #: ``id(box) -> operator`` (see :mod:`.operators`).
         self.operators = {
             id(box): _lower(box, join_orders.get(box.box_id), self.externals)
@@ -90,35 +91,6 @@ def compile_program(graph, join_orders=None):
     return Program(graph, join_orders or {})
 
 
-def _externals(boxes):
-    """For every box, the quantifiers referenced inside its subtree but
-    owned outside it (the correlation edges crossing the boundary)."""
-    referenced = {}
-    for box in boxes:
-        seen = {}
-        for expression in box.all_expressions():
-            for ref in qe.column_refs(expression):
-                seen.setdefault(id(ref.quantifier), ref.quantifier)
-        referenced[id(box)] = list(seen.values())
-    externals = {}
-    for box in boxes:
-        subtree = {}
-        stack = [box]
-        while stack:
-            current = stack.pop()
-            if id(current) not in subtree:
-                subtree[id(current)] = current
-                stack.extend(q.input_box for q in current.quantifiers)
-        found = {}
-        for member in subtree.values():
-            for quantifier in referenced[id(member)]:
-                owner = quantifier.parent_box
-                if owner is not None and id(owner) not in subtree:
-                    found.setdefault(id(quantifier), quantifier)
-        externals[id(box)] = list(found.values())
-    return externals
-
-
 def _lower(box, order_names, externals):
     """The operator for one box."""
     try:
@@ -133,51 +105,14 @@ def _lower(box, order_names, externals):
 
 def _lower_select(box, order_names, externals):
     """Decide the join pipeline of a select box — the static counterpart
-    of the tuple engine's ``_evaluate_select`` / ``_attach_quantifier``."""
-    local = set(box.quantifiers)
-    scalar_quantifiers = [
-        q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-    ]
-    filter_quantifiers = [
-        q
-        for q in box.quantifiers
-        if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-    ]
-    locals_of = {
-        id(predicate): {
-            ref.quantifier
-            for ref in qe.column_refs(predicate)
-            if ref.quantifier in local
-        }
-        for predicate in box.predicates
-    }
-    # Predicates touching a scalar/E/A quantifier wait until it is bound.
-    non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-    join_predicates = [
-        p for p in box.predicates if not (locals_of[id(p)] & non_foreach)
-    ]
-    deferred = [p for p in box.predicates if locals_of[id(p)] & non_foreach]
-
+    of the tuple engine's join phase, over the same :class:`SelectPlan`."""
+    plan = SelectPlan(box)
     steps = []
     bound = set()
     applied = set()
     for quantifier in ordered_foreach(box, order_names):
-        reachable = bound | {quantifier}
-        applicable = [
-            p
-            for p in join_predicates
-            if id(p) not in applied and locals_of[id(p)] <= reachable
-        ]
-        # Equalities usable for hashing: one side references only this
-        # quantifier, the other only bound or outer quantifiers.
-        pairs = []
-        residual = []
-        for predicate in applicable:
-            pair = hashable_equality(predicate, quantifier, local, bound)
-            if pair is not None:
-                pairs.append(pair)
-            else:
-                residual.append(predicate)
+        applicable = plan.applicable(quantifier, bound, applied)
+        pairs, residual = split_hashable(applicable, quantifier, plan.local, bound)
         if externals[id(quantifier.input_box)]:
             step = CorrelatedStep(box, quantifier, applicable)
         elif pairs:
@@ -190,21 +125,16 @@ def _lower_select(box, order_names, externals):
         applied.update(id(p) for p in applicable)
         bound.add(quantifier)
 
-    filters = set(filter_quantifiers)
     return SelectOp(
         box,
         steps,
-        tail=[p for p in join_predicates if id(p) not in applied],
+        tail=[p for p in plan.join_predicates if id(p) not in applied],
         scalars=[
-            ScalarStep(q, _selector_pairs(q, externals))
-            for q in scalar_quantifiers
+            ScalarStep(q, _selector_pairs(q, externals)) for q in plan.scalars
         ],
-        deferred=[p for p in deferred if not (locals_of[id(p)] & filters)],
+        deferred=plan.deferred,
         filters=[
-            FilterQuantifierStep(
-                q, [p for p in deferred if q in locals_of[id(p)]]
-            )
-            for q in filter_quantifiers
+            FilterQuantifierStep(q, attached) for q, attached in plan.filters
         ],
     )
 
@@ -220,10 +150,5 @@ def _selector_pairs(quantifier, externals):
         or externals[id(quantifier.input_box)]
     ):
         return None
-    pairs = []
-    for predicate in selectors:
-        pair = hashable_equality(predicate, quantifier, {quantifier}, set())
-        if pair is None:
-            return None
-        pairs.append(pair)
-    return pairs
+    pairs, residual = split_hashable(selectors, quantifier, {quantifier}, set())
+    return None if residual else pairs

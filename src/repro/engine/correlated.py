@@ -15,6 +15,12 @@ be pushed below an aggregate or a computed column (experiments C and D,
 where Correlated is *slower than the original query*). The instability is
 the paper's core argument for magic.
 
+What a box *means* — the groupby fold, bag INTERSECT/EXCEPT, the E/A
+tests, scalar-subquery binding, the post-join phase of a select box — is
+the :class:`~repro.engine.evaluator.Evaluator`'s; this module only decides
+how boxes are reached: derived tables last, one evaluation per binding,
+the binding pushed down as column filters.
+
 Set ``memoize=True`` for the ablation where repeated bindings reuse the
 previous evaluation (not something the 1990s systems did).
 """
@@ -24,166 +30,100 @@ from __future__ import annotations
 from repro.errors import ExecutionError, NotSupportedError
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-from repro.qgm.stratum import is_recursive
 from repro.engine.evaluator import (
-    CHECKPOINT_INTERVAL,
-    Result,
-    EvaluatorStats,
-    _apply_order_limit,
-    _dedupe,
+    Evaluator,
+    dedupe,
+    intersect_except,
+    quantifier_passes,
+    self_recursive,
 )
-from repro.engine.expressions import (
-    compile_expr,
-    compile_predicate,
-    evaluate,
-    predicate_holds,
-)
+from repro.engine.expressions import evaluate, predicate_holds
 
 
-class CorrelatedEvaluator:
+class CorrelatedEvaluator(Evaluator):
     """Tuple-at-a-time evaluation with per-binding pushdown."""
 
     def __init__(
         self, graph, database, join_orders=None, memoize=False,
-        governor=None, fault_plan=None,
+        governor=None, fault_plan=None, params=None,
     ):
-        if is_recursive(graph):
+        super().__init__(
+            graph, database, join_orders=join_orders,
+            memoize_correlated=memoize, governor=governor,
+            fault_plan=fault_plan, params=params,
+        )
+        if any(
+            len(component) > 1 or self_recursive(component[0])
+            for component in self._components
+        ):
             raise NotSupportedError(
                 "the correlated strategy does not support recursive queries"
             )
-        self.graph = graph
-        self.database = database
-        self.join_orders = join_orders or {}
-        self.memoize = memoize
-        # Resilience hooks (see Evaluator): optional metering + injection.
-        self.governor = governor
-        self.fault_plan = fault_plan
-        self.stats = EvaluatorStats()
-        self._probe_budget = CHECKPOINT_INTERVAL
-        self._memo = {}
-        self._externals_cache = {}
-        self._compiled = {}
-        self._compiled_predicates = {}
-
-    def _fn(self, expr):
-        fn = self._compiled.get(id(expr))
-        if fn is None:
-            fn = compile_expr(expr)
-            self._compiled[id(expr)] = fn
-        return fn
-
-    def _pred(self, expr):
-        fn = self._compiled_predicates.get(id(expr))
-        if fn is None:
-            fn = compile_predicate(expr)
-            self._compiled_predicates[id(expr)] = fn
-        return fn
-
-    def _checkpoint(self, box):
-        """Cooperative cancellation/deadline checkpoint for the per-binding
-        probe loops (same cadence as the set-oriented evaluator)."""
-        if self.governor is None:
-            return
-        self._probe_budget -= 1
-        if self._probe_budget <= 0:
-            self._probe_budget = CHECKPOINT_INTERVAL
-            self.governor.checkpoint(
-                "correlated join processing in box %r" % box.name
-            )
-
-    def run(self):
-        top = self.graph.top_box
-        rows = self._eval_box(top, {}, {})
-        rows = _apply_order_limit(rows, self.graph.order_by, self.graph.limit)
-        return Result(columns=top.column_names, rows=rows)
 
     # -- dispatch ------------------------------------------------------------
 
-    def _eval_box(self, box, env, filters):
+    def rows_for(self, box, env, filters=None):
         """Rows of ``box`` under outer bindings ``env``, restricted by
-        ``filters`` (lower-cased output column name → required value)."""
+        ``filters`` (lower-cased output column name → required value).
+        Nothing is materialised across calls (unless memoising): every
+        reference to a box evaluates it again."""
+        filters = filters or {}
         self.stats.box_evaluations += 1
         if self.fault_plan is not None:
             self.fault_plan.on_box_evaluation(box.name)
         if self.governor is not None:
-            if env:
+            # An environment that binds a quantifier (more than the root
+            # environment holds) makes this a per-binding evaluation.
+            if len(env) > len(self.root_env):
                 self.governor.charge_correlated(
                     "correlated evaluation of box %r" % box.name
                 )
             else:
                 self.governor.check_deadline("evaluation of box %r" % box.name)
-        memoizable = self.memoize and not self._is_correlated(box)
+        # A correlated box's rows depend on more than the pushed filters.
+        memoizable = self.memoize_correlated and not self._externals(box)
         if memoizable:
             key = (id(box), tuple(sorted(filters.items())))
-            cached = self._memo.get(key)
+            cached = self._correlated_memo.get(key)
             if cached is not None:
                 return cached
         if box.kind == BoxKind.BASE:
-            rows = self._eval_base(box, filters)
+            rows = self._base_rows(box, filters)
         elif box.kind == BoxKind.SELECT:
-            rows = self._eval_select(box, env, filters)
+            rows = self._select_rows(box, env, filters)
         elif box.kind == BoxKind.GROUPBY:
-            rows = self._eval_groupby(box, env, filters)
+            rows = self._groupby_rows(box, env, filters)
         elif box.kind == BoxKind.UNION:
             rows = []
             for quantifier in box.quantifiers:
+                child = quantifier.input_box
                 rows.extend(
-                    self._eval_box(
-                        quantifier.input_box,
-                        env,
-                        _map_positional(filters, box, quantifier.input_box),
-                    )
+                    self.rows_for(child, env, _map_positional(filters, box, child))
                 )
         elif box.kind in (BoxKind.INTERSECT, BoxKind.EXCEPT):
-            rows = self._eval_intersect_except(box, env, filters)
+            left, right = [
+                self.rows_for(
+                    q.input_box, env, _map_positional(filters, box, q.input_box)
+                )
+                for q in box.quantifiers
+            ]
+            rows = intersect_except(box, left, right)
         elif box.kind == BoxKind.OUTERJOIN:
-            rows = self._eval_outerjoin(box, env, filters)
+            rows = self._outerjoin_rows(box, env, filters)
         else:
             raise ExecutionError("cannot evaluate box kind %r" % box.kind)
         if box.distinct == DistinctMode.ENFORCE:
-            rows = _dedupe(rows)
+            rows = dedupe(rows)
         self.stats.rows_produced += len(rows)
         if self.governor is not None:
             self.governor.charge_rows(len(rows), "evaluation of box %r" % box.name)
         if memoizable:
-            self._memo[key] = rows
+            self._correlated_memo[key] = rows
         return rows
-
-    def _is_correlated(self, box):
-        """True when ``box``'s subtree references quantifiers outside it
-        (such a box's rows depend on more than the pushed filters)."""
-        cached = self._externals_cache.get(id(box))
-        if cached is not None:
-            return cached
-        subtree = set()
-        stack = [box]
-        members = []
-        while stack:
-            current = stack.pop()
-            if id(current) in subtree:
-                continue
-            subtree.add(id(current))
-            members.append(current)
-            for quantifier in current.quantifiers:
-                stack.append(quantifier.input_box)
-        correlated = False
-        for member in members:
-            for expression in member.all_expressions():
-                for ref in qe.column_refs(expression):
-                    owner = ref.quantifier.parent_box
-                    if owner is not None and id(owner) not in subtree:
-                        correlated = True
-                        break
-                if correlated:
-                    break
-            if correlated:
-                break
-        self._externals_cache[id(box)] = correlated
-        return correlated
 
     # -- base tables -------------------------------------------------------------
 
-    def _eval_base(self, box, filters):
+    def _base_rows(self, box, filters):
         table = self.database.table(box.table_name)
         if not filters:
             return table.rows
@@ -192,14 +132,12 @@ class CorrelatedEvaluator:
         items = sorted(filters.items())
         first_col, first_value = items[0]
         candidates = table.index_on(first_col).get(first_value, [])
-        if len(items) == 1:
-            return list(candidates)
-        rows = []
         ordinals = [(table.schema.column_ordinal(c), v) for c, v in items[1:]]
-        for row in candidates:
-            if all(row[ordinal] == value for ordinal, value in ordinals):
-                rows.append(row)
-        return rows
+        return [
+            row
+            for row in candidates
+            if all(row[ordinal] == value for ordinal, value in ordinals)
+        ]
 
     # -- select boxes ---------------------------------------------------------------
 
@@ -211,349 +149,117 @@ class CorrelatedEvaluator:
         outer — the strategy cannot choose to materialise the view first.
         Base-table quantifiers keep the plan optimizer's relative order.
         """
-        ordered_names = self.join_orders.get(box.box_id)
-        foreach = box.foreach_quantifiers()
-        if ordered_names:
-            by_name = {q.name: q for q in foreach}
-            ordered = [by_name[name] for name in ordered_names if name in by_name]
-            placed = set(ordered_names)
-            ordered += [q for q in foreach if q.name not in placed]
-        else:
-            ordered = foreach
-        from repro.qgm.model import BoxKind
-
+        ordered = super()._join_order(box)
         base = [q for q in ordered if q.input_box.kind == BoxKind.BASE]
         derived = [q for q in ordered if q.input_box.kind != BoxKind.BASE]
         return base + derived
 
-    def _eval_select(self, box, env, filters):
-        local = set(box.quantifiers)
-        # Map output filters onto quantifier-column filters where the output
-        # column is a plain reference; the rest are residual output filters.
-        pushed = {}  # quantifier -> {col: value}
-        residual_filters = {}
-        for name, value in filters.items():
-            column = box.column(name)
-            expr = column.expr
-            if isinstance(expr, qe.QColRef) and expr.quantifier in local:
-                pushed.setdefault(expr.quantifier, {})[expr.column.lower()] = value
-            else:
-                residual_filters[name] = value
-
-        def order_with_filters_first(quantifiers):
-            # Tuple-at-a-time execution starts from the quantifiers the
-            # binding restricts (the index access path the correlated plan
-            # is built around), keeping the optimizer's relative order
-            # otherwise.
-            filtered = [q for q in quantifiers if q in pushed]
-            rest = [q for q in quantifiers if q not in pushed]
-            return filtered + rest
-
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
+    def _select_rows(self, box, env, filters):
+        plan = self._select_plan(box)
+        pushed, residual = _split_filters(box, filters, plan.local)
+        # Tuple-at-a-time execution starts from the quantifiers the binding
+        # restricts (the index access path the correlated plan is built
+        # around), keeping the optimizer's relative order otherwise.
+        order = self._join_order(box)
+        order = [q for q in order if q in pushed] + [
+            q for q in order if q not in pushed
         ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-
-        def local_quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        join_predicates = [
-            p for p in box.predicates if not (local_quantifiers_of(p) & non_foreach)
-        ]
-        deferred = [
-            p for p in box.predicates if local_quantifiers_of(p) & non_foreach
-        ]
-
         envs = [dict(env)]
         bound = set()
         applied = set()
-        for quantifier in order_with_filters_first(self._join_order(box)):
-            applicable = []
-            for predicate in join_predicates:
-                if id(predicate) in applied:
-                    continue
-                locals_needed = local_quantifiers_of(predicate)
-                if locals_needed <= (bound | {quantifier}):
-                    applicable.append(predicate)
+        for quantifier in order:
+            applicable = plan.applicable(quantifier, bound, applied)
             # Equality predicates give per-tuple parameter bindings.
-            bindable = []
-            post = []
-            for predicate in applicable:
-                binding = _binding_equality(predicate, quantifier, local, bound)
-                if binding is not None:
-                    bindable.append(binding)
-                else:
-                    post.append(predicate)
+            bindable, post = self._split_bindable(
+                applicable, quantifier, plan.local, bound
+            )
+            post = [self._pred(p) for p in post]
             new_envs = []
-            bindable_fns = [(column, self._fn(e)) for column, e in bindable]
-            post_fns = [self._pred(p) for p in post]
             for current in envs:
-                per_env_filters = dict(pushed.get(quantifier, {}))
-                skip = False
-                for column, probe_fn in bindable_fns:
-                    value = probe_fn(current)
-                    if value is None:
-                        skip = True
-                        break
-                    existing = per_env_filters.get(column)
-                    if existing is not None and existing != value:
-                        skip = True
-                        break
-                    per_env_filters[column] = value
-                if skip:
+                child_filters = _bind_filters(
+                    pushed.get(quantifier), bindable, current
+                )
+                if child_filters is None:
                     continue
                 self.stats.correlated_evaluations += 1
-                for row in self._eval_box(
-                    quantifier.input_box, current, per_env_filters
-                ):
+                for row in self.rows_for(quantifier.input_box, current, child_filters):
                     self.stats.join_probes += 1
                     self._checkpoint(box)
                     extended = dict(current)
                     extended[quantifier] = row
-                    if all(fn(extended) for fn in post_fns):
+                    if all(fn(extended) for fn in post):
                         new_envs.append(extended)
             envs = new_envs
-            for predicate in applicable:
-                applied.add(id(predicate))
+            applied.update(id(p) for p in applicable)
             bound.add(quantifier)
             if not envs:
                 break
+        rows = self.project(box, self.surviving(box, envs, applied))
+        return _restrict(box, rows, residual)
 
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-
-        for quantifier in scalar_quantifiers:
-            new_envs = []
-            for current in envs:
-                rows = self._eval_box(quantifier.input_box, current, {})
-                if len(rows) > 1:
-                    raise ExecutionError(
-                        "scalar subquery %r returned %d rows"
-                        % (quantifier.name, len(rows))
-                    )
-                row = rows[0] if rows else tuple(
-                    [None] * len(quantifier.input_box.columns)
-                )
-                extended = dict(current)
-                extended[quantifier] = row
-                new_envs.append(extended)
-            envs = new_envs
-        for predicate in deferred:
-            if not (local_quantifiers_of(predicate) & set(filter_quantifiers)):
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-
-        for quantifier in filter_quantifiers:
-            attached = [
-                p for p in deferred if quantifier in local_quantifiers_of(p)
-            ]
-            envs = [
-                current
-                for current in envs
-                if self._passes_filter_quantifier(quantifier, attached, current)
-            ]
-
-        projection = [self._fn(column.expr) for column in box.columns]
-        rows = []
-        for current in envs:
-            rows.append(tuple(fn(current) for fn in projection))
-        if residual_filters:
-            ordinals = [
-                (box.column_ordinal(name), value)
-                for name, value in residual_filters.items()
-            ]
-            rows = [
-                row
-                for row in rows
-                if all(row[ordinal] == value for ordinal, value in ordinals)
-            ]
-        return rows
+    def _split_bindable(self, predicates, quantifier, local, bound):
+        """Divide ``predicates`` into the ``(column, compiled probe)`` pairs
+        of those that bind a column of ``quantifier`` to a value known from
+        ``bound`` or outer quantifiers (see :func:`_binding_equality`) and
+        the rest, to be checked row by row."""
+        bindable = []
+        post = []
+        for predicate in predicates:
+            binding = _binding_equality(predicate, quantifier, local, bound)
+            if binding is not None:
+                bindable.append((binding[0], self._fn(binding[1])))
+            else:
+                post.append(predicate)
+        return bindable, post
 
     def _passes_filter_quantifier(self, quantifier, predicates, env):
-        child = quantifier.input_box
+        filters = None
         if quantifier.qtype == QuantifierType.EXISTENTIAL:
-            # Push equality bindings into the subquery evaluation.
-            filters = {}
-            post = []
-            for predicate in predicates:
-                binding = _binding_equality(
-                    predicate, quantifier, {quantifier}, set()
-                )
-                if binding is not None:
-                    column, probe_expr = binding
-                    value = evaluate(probe_expr, env)
-                    if value is None:
-                        return False
-                    filters[column] = value
-                else:
-                    post.append(predicate)
-            self.stats.correlated_evaluations += 1
-            for row in self._eval_box(child, env, filters):
-                extended = dict(env)
-                extended[quantifier] = row
-                if all(predicate_holds(p, extended) for p in post):
-                    return True
-            return False
-        # ANTI: no pushdown (NOT IN must observe NULLs in the inner table).
-        self.stats.correlated_evaluations += 1
-        rows = self._eval_box(child, env, {})
-        saw_unknown = False
-        for row in rows:
-            extended = dict(env)
-            extended[quantifier] = row
-            values = [evaluate(p, extended) for p in predicates]
-            if all(v is True for v in values):
+            # Push equality bindings into the subquery evaluation. ANTI gets
+            # no pushdown: NOT IN must observe NULLs in the inner table.
+            bindable, predicates = self._split_bindable(
+                predicates, quantifier, {quantifier}, set()
+            )
+            filters = _bind_filters(None, bindable, env)
+            if filters is None:
                 return False
-            if quantifier.null_aware and all(v is not False for v in values):
-                saw_unknown = True
-        return not (quantifier.null_aware and saw_unknown)
+        self.stats.correlated_evaluations += 1
+        rows = self.rows_for(quantifier.input_box, env, filters)
+        return quantifier_passes(quantifier, predicates, env, rows)
 
     # -- groupby boxes --------------------------------------------------------------------
 
-    def _eval_groupby(self, box, env, filters):
-        from repro.engine.aggregates import make_accumulator
-
-        quantifier = box.quantifiers[0]
-        child = quantifier.input_box
-
+    def _groupby_rows(self, box, env, filters):
         # A filter on a group-key output column pushes into the input; a
         # filter on an aggregate column is applied after aggregation.
-        child_filters = {}
-        post_filters = {}
-        for name, value in filters.items():
-            column = box.column(name)
-            expr = column.expr
-            if (
-                not isinstance(expr, qe.QAggregate)
-                and isinstance(expr, qe.QColRef)
-                and expr.quantifier is quantifier
-            ):
-                child_filters[expr.column.lower()] = value
-            else:
-                post_filters[name] = value
+        quantifier = box.quantifiers[0]
+        pushed, post = _split_filters(box, filters, {quantifier})
+        input_rows = self.rows_for(quantifier.input_box, env, pushed.get(quantifier))
+        return _restrict(box, self.fold_groups(box, input_rows, env), post)
 
-        input_rows = self._eval_box(child, env, child_filters)
+    # -- outer joins ----------------------------------------------------------------------
 
-        aggregate_columns = [
-            (index, column.expr)
-            for index, column in enumerate(box.columns)
-            if isinstance(column.expr, qe.QAggregate)
-        ]
-        key_fns = [self._fn(k) for k in box.group_keys]
-        arg_fns = [
-            None if agg.arg is None else self._fn(agg.arg)
-            for _, agg in aggregate_columns
-        ]
-        groups = {}
-        order = []
-        for row in input_rows:
-            row_env = dict(env)
-            row_env[quantifier] = row
-            key = tuple(fn(row_env) for fn in key_fns)
-            state = groups.get(key)
-            if state is None:
-                accumulators = [
-                    make_accumulator(
-                        agg.func, star=agg.arg is None, distinct=agg.distinct
-                    )
-                    for _, agg in aggregate_columns
-                ]
-                state = (accumulators, row_env)
-                groups[key] = state
-                order.append(key)
-            accumulators, _ = state
-            for accumulator, arg_fn in zip(accumulators, arg_fns):
-                accumulator.add(None if arg_fn is None else arg_fn(row_env))
-
-        rows = []
-        if not groups and not box.group_keys:
-            accumulators = [
-                make_accumulator(agg.func, star=agg.arg is None, distinct=agg.distinct)
-                for _, agg in aggregate_columns
-            ]
-            agg_iter = iter(accumulators)
-            row = tuple(
-                next(agg_iter).result()
-                if isinstance(column.expr, qe.QAggregate)
-                else None
-                for column in box.columns
-            )
-            rows = [row]
-        else:
-            for key in order:
-                accumulators, representative_env = groups[key]
-                agg_results = {
-                    index: accumulator.result()
-                    for accumulator, (index, _) in zip(accumulators, aggregate_columns)
-                }
-                row = []
-                for index, column in enumerate(box.columns):
-                    if index in agg_results:
-                        row.append(agg_results[index])
-                    else:
-                        row.append(evaluate(column.expr, representative_env))
-                rows.append(tuple(row))
-        if post_filters:
-            ordinals = [
-                (box.column_ordinal(name), value)
-                for name, value in post_filters.items()
-            ]
-            rows = [
-                row
-                for row in rows
-                if all(row[ordinal] == value for ordinal, value in ordinals)
-            ]
-        return rows
-
-    def _eval_outerjoin(self, box, env, filters):
+    def _outerjoin_rows(self, box, env, filters):
         """LEFT OUTER JOIN, tuple-at-a-time: filters on preserved-side
         columns push into the left child; everything else is residual (a
         filter on the NULL-padded side cannot be pushed)."""
         left_q, right_q = box.quantifiers
-        left_filters = {}
-        residual = {}
-        for name, value in filters.items():
-            expr = box.column(name).expr
-            if isinstance(expr, qe.QColRef) and expr.quantifier is left_q:
-                left_filters[expr.column.lower()] = value
-            else:
-                residual[name] = value
-        left_rows = self._eval_box(left_q.input_box, env, left_filters)
+        pushed, residual = _split_filters(box, filters, {left_q})
+        left_rows = self.rows_for(left_q.input_box, env, pushed.get(left_q))
         null_row = tuple([None] * len(right_q.input_box.columns))
+        # Per-tuple pushdown into the right side via ON equalities.
+        bindable, post = self._split_bindable(
+            box.predicates, right_q, set(box.quantifiers), {left_q}
+        )
         rows = []
         for left_row in left_rows:
             base_env = dict(env)
             base_env[left_q] = left_row
-            # Per-tuple pushdown into the right side via ON equalities.
-            right_filters = {}
-            post = []
-            skip = False
-            for predicate in box.predicates:
-                binding = _binding_equality(
-                    predicate, right_q, set(box.quantifiers), {left_q}
-                )
-                if binding is not None:
-                    column, probe = binding
-                    value = evaluate(probe, base_env)
-                    if value is None:
-                        skip = True
-                        break
-                    right_filters[column] = value
-                else:
-                    post.append(predicate)
+            right_filters = _bind_filters(None, bindable, base_env)
             matched = False
-            if not skip:
+            if right_filters is not None:
                 self.stats.correlated_evaluations += 1
-                for right_row in self._eval_box(
+                for right_row in self.rows_for(
                     right_q.input_box, base_env, right_filters
                 ):
                     extended = dict(base_env)
@@ -567,56 +273,54 @@ class CorrelatedEvaluator:
                 extended = dict(base_env)
                 extended[right_q] = null_row
                 rows.append(tuple(evaluate(c.expr, extended) for c in box.columns))
-        if residual:
-            ordinals = [
-                (box.column_ordinal(name), value) for name, value in residual.items()
-            ]
-            rows = [
-                row
-                for row in rows
-                if all(row[ordinal] == value for ordinal, value in ordinals)
-            ]
-        return rows
+        return _restrict(box, rows, residual)
 
-    def _eval_intersect_except(self, box, env, filters):
-        left_child = box.quantifiers[0].input_box
-        right_child = box.quantifiers[1].input_box
-        left = self._eval_box(left_child, env, _map_positional(filters, box, left_child))
-        right = self._eval_box(
-            right_child, env, _map_positional(filters, box, right_child)
-        )
-        right_counts = {}
-        for row in right:
-            right_counts[row] = right_counts.get(row, 0) + 1
-        rows = []
-        if box.kind == BoxKind.INTERSECT:
-            if box.distinct == DistinctMode.ENFORCE:
-                emitted = set()
-                for row in left:
-                    if row in right_counts and row not in emitted:
-                        emitted.add(row)
-                        rows.append(row)
-            else:
-                remaining = dict(right_counts)
-                for row in left:
-                    if remaining.get(row, 0) > 0:
-                        remaining[row] -= 1
-                        rows.append(row)
+
+def _split_filters(box, filters, pushable):
+    """Divide the output-column ``filters`` of ``box``: a filter on a column
+    that is a plain reference to a quantifier in ``pushable`` becomes a
+    filter on that quantifier's input column, the rest stay on the output.
+    Returns ``({quantifier: {column: value}}, {output column: value})``."""
+    pushed = {}
+    residual = {}
+    for name, value in filters.items():
+        expr = box.column(name).expr
+        if isinstance(expr, qe.QColRef) and expr.quantifier in pushable:
+            pushed.setdefault(expr.quantifier, {})[expr.column.lower()] = value
         else:
-            if box.distinct == DistinctMode.ENFORCE:
-                emitted = set()
-                for row in left:
-                    if row not in right_counts and row not in emitted:
-                        emitted.add(row)
-                        rows.append(row)
-            else:
-                remaining = dict(right_counts)
-                for row in left:
-                    if remaining.get(row, 0) > 0:
-                        remaining[row] -= 1
-                    else:
-                        rows.append(row)
+            residual[name] = value
+    return pushed, residual
+
+
+def _bind_filters(filters, bindable, env):
+    """``filters`` extended by the value each ``(column, probe closure)`` of
+    ``bindable`` takes in ``env``; None when no row can match (a NULL probe
+    value, or two different values required of one column)."""
+    bound = dict(filters or {})
+    for column, probe in bindable:
+        value = probe(env)
+        if value is None:
+            return None
+        existing = bound.get(column)
+        if existing is not None and existing != value:
+            return None
+        bound[column] = value
+    return bound
+
+
+def _restrict(box, rows, filters):
+    """The ``rows`` of ``box`` whose columns equal ``filters`` (lower-cased
+    output column name → required value)."""
+    if not filters:
         return rows
+    ordinals = [
+        (box.column_ordinal(name), value) for name, value in filters.items()
+    ]
+    return [
+        row
+        for row in rows
+        if all(row[ordinal] == value for ordinal, value in ordinals)
+    ]
 
 
 def _map_positional(filters, box, child):

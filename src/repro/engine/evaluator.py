@@ -11,14 +11,23 @@ Join processing inside a select box is pipelined in the supplied join order
 when an applicable equality predicate exists, else by nested loop, and
 every predicate is applied at the earliest point where all of its inputs
 are bound — which is exactly why the join order matters to EMST.
+
+This module is also the one row-at-a-time definition of what each box kind
+means: the post-join phase of a select box (:meth:`Evaluator.surviving`),
+the groupby fold (:meth:`Evaluator.fold_groups`), bag INTERSECT/EXCEPT
+(:func:`intersect_except`) and the semi/anti-join test
+(:func:`quantifier_passes`) take rows (or environments) in and give rows
+out, whoever calls them — the Correlated strategy, which only reaches boxes
+differently, and UPDATE/DELETE, which seed the post-join phase with the
+stored rows. The batch operators are differentially tested against it.
 """
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError, QgmError
+from repro.errors import ExecutionError
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-from repro.qgm.stratum import reduced_dependency_graph
+from repro.qgm.stratum import correlation_externals, reduced_dependency_graph
 from repro.engine.aggregates import make_accumulator
 from repro.engine.expressions import (
     PARAMETERS,
@@ -125,7 +134,7 @@ class Evaluator:
         self._materialized = {}
         self._correlated_memo = {}
         self._external_cache = {}
-        self._subtree_cache = {}
+        self._select_plans = {}
         self._index_cache = {}
         self._compiled = {}
         self._compiled_predicates = {}
@@ -235,46 +244,19 @@ class Evaluator:
         if self.governor is not None:
             self.governor.charge_rows(len(rows), "evaluation of box %r" % box.name)
         if box.distinct == DistinctMode.ENFORCE:
-            rows = _dedupe(rows)
+            rows = dedupe(rows)
         return rows
 
     # -- externals (correlation detection) -----------------------------------------
 
-    def _subtree(self, box):
-        cached = self._subtree_cache.get(id(box))
-        if cached is not None:
-            return cached
-        seen = {}
-        stack = [box]
-        while stack:
-            current = stack.pop()
-            if id(current) in seen:
-                continue
-            seen[id(current)] = current
-            for quantifier in current.quantifiers:
-                stack.append(quantifier.input_box)
-        self._subtree_cache[id(box)] = seen
-        return seen
-
     def _externals(self, box):
-        """Quantifiers referenced inside ``box``'s subtree but owned outside
-        it (the correlation edges crossing the subtree boundary)."""
+        """The quantifiers ``box`` is correlated on (computed on first use:
+        a run consults only the boxes it reaches)."""
         cached = self._external_cache.get(id(box))
-        if cached is not None:
-            return cached
-        subtree = self._subtree(box)
-        externals = []
-        seen = set()
-        for member in subtree.values():
-            for expression in member.all_expressions():
-                for ref in qe.column_refs(expression):
-                    owner = ref.quantifier.parent_box
-                    if owner is not None and id(owner) not in subtree:
-                        if id(ref.quantifier) not in seen:
-                            seen.add(id(ref.quantifier))
-                            externals.append(ref.quantifier)
-        self._external_cache[id(box)] = externals
-        return externals
+        if cached is None:
+            cached = correlation_externals([box])[id(box)]
+            self._external_cache[id(box)] = cached
+        return cached
 
     # -- box evaluation ---------------------------------------------------------------
 
@@ -284,14 +266,16 @@ class Evaluator:
         if box.kind == BoxKind.SELECT:
             return self._evaluate_select(box, env)
         if box.kind == BoxKind.GROUPBY:
-            return self._evaluate_groupby(box, env)
+            input_rows = self.rows_for(box.quantifiers[0].input_box, env)
+            return self.fold_groups(box, input_rows, env)
         if box.kind == BoxKind.UNION:
             rows = []
             for quantifier in box.quantifiers:
                 rows.extend(self.rows_for(quantifier.input_box, env))
             return rows
         if box.kind in (BoxKind.INTERSECT, BoxKind.EXCEPT):
-            return self._evaluate_intersect_except(box, env)
+            left, right = [self.rows_for(q.input_box, env) for q in box.quantifiers]
+            return intersect_except(box, left, right)
         if box.kind == BoxKind.OUTERJOIN:
             return self._evaluate_outerjoin(box, env)
         evaluate_custom = box.properties.get("evaluate")
@@ -304,121 +288,91 @@ class Evaluator:
     def _join_order(self, box):
         return ordered_foreach(box, self.join_orders.get(box.box_id))
 
+    def _select_plan(self, box):
+        plan = self._select_plans.get(id(box))
+        if plan is None:
+            plan = self._select_plans[id(box)] = SelectPlan(box)
+        return plan
+
     def _evaluate_select(self, box, env):
-        local = set(box.quantifiers)
-        predicates = list(box.predicates)
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-        ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
+        envs, applied = self._join(box, env)
+        return self.project(box, self.surviving(box, envs, applied))
 
-        def quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        deferred = set()  # predicates involving E/A/S quantifiers
-        join_predicates = []
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-        for predicate in predicates:
-            if quantifiers_of(predicate) & non_foreach:
-                deferred.add(id(predicate))
-            else:
-                join_predicates.append(predicate)
-
+    def _join(self, box, env):
+        """The join phase of a select box: attach its foreach quantifiers
+        in plan order, applying every join predicate as soon as its inputs
+        are bound. Returns the environments and the ids of the predicates
+        applied on the way."""
+        plan = self._select_plan(box)
         envs = [dict(env)]
         bound = set()
         applied = set()
         for quantifier in self._join_order(box):
             envs = self._attach_quantifier(
-                box, quantifier, envs, bound, join_predicates, applied
+                box, quantifier, envs, bound, plan, applied
             )
             bound.add(quantifier)
             if not envs:
                 break
+        return envs, applied
 
-        # Any join predicate not yet applied (e.g. referencing no local
-        # quantifier at all — pure correlation filters) applies now.
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-                applied.add(id(predicate))
+    def surviving(self, box, envs, applied=()):
+        """The post-join phase of a select box, over environments that
+        bind all of its foreach quantifiers — however they came to be
+        bound: by the join phase, or one per stored row by UPDATE/DELETE.
 
-        # Bind scalar subqueries. A decorrelated subquery holds one row per
-        # binding; its selector predicates (the correlation equalities EMST
-        # lifted) pick the current outer row's match — no match binds NULLs
-        # and the row survives, exactly the original correlated semantics.
-        for quantifier in scalar_quantifiers:
-            new_envs = []
+        Applies the join predicates not in ``applied`` (e.g. pure
+        correlation filters, which reference no local quantifier), binds
+        each scalar subquery's row into the environments (in place), applies
+        the predicates that waited for those, and tests the E/A quantifiers.
+        Returns the surviving environments: the same objects, in order.
+        """
+        plan = self._select_plan(box)
+        envs = self._keep_true(
+            envs, [p for p in plan.join_predicates if id(p) not in applied]
+        )
+        # A decorrelated subquery holds one row per binding; its selector
+        # predicates (the correlation equalities EMST lifted) pick the
+        # current outer row's match — no match binds NULLs and the row
+        # survives, exactly the original correlated semantics.
+        for quantifier in plan.scalars:
+            selectors = quantifier.selector_predicates
             for current in envs:
-                row = self._scalar_row(
-                    quantifier, current, quantifier.selector_predicates
+                current[quantifier] = self._scalar_row(
+                    quantifier, current, selectors
                 )
-                extended = dict(current)
-                extended[quantifier] = row
-                new_envs.append(extended)
-            envs = new_envs
-        for predicate in predicates:
-            if id(predicate) in deferred and not (
-                quantifiers_of(predicate) & set(filter_quantifiers)
-            ):
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-
-        # Existential / anti filters.
-        for quantifier in filter_quantifiers:
-            attached = [
-                p
-                for p in predicates
-                if id(p) in deferred and quantifier in quantifiers_of(p)
-            ]
+        envs = self._keep_true(envs, plan.deferred)
+        for quantifier, attached in plan.filters:
             envs = [
                 current
                 for current in envs
                 if self._passes_filter_quantifier(quantifier, attached, current)
             ]
+        return envs
 
+    def _keep_true(self, envs, predicates):
+        """The environments in which every predicate is TRUE (a predicate
+        is compiled only when there is an environment to test)."""
+        for predicate in predicates:
+            if not envs:
+                break
+            holds = self._pred(predicate)
+            envs = [e for e in envs if holds(e)]
+        return envs
+
+    def project(self, box, envs):
+        """The output rows of a select box, one per environment."""
         projection = [self._fn(column.expr) for column in box.columns]
-        rows = []
-        for current in envs:
-            rows.append(tuple(fn(current) for fn in projection))
-        return rows
+        return [tuple(fn(current) for fn in projection) for current in envs]
 
-    def _attach_quantifier(self, box, quantifier, envs, bound, join_predicates, applied):
+    def _attach_quantifier(self, box, quantifier, envs, bound, plan, applied):
         """Join one foreach quantifier into the current environments."""
         child = quantifier.input_box
-        local = set(box.quantifiers)
+        applicable = plan.applicable(quantifier, bound, applied)
 
-        def refs_ok(expression, extra):
-            for ref in qe.column_refs(expression):
-                owner = ref.quantifier
-                if owner in local and owner not in extra and owner not in bound:
-                    return False
-            return True
-
-        # Applicable predicates once this quantifier is bound.
-        applicable = [
-            p
-            for p in join_predicates
-            if id(p) not in applied and refs_ok(p, {quantifier})
-        ]
-
-        # Split equality predicates usable for hashing: q-side references
-        # only this quantifier, other side only bound/external quantifiers.
-        hash_keys = []
-        residual = []
-        for predicate in applicable:
-            pair = hashable_equality(predicate, quantifier, local, bound)
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
-
+        hash_keys, residual = split_hashable(
+            applicable, quantifier, plan.local, bound
+        )
         child_correlated = bool(self._externals(child))
         use_index = hash_keys and not child_correlated
 
@@ -449,8 +403,7 @@ class Evaluator:
                     extended[quantifier] = row
                     if all(fn(extended) for fn in applicable_fns):
                         new_envs.append(extended)
-        for predicate in applicable:
-            applied.add(id(predicate))
+        applied.update(id(p) for p in applicable)
         return new_envs
 
     def _hash_index(self, child, quantifier, key_exprs):
@@ -492,14 +445,10 @@ class Evaluator:
         # Fast path for decorrelated subqueries: equality selectors over
         # plain columns probe a hash index instead of scanning all bindings.
         if quantifier.decorrelated and selectors and not self._externals(child):
-            keyed = []
-            for predicate in selectors:
-                pair = hashable_equality(predicate, quantifier, {quantifier}, set())
-                if pair is None:
-                    keyed = None
-                    break
-                keyed.append(pair)
-            if keyed:
+            keyed, residual = split_hashable(
+                selectors, quantifier, {quantifier}, set()
+            )
+            if not residual:
                 index = self._hash_index(
                     child, quantifier, tuple(k[0] for k in keyed)
                 )
@@ -537,46 +486,34 @@ class Evaluator:
     def _passes_filter_quantifier(self, quantifier, predicates, env):
         """Semi-join (E) / anti-join (A) test for one environment."""
         rows = self.rows_for(quantifier.input_box, env)
-        if quantifier.qtype == QuantifierType.EXISTENTIAL:
-            for row in rows:
-                extended = dict(env)
-                extended[quantifier] = row
-                if all(predicate_holds(p, extended) for p in predicates):
-                    return True
-            return False
-        # ANTI
-        saw_unknown = False
-        for row in rows:
-            extended = dict(env)
-            extended[quantifier] = row
-            values = [evaluate(p, extended) for p in predicates]
-            if all(v is True for v in values):
-                return False
-            if quantifier.null_aware and all(v is not False for v in values):
-                saw_unknown = True
-        if quantifier.null_aware and saw_unknown:
-            return False
-        return True
+        return quantifier_passes(quantifier, predicates, env, rows)
 
     # -- groupby boxes -----------------------------------------------------------------
 
-    def _evaluate_groupby(self, box, env):
+    def fold_groups(self, box, input_rows, env):
+        """The output rows of groupby ``box`` over ``input_rows`` (rows of
+        its one quantifier), groups in first-seen order."""
         quantifier = box.quantifiers[0]
-        input_rows = self.rows_for(quantifier.input_box, env)
-
-        aggregate_columns = [
-            (index, column.expr)
-            for index, column in enumerate(box.columns)
+        aggregates = [
+            column.expr
+            for column in box.columns
             if isinstance(column.expr, qe.QAggregate)
         ]
 
+        def accumulators():
+            return [
+                make_accumulator(
+                    agg.func, star=agg.arg is None, distinct=agg.distinct
+                )
+                for agg in aggregates
+            ]
+
         key_fns = [self._fn(k) for k in box.group_keys]
         arg_fns = [
-            None if agg.arg is None else self._fn(agg.arg)
-            for _, agg in aggregate_columns
+            None if agg.arg is None else self._fn(agg.arg) for agg in aggregates
         ]
+        # key -> (accumulators, the group's first row environment)
         groups = {}
-        order = []
         for row in input_rows:
             self._checkpoint(box)
             row_env = dict(env)
@@ -584,48 +521,27 @@ class Evaluator:
             key = tuple(fn(row_env) for fn in key_fns)
             state = groups.get(key)
             if state is None:
-                accumulators = [
-                    make_accumulator(
-                        agg.func, star=agg.arg is None, distinct=agg.distinct
-                    )
-                    for _, agg in aggregate_columns
-                ]
-                state = (accumulators, row_env)
-                groups[key] = state
-                order.append(key)
-            accumulators, _ = state
-            for accumulator, arg_fn in zip(accumulators, arg_fns):
+                state = groups[key] = (accumulators(), row_env)
+            for accumulator, arg_fn in zip(state[0], arg_fns):
                 accumulator.add(None if arg_fn is None else arg_fn(row_env))
-
         if not groups and not box.group_keys:
-            # Scalar aggregate over an empty input: one row.
-            accumulators = [
-                make_accumulator(agg.func, star=agg.arg is None, distinct=agg.distinct)
-                for _, agg in aggregate_columns
-            ]
-            row = []
-            agg_iter = iter(accumulators)
-            for column in box.columns:
-                if isinstance(column.expr, qe.QAggregate):
-                    row.append(next(agg_iter).result())
-                else:
-                    row.append(None)
-            return [tuple(row)]
+            # Scalar aggregate over an empty input: one row, NULL in its
+            # non-aggregate columns.
+            groups[()] = (accumulators(), None)
 
         rows = []
-        for key in order:
-            accumulators, representative_env = groups[key]
-            agg_results = {
-                index: accumulator.result()
-                for accumulator, (index, _) in zip(accumulators, aggregate_columns)
-            }
-            row = []
-            for index, column in enumerate(box.columns):
-                if index in agg_results:
-                    row.append(agg_results[index])
-                else:
-                    row.append(evaluate(column.expr, representative_env))
-            rows.append(tuple(row))
+        for group, representative in groups.values():
+            results = iter([accumulator.result() for accumulator in group])
+            rows.append(
+                tuple(
+                    next(results)
+                    if isinstance(column.expr, qe.QAggregate)
+                    else None
+                    if representative is None
+                    else evaluate(column.expr, representative)
+                    for column in box.columns
+                )
+            )
         return rows
 
     # -- outer joins ---------------------------------------------------------------------
@@ -638,16 +554,9 @@ class Evaluator:
         null_row = tuple([None] * len(right_q.input_box.columns))
 
         # Hash the right side when an ON equality allows it.
-        hash_keys = []
-        residual = []
-        for predicate in box.predicates:
-            pair = hashable_equality(
-                predicate, right_q, set(box.quantifiers), {left_q}
-            )
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
+        hash_keys, residual = split_hashable(
+            box.predicates, right_q, set(box.quantifiers), {left_q}
+        )
         use_index = bool(hash_keys)
         index = None
         if use_index:
@@ -685,43 +594,65 @@ class Evaluator:
                 rows.append(tuple(evaluate(c.expr, extended) for c in box.columns))
         return rows
 
-    # -- set operations ------------------------------------------------------------------
 
-    def _evaluate_intersect_except(self, box, env):
-        left = self.rows_for(box.quantifiers[0].input_box, env)
-        right = self.rows_for(box.quantifiers[1].input_box, env)
-        right_counts = {}
-        for row in right:
-            right_counts[row] = right_counts.get(row, 0) + 1
-        rows = []
-        if box.kind == BoxKind.INTERSECT:
-            if box.distinct == DistinctMode.ENFORCE:
-                emitted = set()
-                for row in left:
-                    if row in right_counts and row not in emitted:
-                        emitted.add(row)
-                        rows.append(row)
-            else:  # INTERSECT ALL: min multiplicities
-                remaining = dict(right_counts)
-                for row in left:
-                    if remaining.get(row, 0) > 0:
-                        remaining[row] -= 1
-                        rows.append(row)
-        else:  # EXCEPT
-            if box.distinct == DistinctMode.ENFORCE:
-                emitted = set()
-                for row in left:
-                    if row not in right_counts and row not in emitted:
-                        emitted.add(row)
-                        rows.append(row)
-            else:  # EXCEPT ALL: subtract multiplicities
-                remaining = dict(right_counts)
-                for row in left:
-                    if remaining.get(row, 0) > 0:
-                        remaining[row] -= 1
-                    else:
-                        rows.append(row)
-        return rows
+class SelectPlan:
+    """How a select box's quantifiers and predicates divide between the
+    join phase and the post-join phase. The graph alone decides it, so the
+    engines that interpret the graph and the compiler that lowers it read
+    the same division."""
+
+    __slots__ = (
+        "local", "locals_of", "join_predicates", "scalars", "deferred",
+        "filters",
+    )
+
+    def __init__(self, box):
+        #: The box's own quantifiers.
+        self.local = local = set(box.quantifiers)
+        #: ``id(predicate) -> the local quantifiers it references``.
+        self.locals_of = locals_of = {
+            id(predicate): {
+                ref.quantifier
+                for ref in qe.column_refs(predicate)
+                if ref.quantifier in local
+            }
+            for predicate in box.predicates
+        }
+        #: Scalar-subquery quantifiers, bound once the joins are done.
+        self.scalars = [
+            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
+        ]
+        filters = [
+            q
+            for q in box.quantifiers
+            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
+        ]
+        # Predicates touching a scalar/E/A quantifier wait until it is bound.
+        filter_set = set(filters)
+        waiting = set(self.scalars) | filter_set
+        #: Predicates over foreach (and outer) quantifiers only.
+        self.join_predicates = [
+            p for p in box.predicates if not (locals_of[id(p)] & waiting)
+        ]
+        waited = [p for p in box.predicates if locals_of[id(p)] & waiting]
+        #: Predicates that waited for scalar subqueries only.
+        self.deferred = [
+            p for p in waited if not (locals_of[id(p)] & filter_set)
+        ]
+        #: ``(E/A quantifier, the predicates it is tested with)`` pairs.
+        self.filters = [
+            (q, [p for p in waited if q in locals_of[id(p)]]) for q in filters
+        ]
+
+    def applicable(self, quantifier, bound, applied):
+        """The join predicates, not yet ``applied``, whose local inputs
+        are all bound once ``quantifier`` joins ``bound``."""
+        reachable = bound | {quantifier}
+        return [
+            p
+            for p in self.join_predicates
+            if id(p) not in applied and self.locals_of[id(p)] <= reachable
+        ]
 
 
 def ordered_foreach(box, ordered_names):
@@ -763,18 +694,75 @@ def hashable_equality(predicate, quantifier, local, bound):
     return None
 
 
+def split_hashable(predicates, quantifier, local, bound):
+    """Divide ``predicates`` into the ``(key, probe)`` pairs of those usable
+    to hash-join ``quantifier`` (see :func:`hashable_equality`) and the
+    residual predicates."""
+    pairs = []
+    residual = []
+    for predicate in predicates:
+        pair = hashable_equality(predicate, quantifier, local, bound)
+        if pair is not None:
+            pairs.append(pair)
+        else:
+            residual.append(predicate)
+    return pairs, residual
+
+
 def self_recursive(box):
     return any(q.input_box is box for q in box.quantifiers)
 
 
-def _dedupe(rows):
-    seen = set()
-    out = []
+def dedupe(rows):
+    """``rows`` without duplicates, first occurrences in order."""
+    return list(dict.fromkeys(rows))
+
+
+def quantifier_passes(quantifier, predicates, env, rows):
+    """Semi-join (E) / anti-join (A) test of one environment against
+    ``rows``, the rows of the quantifier's input under that environment.
+
+    E passes when some row makes every predicate TRUE. A passes when no
+    row does — and, for a NULL-aware quantifier (NOT IN), when none leaves
+    the outcome UNKNOWN either."""
+    if quantifier.qtype == QuantifierType.EXISTENTIAL:
+        for row in rows:
+            extended = dict(env)
+            extended[quantifier] = row
+            if all(predicate_holds(p, extended) for p in predicates):
+                return True
+        return False
+    saw_unknown = False
     for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
+        extended = dict(env)
+        extended[quantifier] = row
+        values = [evaluate(p, extended) for p in predicates]
+        if all(v is True for v in values):
+            return False
+        if quantifier.null_aware and all(v is not False for v in values):
+            saw_unknown = True
+    return not (quantifier.null_aware and saw_unknown)
+
+
+def intersect_except(box, left, right):
+    """Bag INTERSECT / EXCEPT of an INTERSECT or EXCEPT ``box`` over its two
+    inputs' rows: set semantics under DISTINCT enforcement, multiplicity
+    arithmetic (min / subtract) under ALL; ``left``'s order is kept."""
+    keep_matched = box.kind == BoxKind.INTERSECT
+    if box.distinct == DistinctMode.ENFORCE:
+        members = set(right)
+        return [row for row in dedupe(left) if (row in members) == keep_matched]
+    remaining = {}
+    for row in right:
+        remaining[row] = remaining.get(row, 0) + 1
+    rows = []
+    for row in left:
+        matched = remaining.get(row, 0) > 0
+        if matched:
+            remaining[row] -= 1
+        if matched == keep_matched:
+            rows.append(row)
+    return rows
 
 
 def _sort_key_with_nulls(row, order_by):
@@ -812,14 +800,3 @@ def _apply_order_limit(rows, order_by, limit):
     if limit is not None:
         rows = rows[:limit]
     return list(rows)
-
-
-def evaluate_graph(graph, database, join_orders=None, memoize_correlated=True):
-    """Convenience wrapper: build an Evaluator and run it."""
-    evaluator = Evaluator(
-        graph,
-        database,
-        join_orders=join_orders,
-        memoize_correlated=memoize_correlated,
-    )
-    return evaluator.run()

@@ -32,13 +32,7 @@ from __future__ import annotations
 
 from repro.errors import QgmError
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-
-
-def _dedupe(rows):
-    return list(dict.fromkeys(rows))
-
-# Retained name for backward compatibility; the governor owns the default.
-_MAX_ROUNDS = 100000
+from repro.engine.evaluator import dedupe
 
 
 def _stratification_violation(component):
@@ -217,7 +211,7 @@ def run_fixpoint(evaluator, component, governor=None):
             # where this pass is provably redundant — that removal is
             # what the distinct_drop benchmark measures.
             if box.distinct == DistinctMode.ENFORCE:
-                produced = _dedupe(produced)
+                produced = dedupe(produced)
             if proven[id(box)] and additive[id(box)]:
                 # Disjoint by proof: the box's total output carries a key
                 # and its delta-driven rounds partition that output, so

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.qgm.model import BoxKind
+from repro.qgm.stratum import correlation_externals
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.joinorder import optimize_select_box
 
@@ -71,45 +72,15 @@ def _correlation_multiplicity(graph, estimator):
     """Estimate how many times each correlated box gets re-evaluated: the
     cardinality of the box owning the quantifiers it references."""
     multiplicity = {}
-    for box in graph.boxes():
-        subtree_ids = set()
-        stack = [box]
-        while stack:
-            current = stack.pop()
-            if id(current) in subtree_ids:
-                continue
-            subtree_ids.add(id(current))
-            for quantifier in current.quantifiers:
-                stack.append(quantifier.input_box)
-        owners = set()
-        for quantifier_owner in _external_owners(box, subtree_ids):
-            owners.add(quantifier_owner)
+    boxes = graph.boxes()
+    externals = correlation_externals(boxes)
+    for box in boxes:
+        owners = {q.parent_box for q in externals[id(box)]}
         if owners:
             multiplicity[id(box)] = max(
                 estimator.rows(owner) for owner in owners
             )
     return multiplicity
-
-
-def _external_owners(box, subtree_ids):
-    from repro.qgm import expr as qe
-
-    owners = []
-    stack = [box]
-    seen = set()
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        for expression in current.all_expressions():
-            for ref in qe.column_refs(expression):
-                owner = ref.quantifier.parent_box
-                if owner is not None and id(owner) not in subtree_ids:
-                    owners.append(owner)
-        for quantifier in current.quantifiers:
-            stack.append(quantifier.input_box)
-    return owners
 
 
 def optimize_graph(graph, catalog=None):

@@ -9,6 +9,7 @@ numbers; base tables get stratum 0.
 from __future__ import annotations
 
 from repro.errors import QgmError
+from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind
 
 
@@ -94,6 +95,45 @@ def reduced_dependency_graph(graph):
         for box in component:
             component_of[id(box)] = idx
     return components, component_of
+
+
+def correlation_externals(boxes):
+    """``id(box) -> [quantifier, ...]`` for every box of ``boxes``: the
+    quantifiers referenced inside the box's subtree but owned outside it —
+    the correlation edges crossing the subtree boundary, in first-seen
+    order. A box with a non-empty list is *correlated*: its rows depend on
+    the rows those quantifiers are bound to. This is the one place that
+    walks subtrees for correlation; the engines, the program compiler and
+    the plan optimizer all ask it."""
+    referenced = {}
+
+    def references(box):
+        found = referenced.get(id(box))
+        if found is None:
+            seen = {}
+            for expression in box.all_expressions():
+                for ref in qe.column_refs(expression):
+                    seen.setdefault(id(ref.quantifier), ref.quantifier)
+            found = referenced[id(box)] = list(seen.values())
+        return found
+
+    externals = {}
+    for box in boxes:
+        subtree = {}
+        stack = [box]
+        while stack:
+            current = stack.pop()
+            if id(current) not in subtree:
+                subtree[id(current)] = current
+                stack.extend(q.input_box for q in current.quantifiers)
+        found = {}
+        for member in subtree.values():
+            for quantifier in references(member):
+                owner = quantifier.parent_box
+                if owner is not None and id(owner) not in subtree:
+                    found.setdefault(id(quantifier), quantifier)
+        externals[id(box)] = list(found.values())
+    return externals
 
 
 def assign_strata(graph):

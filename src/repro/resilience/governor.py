@@ -4,9 +4,9 @@ A :class:`ResourceGovernor` is handed to the rewrite engine, the fixpoint
 machinery and the evaluators; each checks its own budget at natural
 yield points (once per sweep, per round, per box materialisation) and
 raises :class:`~repro.errors.ResourceExhaustedError` with structured
-context when a limit trips. The historical hard-coded caps
-(``_MAX_SWEEPS = 200`` in the rewrite engine, ``_MAX_ROUNDS = 100000`` in
-the fixpoint loop) live on as the governor's defaults.
+context when a limit trips. The historical hard-coded caps (200 sweeps
+in the rewrite engine, 100000 rounds in the fixpoint loop) live on as
+the governor's defaults.
 
 Counters for cumulative budgets (rows, correlated invocations, the
 deadline clock) are per *query*: :meth:`begin_query` resets them, and

@@ -35,7 +35,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api import Connection, EXECUTORS, STRATEGIES, run_plan
+from repro.api import (
+    Connection,
+    EXECUTORS,
+    STRATEGIES,
+    parse_single_query,
+    run_plan,
+)
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -234,20 +240,13 @@ class QueryServer:
     def handle_query(self, sql, params=None, strategy=None, deadline=None,
                      cancel_event=None, executor=None, fresh=False):
         """One-shot: parse, cache-or-prepare, bind, execute."""
-        script = parse_script(sql)
-        from repro.sql.ast import CreateView, Query
-
-        if any(
-            not isinstance(s, (CreateView, Query)) for s in script.statements
-        ):
-            raise ReproError(
+        script = parse_single_query(
+            sql,
+            other_statements=(
                 "the query op accepts SELECTs (with optional inline views); "
                 "send DDL/DML through the script op"
-            )
-        if len(script.queries) != 1:
-            raise ReproError(
-                "expected exactly one query, got %d" % len(script.queries)
-            )
+            ),
+        )
         handle = self._make_handle(sql, script, strategy, executor)
         return self.handle_execute(
             handle, params, deadline=deadline, cancel_event=cancel_event,
@@ -258,15 +257,10 @@ class QueryServer:
         """Parse + parameterize once; returns a :class:`PreparedHandle`
         plus its wire description. Plans land in the shared cache on first
         execute."""
-        script = parse_script(sql)
-        from repro.sql.ast import CreateView, Query
-
-        if len(script.queries) != 1 or any(
-            not isinstance(s, (CreateView, Query)) for s in script.statements
-        ):
-            raise ReproError(
-                "prepare accepts exactly one SELECT (plus inline views)"
-            )
+        refusal = "prepare accepts exactly one SELECT (plus inline views)"
+        script = parse_single_query(
+            sql, other_statements=refusal, wrong_count=refusal
+        )
         handle = self._make_handle(sql, script, strategy, executor)
         explicit = handle.param_count - len(handle.extracted_values)
         return handle, {
@@ -327,11 +321,7 @@ class QueryServer:
     def _execute_on_pool(self, handle, params, deadline, cancel_event,
                          started):
         """Ship the statement to a pool worker and relay its reply."""
-        clamped = min(
-            deadline if deadline is not None
-            else self.config.default_deadline_seconds,
-            self.config.max_deadline_seconds,
-        )
+        clamped = self._clamped_deadline(deadline)
         message = {
             "op": "query",
             "sql": handle.sql,
@@ -529,12 +519,17 @@ class QueryServer:
             }
         return handle
 
-    def _make_governor(self, deadline, cancel_event):
-        clamped = min(
+    def _clamped_deadline(self, deadline):
+        """The request's deadline: the server default when the client sent
+        none, never more than the server's maximum."""
+        return min(
             deadline if deadline is not None
             else self.config.default_deadline_seconds,
             self.config.max_deadline_seconds,
         )
+
+    def _make_governor(self, deadline, cancel_event):
+        clamped = self._clamped_deadline(deadline)
         if self._governor_factory is not None:
             governor = self._governor_factory()
             governor.deadline_seconds = clamped
