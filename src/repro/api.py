@@ -29,13 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import (
-    NotSupportedError,
-    QueryCancelledError,
-    ReproError,
-    ResourceExhaustedError,
-)
-from repro.resilience.fallback import FallbackReport
+from repro.errors import NotSupportedError, ReproError
+from repro.resilience.fallback import NEVER_DEGRADE, run_with_fallback
 from repro.sql import ast as sql_ast, parse_script
 from repro.sql.ast import CreateTable, CreateView, Delete, InsertValues, Query, Update
 from repro.qgm import build_query_graph, render_text, validate_graph
@@ -55,6 +50,22 @@ STRATEGIES = ("original", "correlated", "emst", "phase1", "norewrite")
 #: Execution engines: ``"batch"`` is the columnar vectorized executor,
 #: ``"tuple"`` the classic row-at-a-time engine (and differential oracle).
 EXECUTORS = ("tuple", "batch")
+
+
+def check_strategy(strategy):
+    if strategy not in STRATEGIES:
+        raise ReproError(
+            "unknown strategy %r (expected one of %s)"
+            % (strategy, ", ".join(STRATEGIES))
+        )
+
+
+def check_executor(executor):
+    if executor not in EXECUTORS:
+        raise ReproError(
+            "unknown executor %r (expected one of %s)"
+            % (executor, ", ".join(EXECUTORS))
+        )
 
 
 @dataclass
@@ -94,14 +105,10 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
     needs them bound into the graph.
 
     With ``retry_on_tuple`` a batch-engine failure retries once on the
-    tuple engine (the differential oracle) — unless it is a budget or
-    cancellation trip, which would recur there, only slower.
+    tuple engine (the differential oracle) — unless it is in
+    :data:`~repro.resilience.fallback.NEVER_DEGRADE`.
     """
-    if executor not in EXECUTORS:
-        raise ReproError(
-            "unknown executor %r (expected one of %s)"
-            % (executor, ", ".join(EXECUTORS))
-        )
+    check_executor(executor)
     graph = planned.graph
     strategy = planned.strategy
     join_orders = planned.plan.join_orders if planned.plan is not None else None
@@ -129,7 +136,7 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
                 graph, database, program=planned.program, **options
             )
             return PlanRun(evaluator.run(), evaluator.stats, "batch")
-        except (ResourceExhaustedError, QueryCancelledError):
+        except NEVER_DEGRADE:
             raise
         except Exception as exc:
             if not retry_on_tuple:
@@ -220,9 +227,6 @@ class ExecutionOutcome:
     rewrite_seconds: float = 0.0
     #: Which execution engine produced the result ("tuple" or "batch").
     executor: str = "tuple"
-    #: The batch engine's failure, when the result came from the tuple
-    #: engine's retry of it (only under a resilience policy).
-    executor_error: Optional[str] = None
     stats: Dict[str, int] = field(default_factory=dict)
     #: A FallbackReport when the query ran under a ResiliencePolicy.
     resilience: Optional[object] = None
@@ -311,11 +315,7 @@ class Connection:
     """
 
     def __init__(self, database, resilience=None, executor="tuple"):
-        if executor not in EXECUTORS:
-            raise ReproError(
-                "unknown executor %r (expected one of %s)"
-                % (executor, ", ".join(EXECUTORS))
-            )
+        check_executor(executor)
         self.database = database
         self.resilience = resilience
         self.executor = executor
@@ -332,7 +332,6 @@ class Connection:
             graph, plan, heuristic, _ = self.prepare(
                 script.queries[0], strategy, resilience=resilience
             )
-        validate_graph(graph)
         return PreparedQuery(
             database=self.database,
             graph=graph,
@@ -491,32 +490,26 @@ class Connection:
     # -- core ---------------------------------------------------------------------
 
     def prepare(self, query, strategy="emst", resilience=None):
-        """Build (and rewrite/plan per strategy) the query graph; returns
-        (graph, plan_or_None, heuristic_or_None, rewrite_seconds)."""
-        if strategy not in STRATEGIES:
-            raise ReproError(
-                "unknown strategy %r (expected one of %s)"
-                % (strategy, ", ".join(STRATEGIES))
-            )
+        """Build (and rewrite/plan per strategy) the query graph, then
+        validate it; returns (graph, plan_or_None, heuristic_or_None,
+        rewrite_seconds)."""
+        check_strategy(strategy)
         started = time.perf_counter()
         graph = build_query_graph(query, self.database.catalog)
-        if strategy == "norewrite":
-            return graph, None, None, time.perf_counter() - started
+        plan = heuristic = None
         if strategy in ("original", "correlated"):
             plan = optimize_graph(graph, self.database.catalog)
-            return graph, plan, None, time.perf_counter() - started
-        heuristic = optimize_with_heuristic(
-            graph,
-            self.database.catalog,
-            use_emst=(strategy == "emst"),
-            resilience=resilience,
-        )
-        return (
-            heuristic.graph,
-            heuristic.plan,
-            heuristic,
-            time.perf_counter() - started,
-        )
+        elif strategy != "norewrite":
+            heuristic = optimize_with_heuristic(
+                graph,
+                self.database.catalog,
+                use_emst=(strategy == "emst"),
+                resilience=resilience,
+            )
+            graph, plan = heuristic.graph, heuristic.plan
+        rewrite_seconds = time.perf_counter() - started
+        validate_graph(graph)
+        return graph, plan, heuristic, rewrite_seconds
 
     def execute_query(self, query, strategy="emst", resilience=None,
                       analyze=False, executor=None):
@@ -525,64 +518,32 @@ class Connection:
         if resilience is None:
             return self._execute_once(
                 query, strategy, None, analyze=analyze, executor=executor
-            )
+            )[0]
         resilience.begin_query()
-        attempts = []
-        last_error = None
-        # The degradation lattice: every strategy in the chain runs on the
-        # requested executor and, if that was "batch" and it failed, once
-        # more on the tuple engine (inside ``run_plan``, on the same
-        # prepared graph) before the strategy degrades — an executor bug
-        # must never cost rewrite quality.
-        for candidate in resilience.chain_for(strategy):
-            try:
-                outcome = self._execute_once(
-                    query, candidate, resilience, analyze=analyze,
-                    executor=executor,
-                )
-            except Exception as exc:
-                # Fail soft on *anything* a strategy threw — a corrupted
-                # graph can surface as an arbitrary exception far from the
-                # rule that broke it. The last chain entry re-raises. Blown
-                # budgets propagate (unless the policy opts in): a limit
-                # exceeded under emst would be exceeded under original too.
-                if (
-                    isinstance(exc, ResourceExhaustedError)
-                    and not resilience.fallback_on_exhaustion
-                ):
-                    raise
-                attempts.append(
-                    (candidate, "%s: %s" % (type(exc).__name__, exc))
-                )
-                last_error = exc
-                continue
-            if outcome.executor_error is not None:
-                attempts.append(
-                    (
-                        "%s (%s executor)" % (candidate, executor),
-                        outcome.executor_error,
-                    )
-                )
-            outcome.resilience = FallbackReport(
-                requested=strategy,
-                executed=candidate,
-                attempts=attempts,
-                quarantined=dict(resilience.quarantine.reasons),
-                requested_executor=executor,
-                executed_executor=outcome.executor,
-            )
-            return outcome
-        raise last_error
+        # Every rung runs on the requested executor and, if that was
+        # "batch" and it failed, once more on the tuple engine (inside
+        # ``run_plan``, on the same prepared graph) before the strategy
+        # degrades: an executor bug must never cost rewrite quality.
+        outcome, report = run_with_fallback(
+            strategy,
+            lambda candidate: self._execute_once(
+                query, candidate, resilience, analyze=analyze,
+                executor=executor,
+            ),
+            executor=executor,
+            quarantine=resilience.quarantine,
+        )
+        outcome.resilience = report
+        return outcome
 
     def _execute_once(self, query, strategy, resilience, analyze=False,
                       executor="tuple"):
-        """One prepare + execute under one strategy; no strategy fallback
-        (under a resilience policy the executor may still degrade
-        batch -> tuple, reported on the outcome)."""
+        """One prepare + execute under one strategy, no strategy fallback;
+        returns ``(ExecutionOutcome, PlanRun)``. Under a resilience policy
+        the executor may still degrade batch -> tuple (see the run)."""
         graph, plan, heuristic, rewrite_seconds = self.prepare(
             query, strategy, resilience=resilience
         )
-        validate_graph(graph)
         report = None
         if analyze:
             from repro.analysis import analyze_graph
@@ -608,7 +569,6 @@ class Connection:
             stats["relaxed_distinct"] = list(heuristic.relaxed_distinct)
         if report is not None:
             stats["analysis"] = report.counts()
-        batch_error = run.batch_error
         return ExecutionOutcome(
             result=run.result,
             strategy=strategy,
@@ -618,13 +578,9 @@ class Connection:
             elapsed_seconds=elapsed,
             rewrite_seconds=rewrite_seconds,
             executor=run.executor,
-            executor_error=(
-                None if batch_error is None
-                else "%s: %s" % (type(batch_error).__name__, batch_error)
-            ),
             stats=stats,
             diagnostics=report,
-        )
+        ), run
 
     def explain(self, sql_text, strategy="emst", executor=None):
         """Return a textual explanation: the (rewritten) graph and plan."""

@@ -10,8 +10,9 @@ the pipeline fail soft:
 * :class:`ResourceGovernor` — cooperative per-query budgets (wall-clock
   deadline, rewrite sweeps, fixpoint rounds, materialized rows, correlated
   invocations) raising :class:`~repro.errors.ResourceExhaustedError`,
-* :class:`ResiliencePolicy` — rule-level rollback + quarantine plus the
-  declared strategy fallback chain ``emst -> phase1 -> original``,
+* :class:`ResiliencePolicy` — rule-level rollback + quarantine,
+* ``fallback.run_with_fallback`` — the one strategy degradation ladder
+  ``emst -> phase1 -> original`` (connection and server alike),
 * :class:`FaultPlan` — a seedable fault-injection harness that wraps
   rewrite rules and evaluator hooks so the failure paths are exercised by
   real tests (``python -m repro.resilience.chaos``).
@@ -24,12 +25,7 @@ from repro.resilience.fallback import (
     ResiliencePolicy,
 )
 from repro.resilience.faults import FaultPlan, InjectedFault
-from repro.resilience.breaker import (
-    DEFAULT_STRATEGY_CHAIN,
-    CircuitBreaker,
-    GuardedCircuitBreaker,
-    StrategyBreakerBoard,
-)
+from repro.resilience.breaker import CircuitBreaker, StrategyBreakerBoard
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "CircuitBreaker",
-    "GuardedCircuitBreaker",
     "StrategyBreakerBoard",
-    "DEFAULT_STRATEGY_CHAIN",
     "RetryPolicy",
 ]

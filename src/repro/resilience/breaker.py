@@ -19,12 +19,13 @@ from __future__ import annotations
 import threading
 import time
 
-#: Demotion order mirrors the resilience fallback chain.
-DEFAULT_STRATEGY_CHAIN = ("emst", "phase1", "original")
+from repro.resilience.fallback import DEFAULT_FALLBACK_CHAIN, describe_error
 
 
 class CircuitBreaker:
-    """A classic closed → open → half-open breaker for one strategy."""
+    """A classic closed → open → half-open breaker, behind its own lock
+    (one per strategy on the :class:`StrategyBreakerBoard`; the worker
+    pool's crash breaker is another)."""
 
     CLOSED = "closed"
     OPEN = "open"
@@ -34,6 +35,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
         self.clock = clock or time.monotonic
+        self._lock = threading.Lock()
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at = None
@@ -47,90 +49,59 @@ class CircuitBreaker:
         """May a request start under this strategy right now? Transitions
         OPEN → HALF_OPEN when the cooldown has elapsed (the caller's
         request becomes the trial)."""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            if self.clock() - self.opened_at >= self.cooldown_seconds:
-                self.state = self.HALF_OPEN
+        with self._lock:
+            if self.state == self.CLOSED:
                 return True
+            if self.state == self.OPEN:
+                if self.clock() - self.opened_at >= self.cooldown_seconds:
+                    self.state = self.HALF_OPEN
+                    return True
+                return False
+            # HALF_OPEN: one trial is already implied by the transition
+            # above; further requests stay demoted until it reports back.
             return False
-        # HALF_OPEN: one trial is already implied by the transition above;
-        # further requests stay demoted until the trial reports back.
-        return False
 
     def record_success(self):
-        self.total_successes += 1
-        self.consecutive_failures = 0
-        self.state = self.CLOSED
-        self.opened_at = None
+        with self._lock:
+            self.total_successes += 1
+            self.consecutive_failures = 0
+            self.state = self.CLOSED
+            self.opened_at = None
 
     def record_failure(self, error=None):
-        self.total_failures += 1
-        self.consecutive_failures += 1
-        self.last_error = None if error is None else (
-            "%s: %s" % (type(error).__name__, error)
-        )
-        if (
-            self.state == self.HALF_OPEN
-            or self.consecutive_failures >= self.failure_threshold
-        ):
-            self.state = self.OPEN
-            self.opened_at = self.clock()
-            self.times_opened += 1
-
-    def snapshot(self):
-        remaining = None
-        if self.state == self.OPEN and self.opened_at is not None:
-            remaining = max(
-                self.cooldown_seconds - (self.clock() - self.opened_at), 0.0
+        """``error`` is an exception or its description."""
+        with self._lock:
+            self.total_failures += 1
+            self.consecutive_failures += 1
+            self.last_error = (
+                error if error is None or isinstance(error, str)
+                else describe_error(error)
             )
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "total_failures": self.total_failures,
-            "total_successes": self.total_successes,
-            "times_opened": self.times_opened,
-            "cooldown_remaining": remaining,
-            "last_error": self.last_error,
-        }
-
-
-class GuardedCircuitBreaker:
-    """A :class:`CircuitBreaker` behind its own lock, for standalone use
-    outside the :class:`StrategyBreakerBoard` (which supplies its own
-    locking). The server's worker pool uses one as its *crash breaker*:
-    worker deaths recorded from many dispatch threads open the circuit,
-    demoting query execution to the in-process path until the cooldown
-    lets a trial dispatch through."""
-
-    def __init__(self, failure_threshold=3, cooldown_seconds=30.0, clock=None):
-        self._lock = threading.Lock()
-        self._breaker = CircuitBreaker(
-            failure_threshold=failure_threshold,
-            cooldown_seconds=cooldown_seconds,
-            clock=clock,
-        )
-
-    def allows(self):
-        with self._lock:
-            return self._breaker.allows()
-
-    def record_success(self):
-        with self._lock:
-            self._breaker.record_success()
-
-    def record_failure(self, error=None):
-        with self._lock:
-            self._breaker.record_failure(error)
-
-    @property
-    def state(self):
-        with self._lock:
-            return self._breaker.state
+            if (
+                self.state == self.HALF_OPEN
+                or self.consecutive_failures >= self.failure_threshold
+            ):
+                self.state = self.OPEN
+                self.opened_at = self.clock()
+                self.times_opened += 1
 
     def snapshot(self):
         with self._lock:
-            return self._breaker.snapshot()
+            remaining = None
+            if self.state == self.OPEN and self.opened_at is not None:
+                remaining = max(
+                    self.cooldown_seconds - (self.clock() - self.opened_at),
+                    0.0,
+                )
+            return {
+                "state": self.state,
+                "consecutive_failures": self.consecutive_failures,
+                "total_failures": self.total_failures,
+                "total_successes": self.total_successes,
+                "times_opened": self.times_opened,
+                "cooldown_remaining": remaining,
+                "last_error": self.last_error,
+            }
 
 
 class StrategyBreakerBoard:
@@ -139,12 +110,14 @@ class StrategyBreakerBoard:
     :meth:`select` returns the first strategy at or below ``requested``
     whose circuit admits traffic; the chain's last entry (``original`` —
     no rewrite at all) is never blocked, so a query can always run.
+    :meth:`record` feeds one request's
+    :class:`~repro.resilience.fallback.FallbackReport` back in.
     Thread-safe: the serving layer calls it from executor threads.
     """
 
-    def __init__(self, chain=DEFAULT_STRATEGY_CHAIN, failure_threshold=3,
-                 cooldown_seconds=30.0, clock=None):
-        self.chain = tuple(chain)
+    def __init__(self, failure_threshold=3, cooldown_seconds=30.0,
+                 clock=None):
+        self.chain = DEFAULT_FALLBACK_CHAIN
         self._lock = threading.Lock()
         self.breakers = {
             strategy: CircuitBreaker(
@@ -172,17 +145,19 @@ class StrategyBreakerBoard:
                 self.demotions += 1
             return self.chain[-1]
 
-    def record_success(self, strategy):
-        breaker = self.breakers.get(strategy)
-        if breaker is not None:
-            with self._lock:
-                breaker.record_success()
-
     def record_failure(self, strategy, error=None):
         breaker = self.breakers.get(strategy)
         if breaker is not None:
-            with self._lock:
-                breaker.record_failure(error)
+            breaker.record_failure(error)
+
+    def record(self, report):
+        """A failure for every rung the request failed on, a success for
+        the one that answered (if any)."""
+        for strategy, error in report.strategy_failures:
+            self.record_failure(strategy, error)
+        breaker = self.breakers.get(report.executed)
+        if breaker is not None:
+            breaker.record_success()
 
     def snapshot(self):
         with self._lock:

@@ -1,6 +1,6 @@
-"""Rewrite rollback bookkeeping and the strategy fallback chain.
+"""Rewrite rollback bookkeeping and the strategy degradation ladder.
 
-Two layers of degradation, both driven by a :class:`ResiliencePolicy`:
+Two layers of degradation:
 
 1. **Rule level** — the rewrite engine snapshots the graph before every
    rule firing; a rule that raises (or, in paranoid mode, corrupts the
@@ -8,14 +8,10 @@ Two layers of degradation, both driven by a :class:`ResiliencePolicy`:
    :class:`QuarantineRegistry` for the rest of the query, so one bad rule
    costs its own firings, not the query.
 2. **Strategy level** — if a whole strategy still fails,
-   :class:`~repro.api.Connection` walks the declared chain
+   :func:`run_with_fallback`, the one ladder both
+   :class:`~repro.api.Connection` and the query server use, walks
    ``emst -> phase1 -> original`` and records what happened in a
-   :class:`FallbackReport` on the outcome instead of raising.
-
-:class:`~repro.errors.ResourceExhaustedError` never triggers fallback by
-default: a blown budget under ``emst`` would blow under ``original`` too,
-and silently retrying would double the damage. Set
-``fallback_on_exhaustion=True`` to opt in.
+   :class:`FallbackReport`.
 """
 
 from __future__ import annotations
@@ -23,11 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import QueryCancelledError, ResourceExhaustedError
 from repro.resilience.governor import ResourceGovernor
 
-#: The declared degradation chain of the tentpole: full EMST pipeline,
-#: then the rewrite pipeline without EMST, then no rewrite at all.
+#: The degradation ladder: full EMST pipeline, then the rewrite pipeline
+#: without EMST, then no rewrite at all.
 DEFAULT_FALLBACK_CHAIN = ("emst", "phase1", "original")
+
+#: Never degrade a strategy or an executor on these: a blown budget or a
+#: cancel under ``emst`` would recur under ``original``.
+NEVER_DEGRADE = (ResourceExhaustedError, QueryCancelledError)
+
+
+def describe_error(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 class QuarantineRegistry:
@@ -58,7 +63,8 @@ class FallbackReport:
     """What the resilience layer observed while producing one outcome."""
 
     requested: str
-    executed: str
+    #: The strategy that answered (None while no rung has).
+    executed: Optional[str]
     #: (strategy, error repr) for every strategy that failed outright.
     attempts: List[Tuple[str, str]] = field(default_factory=list)
     #: rule name -> {"reason": ..., "phase": ...} for quarantined rules.
@@ -68,6 +74,13 @@ class FallbackReport:
     #: engine before the strategy chain degrades.
     requested_executor: str = "tuple"
     executed_executor: str = "tuple"
+
+    @property
+    def strategy_failures(self):
+        """``(strategy, error)`` for each rung that failed outright: the
+        attempts minus the executor retry, which is always last."""
+        executor_retried = self.executed_executor != self.requested_executor
+        return self.attempts[: len(self.attempts) - executor_retried]
 
     @property
     def degraded(self):
@@ -133,8 +146,6 @@ class ResiliencePolicy:
         governor=None,
         paranoid=False,
         protect_rules=True,
-        fallback_chain=DEFAULT_FALLBACK_CHAIN,
-        fallback_on_exhaustion=False,
         fault_plan=None,
         soundness=True,
         equivalence=True,
@@ -144,8 +155,6 @@ class ResiliencePolicy:
         self.soundness = soundness
         self.equivalence = equivalence
         self.protect_rules = protect_rules
-        self.fallback_chain = tuple(fallback_chain)
-        self.fallback_on_exhaustion = fallback_on_exhaustion
         self.fault_plan = fault_plan
         self.quarantine = QuarantineRegistry()
 
@@ -154,17 +163,61 @@ class ResiliencePolicy:
         self.governor.begin_query()
         self.quarantine.clear()
 
-    def chain_for(self, strategy):
-        """The strategies to try, in order, starting at ``strategy``. A
-        strategy outside the declared chain (e.g. ``correlated``) has no
-        fallback: it runs alone."""
-        if strategy not in self.fallback_chain:
-            return (strategy,)
-        index = self.fallback_chain.index(strategy)
-        return self.fallback_chain[index:]
-
     def rules_for(self, rules):
         """Apply the fault plan's wrapping (test harness) to a rule list."""
         if self.fault_plan is None:
             return rules
         return self.fault_plan.wrap_rules(rules)
+
+
+def run_with_fallback(strategy, attempt, executor="tuple", quarantine=None,
+                      breakers=None):
+    """Run ``attempt(strategy)`` down the degradation ladder; returns
+    ``(value, FallbackReport)``.
+
+    ``attempt`` returns ``(value, run)``, ``run`` being the
+    :class:`~repro.api.PlanRun` that produced the value. A failing rung
+    is recorded and the next one tried; the last rung's error, or one in
+    :data:`NEVER_DEGRADE`, propagates. A strategy off the ladder
+    (``correlated``, ``norewrite``) runs alone. ``quarantine`` is copied
+    into the report; a ``StrategyBreakerBoard`` passed as ``breakers``
+    picks the first rung and is fed the report however the walk ends.
+    """
+    start = strategy if breakers is None else breakers.select(strategy)
+    chain = DEFAULT_FALLBACK_CHAIN
+    rungs = chain[chain.index(start):] if start in chain else (start,)
+    report = FallbackReport(
+        requested=strategy, executed=None,
+        requested_executor=executor, executed_executor=executor,
+    )
+    try:
+        for candidate in rungs:
+            try:
+                value, run = attempt(candidate)
+            except NEVER_DEGRADE:
+                raise
+            except Exception as exc:
+                # Fail soft on *anything* a strategy threw: a corrupted
+                # graph can surface as an arbitrary exception far from
+                # the rule that broke it.
+                report.attempts.append((candidate, describe_error(exc)))
+                if candidate == rungs[-1]:
+                    raise
+                continue
+            report.executed = candidate
+            report.executed_executor = run.executor
+            if run.batch_error is not None:
+                report.attempts.append((
+                    "%s (%s executor)" % (candidate, executor),
+                    describe_error(run.batch_error),
+                ))
+            if quarantine is not None:
+                report.quarantined = dict(quarantine.reasons)
+            return value, report
+    except Exception as exc:
+        # A pool worker ships this with its error reply.
+        exc.fallback_report = report
+        raise
+    finally:
+        if breakers is not None:
+            breakers.record(report)

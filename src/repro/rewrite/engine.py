@@ -21,9 +21,6 @@ import time
 from repro.errors import ResourceExhaustedError
 from repro.rewrite.rule import RuleContext
 
-# Retained name for backward compatibility; the governor owns the default.
-_MAX_SWEEPS = 200
-
 
 class RewriteEngine:
     """Applies a set of rewrite rules to a query graph, phase by phase."""

@@ -37,21 +37,15 @@ from typing import Optional
 
 from repro.api import (
     Connection,
-    EXECUTORS,
-    STRATEGIES,
+    check_executor,
+    check_strategy,
     parse_single_query,
     run_plan,
 )
-from repro.errors import (
-    ExecutionError,
-    QueryCancelledError,
-    ReproError,
-    ResourceExhaustedError,
-    WorkerCrashedError,
-)
-from repro.qgm import validate_graph
+from repro.errors import ExecutionError
 from repro.qgm.params import parameter_count
 from repro.resilience.breaker import StrategyBreakerBoard
+from repro.resilience.fallback import run_with_fallback
 from repro.sql import parse_script, to_sql
 from repro.sql.parameterize import (
     fingerprint_query,
@@ -166,6 +160,11 @@ class PreparedHandle:
     extracted_values: list = field(default_factory=list)
     executor: str = "tuple"
 
+    def bind(self, params):
+        """The execution's parameter vector: the client's ``?`` values,
+        then the values extracted from literals."""
+        return list(params or []) + list(self.extracted_values)
+
 
 def _script_fingerprint(views, query):
     """Fingerprint of a parameterized query *plus* its inline views: two
@@ -240,6 +239,13 @@ class QueryServer:
     def handle_query(self, sql, params=None, strategy=None, deadline=None,
                      cancel_event=None, executor=None, fresh=False):
         """One-shot: parse, cache-or-prepare, bind, execute."""
+        return self.handle_execute(
+            self.query_handle(sql, strategy, executor), params,
+            deadline=deadline, cancel_event=cancel_event, fresh=fresh,
+        )
+
+    def query_handle(self, sql, strategy=None, executor=None):
+        """The :class:`PreparedHandle` for one query op's text."""
         script = parse_single_query(
             sql,
             other_statements=(
@@ -247,11 +253,7 @@ class QueryServer:
                 "send DDL/DML through the script op"
             ),
         )
-        handle = self._make_handle(sql, script, strategy, executor)
-        return self.handle_execute(
-            handle, params, deadline=deadline, cancel_event=cancel_event,
-            fresh=fresh,
-        )
+        return self._make_handle(sql, script, strategy, executor)
 
     def handle_prepare(self, sql, strategy=None, executor=None):
         """Parse + parameterize once; returns a :class:`PreparedHandle`
@@ -281,7 +283,7 @@ class QueryServer:
         ``fresh=True`` bypasses the result cache entirely (no lookup, no
         store) — the chaos oracle uses it to force real re-execution.
         """
-        values = list(params or []) + list(handle.extracted_values)
+        values = handle.bind(params)
         started = time.perf_counter()
         with self.lock.read():
             key = None
@@ -303,14 +305,30 @@ class QueryServer:
                     with self._stats_lock:
                         self.queries_ok += 1
                     return cached
-            if self.pool is not None and self.pool.admit():
-                response = self._execute_on_pool(
-                    handle, params, deadline, cancel_event, started
-                )
-            else:
-                response = self._execute_inprocess(
-                    handle, values, deadline, cancel_event, started
-                )
+            try:
+                if self.pool is not None and self.pool.admit():
+                    response, report = self._execute_on_pool(
+                        handle, params, deadline, cancel_event
+                    )
+                else:
+                    response, report = self.execute_local(
+                        handle, values, deadline, cancel_event
+                    )
+            except Exception as exc:
+                self._note_failure(exc)
+                raise
+            # One accounting for both paths: a pool reply carries the
+            # worker's report.
+            with self._stats_lock:
+                self.queries_ok += 1
+                self.fallbacks += len(report.strategy_failures)
+                if report.executed_executor != report.requested_executor:
+                    self.executor_fallbacks += 1
+            response["requested_strategy"] = report.requested
+            response["executed_strategy"] = report.executed
+            response["elapsed_seconds"] = round(
+                time.perf_counter() - started, 6
+            )
             if key is not None:
                 # Only a *complete* success is ever cached — every error
                 # path above raised past this line, so a crashed or
@@ -318,9 +336,31 @@ class QueryServer:
                 self.result_cache.store(key, response)
             return response
 
-    def _execute_on_pool(self, handle, params, deadline, cancel_event,
-                         started):
-        """Ship the statement to a pool worker and relay its reply."""
+    def execute_local(self, handle, values, deadline=None,
+                      cancel_event=None):
+        """Run ``handle`` here, down the fallback ladder; returns
+        ``(response, FallbackReport)``, leaving the counters to the
+        caller. The in-process path and every pool worker run this."""
+        if handle.param_count > len(values):
+            raise ExecutionError(
+                "statement expects %d parameter(s), got %d"
+                % (
+                    handle.param_count - len(handle.extracted_values),
+                    len(values) - len(handle.extracted_values),
+                )
+            )
+        governor = self._make_governor(deadline, cancel_event)
+        return run_with_fallback(
+            handle.strategy,
+            lambda strategy: self._run_once(handle, strategy, values, governor),
+            executor=handle.executor,
+            breakers=self.breakers,
+        )
+
+    def _execute_on_pool(self, handle, params, deadline, cancel_event):
+        """Ship the statement to a pool worker; returns its response and
+        report. The report, carried by error replies too, feeds this
+        server's breakers as if the ladder had run here."""
         clamped = self._clamped_deadline(deadline)
         message = {
             "op": "query",
@@ -330,59 +370,17 @@ class QueryServer:
             "executor": handle.executor,
             "deadline": clamped,
         }
-        try:
-            reply = self.pool.dispatch(
-                message, clamped, cancel_event=cancel_event
-            )
-        except (WorkerCrashedError, QueryCancelledError,
-                ResourceExhaustedError) as exc:
-            self._note_failure(exc)
-            raise
+        reply = self.pool.dispatch(message, clamped, cancel_event=cancel_event)
+        report = reply.get("report")
+        if report is not None:
+            self.breakers.record(report)
         if not reply.get("ok"):
             from repro.server.workers import RemoteQueryError
 
-            exc = RemoteQueryError(reply.get("error") or {})
-            self._note_failure(exc)
-            raise exc
+            raise RemoteQueryError(reply.get("error") or {})
         response = reply["response"]
         response["worker_pid"] = reply.get("pid")
-        response["elapsed_seconds"] = round(time.perf_counter() - started, 6)
-        with self._stats_lock:
-            self.queries_ok += 1
-        return response
-
-    def _execute_inprocess(self, handle, values, deadline, cancel_event,
-                           started):
-        """The classic thread-pool path (also the degraded path when the
-        worker-crash breaker is open)."""
-        governor = self._make_governor(deadline, cancel_event)
-        chain = self._fallback_chain(self.breakers.select(handle.strategy))
-        last_error = None
-        for attempt, candidate in enumerate(chain):
-            try:
-                response = self._run_once(handle, candidate, values, governor)
-            except (ResourceExhaustedError, QueryCancelledError) as exc:
-                # Budget and cancellation trips are not the strategy's
-                # fault and would recur under any strategy: no fallback.
-                self._note_failure(exc)
-                raise
-            except Exception as exc:
-                self.breakers.record_failure(candidate, exc)
-                last_error = exc
-                continue
-            self.breakers.record_success(candidate)
-            with self._stats_lock:
-                self.queries_ok += 1
-                if attempt:
-                    self.fallbacks += attempt
-            response["requested_strategy"] = handle.strategy
-            response["executed_strategy"] = candidate
-            response["elapsed_seconds"] = round(
-                time.perf_counter() - started, 6
-            )
-            return response
-        self._note_failure(last_error)
-        raise last_error
+        return response, report
 
     def handle_script(self, sql):
         """DDL/DML script: runs alone (write lock). Cached plans made
@@ -488,17 +486,9 @@ class QueryServer:
 
     def _make_handle(self, sql, script, strategy, executor=None):
         strategy = strategy or self.config.default_strategy
-        if strategy not in STRATEGIES:
-            raise ReproError(
-                "unknown strategy %r (expected one of %s)"
-                % (strategy, ", ".join(STRATEGIES))
-            )
+        check_strategy(strategy)
         executor = executor or self.config.default_executor
-        if executor not in EXECUTORS:
-            raise ReproError(
-                "unknown executor %r (expected one of %s)"
-                % (executor, ", ".join(EXECUTORS))
-            )
+        check_executor(executor)
         query = script.queries[0]
         extracted = parameterize_query(query)
         handle = PreparedHandle(
@@ -545,13 +535,6 @@ class QueryServer:
             governor.attach_cancel_token(cancel_event, "client disconnected")
         return governor
 
-    def _fallback_chain(self, start):
-        """The strategies to attempt, starting at the breaker's pick."""
-        chain = list(self.breakers.chain)
-        if start not in chain:
-            return [start]
-        return chain[chain.index(start):]
-
     def _entry_for(self, handle, strategy, governor):
         """Cache lookup, preparing (serialized) on a miss. Runs under the
         read lock: the catalog version read here stays valid for the whole
@@ -587,7 +570,6 @@ class QueryServer:
                 graph, plan, heuristic, _ = self.connection.prepare(
                     handle.query, strategy
                 )
-            validate_graph(graph)
             # Record versions for exactly the base tables the (rewritten)
             # graph reads: DML against an unrelated table must not make
             # this plan look stale.
@@ -610,15 +592,8 @@ class QueryServer:
             return entry, state
 
     def _run_once(self, handle, strategy, values, governor):
+        """One rung of the ladder: returns ``(response, PlanRun)``."""
         entry, cache_state = self._entry_for(handle, strategy, governor)
-        if handle.param_count > len(values):
-            raise ExecutionError(
-                "statement expects %d parameter(s), got %d"
-                % (
-                    handle.param_count - len(handle.extracted_values),
-                    len(values) - len(handle.extracted_values),
-                )
-            )
         # The cached graph is never touched: the values travel as the
         # execution's parameter vector, and every concurrent execution of
         # this entry shares its compiled program and nothing else.
@@ -628,11 +603,7 @@ class QueryServer:
             params=values if entry.param_count else None,
             retry_on_tuple=True,
         )
-        if run.batch_error is not None:
-            with self._stats_lock:
-                self.executor_fallbacks += 1
         result = run.result
-        executor = run.executor
         return {
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],
@@ -640,27 +611,22 @@ class QueryServer:
             "cache": cache_state,
             "fingerprint": entry.fingerprint,
             "adornment": entry.adornment,
-            "executor": executor,
+            "executor": run.executor,
             "stale_tables": entry.staleness(self.database.table_versions()),
-        }
+        }, run
 
     def _note_failure(self, exc):
         # Errors relayed from a worker arrive as RemoteQueryError carrying
-        # the original type name; classify those by name so the counters
-        # agree regardless of where the query ran.
+        # the original type name and context; classifying every error by
+        # those makes the counters agree regardless of where it ran.
         error_type = getattr(exc, "error_type", type(exc).__name__)
+        limit = (getattr(exc, "context", None) or {}).get("limit")
         with self._stats_lock:
             self.queries_failed += 1
-            if isinstance(exc, QueryCancelledError) or (
-                error_type == "QueryCancelledError"
-            ):
+            if error_type == "QueryCancelledError":
                 self.cancellations += 1
             elif (
-                isinstance(exc, ResourceExhaustedError)
-                and getattr(exc, "limit", None) == "deadline_seconds"
-            ) or (
                 error_type == "ResourceExhaustedError"
-                and (getattr(exc, "context", None) or {}).get("limit")
-                == "deadline_seconds"
+                and limit == "deadline_seconds"
             ):
                 self.deadline_trips += 1

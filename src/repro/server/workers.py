@@ -22,12 +22,14 @@ serving throughput scale with cores:
   process boundaries once, not once per worker.
 * **pipe dispatch protocol** — one duplex pipe per worker; the parent
   sends ``{"op": "query", sql, params, strategy, executor, deadline,
-  registry}`` and the worker replies ``{"ok": True, "response": ...}``
-  or ``{"ok": False, "error": <wire error>}``. Each worker runs its own
+  registry}`` and the worker replies ``{"ok": True, "response": ...,
+  "report": <FallbackReport>}`` or ``{"ok": False, "error": <wire
+  error>, "report": <FallbackReport or None>}``. Each worker runs its own
   :class:`~repro.server.core.QueryServer` (private plan cache — warmed
   by inheriting the parent's cache at fork — breakers, governor
-  deadlines); the parent keeps admission, the read/write lock, and the
-  cross-request result cache.
+  deadlines) and walks the fallback ladder there; the parent keeps
+  admission, the read/write lock, the cross-request result cache, and
+  the counters and breaker board it feeds from each reply's report.
 * **crash containment** — crash detection is sentinel-based (a forked
   sibling may inherit pipe fds, so EOF alone is not trustworthy): the
   dispatch loop waits on the worker's pipe *and* its process sentinel.
@@ -35,7 +37,7 @@ serving throughput scale with cores:
   :class:`~repro.errors.WorkerCrashedError`, the pool forks a
   replacement from the parent's current state (no replay needed — the
   fresh snapshot *is* current), and a
-  :class:`~repro.resilience.GuardedCircuitBreaker` demotes execution to
+  :class:`~repro.resilience.CircuitBreaker` demotes execution to
   the in-process path if workers keep dying. Nothing partial survives a
   crash: the result cache stores only complete replies, and the dead
   worker's plan cache died with it.
@@ -56,7 +58,7 @@ from repro.errors import (
     ResourceExhaustedError,
     WorkerCrashedError,
 )
-from repro.resilience.breaker import GuardedCircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 
 try:  # pragma: no cover - platform probe
     import multiprocessing
@@ -277,27 +279,18 @@ def _worker_main(child_conn, close_fds, database, config, plan_cache,
             if op == "query":
                 apply_sync(server.database, message.get("registry") or {},
                            state)
-                response = server.handle_query(
+                handle = server.query_handle(
                     message["sql"],
-                    params=message.get("params"),
                     strategy=message.get("strategy"),
-                    deadline=message.get("deadline"),
                     executor=message.get("executor"),
                 )
+                response, report = server.execute_local(
+                    handle,
+                    handle.bind(message.get("params")),
+                    deadline=message.get("deadline"),
+                )
                 reply = {"ok": True, "response": response,
-                         "pid": os.getpid()}
-            elif op == "ping":
-                reply = {"ok": True, "pong": True, "pid": os.getpid()}
-            elif op == "stats":
-                reply = {
-                    "ok": True,
-                    "pid": os.getpid(),
-                    "cache": server.cache.stats(),
-                    "counters": {
-                        "queries_ok": server.queries_ok,
-                        "queries_failed": server.queries_failed,
-                    },
-                }
+                         "report": report, "pid": os.getpid()}
             else:
                 reply = {
                     "ok": False,
@@ -308,7 +301,8 @@ def _worker_main(child_conn, close_fds, database, config, plan_cache,
                     },
                 }
         except BaseException as exc:  # noqa: BLE001 — every error is a reply
-            reply = {"ok": False, "error": protocol.error_to_wire(exc)}
+            reply = {"ok": False, "error": protocol.error_to_wire(exc),
+                     "report": getattr(exc, "fallback_report", None)}
         try:
             child_conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -362,7 +356,7 @@ class WorkerPool:
         self.config = config
         self.plan_cache = plan_cache
         self.store = SharedTableStore(database)
-        self.breaker = GuardedCircuitBreaker(
+        self.breaker = CircuitBreaker(
             failure_threshold=config.worker_crash_threshold,
             cooldown_seconds=config.worker_cooldown_seconds,
         )

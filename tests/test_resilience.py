@@ -13,7 +13,7 @@ from repro import (
     ResourceExhaustedError,
     ResourceGovernor,
 )
-from repro.errors import QgmError
+from repro.errors import QgmError, QueryCancelledError
 from repro.qgm import build_query_graph, validate_graph
 from repro.qgm.clone import clone_graph, restore_graph
 from repro.resilience.faults import InjectedFault
@@ -295,6 +295,31 @@ def test_exhaustion_does_not_fall_back_by_default(edge_conn):
         edge_conn.explain_execute(
             TRANSITIVE_CLOSURE, strategy="emst", resilience=policy
         )
+
+
+class _CancelAtFirstCheckpoint(ResourceGovernor):
+    def check_deadline(self, where):
+        self.cancel("test trip")
+        super().check_deadline(where)
+
+
+def test_cancellation_does_not_fall_back(emp_conn, monkeypatch):
+    # A cancelled query is the client's decision, not the strategy's
+    # failure: it must surface after one prepare, not walk the chain.
+    prepared = []
+    original_prepare = Connection.prepare
+
+    def counting(self, query, strategy="emst", resilience=None):
+        prepared.append(strategy)
+        return original_prepare(self, query, strategy, resilience=resilience)
+
+    monkeypatch.setattr(Connection, "prepare", counting)
+    policy = ResiliencePolicy(governor=_CancelAtFirstCheckpoint())
+    with pytest.raises(QueryCancelledError):
+        emp_conn.explain_execute(
+            EMP_QUERIES[0], strategy="emst", resilience=policy
+        )
+    assert prepared == ["emst"]
 
 
 def test_rollback_restores_graph_object_in_place():

@@ -516,13 +516,28 @@ def test_cancel_mid_fixpoint_aborts_within_one_round():
     assert len(clean.rows) == 60
 
 
+class _DeadlineAtRound(ResourceGovernor):
+    """A 50 ms deadline that, deterministically, has not elapsed until
+    the fixpoint reaches ``trip_round`` and has elapsed from then on."""
+
+    def __init__(self, trip_round):
+        super().__init__(deadline_seconds=0.05)
+        self.trip_round = trip_round
+        self.tripped = False
+
+    def check_fixpoint_rounds(self, rounds, component):
+        self.tripped = self.tripped or rounds == self.trip_round
+        super().check_fixpoint_rounds(rounds, component)
+
+    def elapsed_seconds(self):
+        return 1.0 if self.tripped else 0.0
+
+
 def test_deadline_mid_fixpoint_structured_error():
-    db = _chain_database(4000)
+    db = _chain_database(60)
     from repro.resilience import ResiliencePolicy
 
-    policy = ResiliencePolicy(
-        governor=ResourceGovernor(deadline_seconds=0.05)
-    )
+    policy = ResiliencePolicy(governor=_DeadlineAtRound(trip_round=5))
     with pytest.raises(ResourceExhaustedError) as info:
         Connection(db).explain_execute(
             CLOSURE, strategy="norewrite", resilience=policy

@@ -155,6 +155,94 @@ def test_closure_differential_mp(closure_mp, index):
 
 
 @needs_fork
+def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
+    """Degradation inside a worker reaches the parent's counters and
+    breaker board exactly as it does when the ladder runs in-process."""
+    from repro.engine import BatchEvaluator
+
+    database = build_empdept_database(
+        n_departments=10, employees_per_department=5
+    )
+    Connection(database).run_script(PAPER_VIEWS_SQL)
+    original_prepare = Connection.prepare
+
+    def sabotaged(self, query, strategy="emst", resilience=None):
+        if strategy == "emst":
+            raise RuntimeError("rewrite corrupted the graph")
+        return original_prepare(self, query, strategy, resilience=resilience)
+
+    def boom(self):
+        raise RuntimeError("batch broke")
+
+    # Patched before the fork: every worker inherits both faults.
+    monkeypatch.setattr(Connection, "prepare", sabotaged)
+    monkeypatch.setattr(BatchEvaluator, "run", boom)
+    observed = {}
+    for workers in (0, 2):
+        # A threshold no breaker reaches: each worker's board is private,
+        # so only an unopened emst circuit means the same thing in both.
+        server = QueryServer(database, ServerConfig(
+            workers=workers, breaker_failure_threshold=100,
+        ))
+        try:
+            for name in ("Planning", "Dept0001", "Dept0002", "Dept0003"):
+                response = server.handle_query(
+                    PARAM_QUERY, params=[name], executor="batch"
+                )
+                assert response["requested_strategy"] == "emst"
+                assert response["executed_strategy"] == "phase1"
+                assert response["executor"] == "tuple"
+                assert bool(response.get("worker_pid")) == bool(workers)
+            stats = server.handle_stats()
+        finally:
+            server.shutdown()
+        observed[workers] = (
+            stats["counters"]["fallbacks"],
+            stats["counters"]["executor_fallbacks"],
+            stats["breakers"]["strategies"]["emst"]["total_failures"],
+        )
+    assert observed[0] == observed[2] == (4, 4, 4)
+
+
+@needs_fork
+def test_pool_mode_failed_request_feeds_parent_breakers(monkeypatch):
+    """A request failing on every rung still reaches the parent's board:
+    the worker's error reply carries the ladder's report."""
+    from repro.server.workers import RemoteQueryError
+
+    database = build_empdept_database(
+        n_departments=10, employees_per_department=5
+    )
+    Connection(database).run_script(PAPER_VIEWS_SQL)
+
+    def sabotaged(self, query, strategy="emst", resilience=None):
+        raise RuntimeError("every rewrite broke")
+
+    monkeypatch.setattr(Connection, "prepare", sabotaged)
+    observed = {}
+    for workers in (0, 2):
+        server = QueryServer(database, ServerConfig(
+            workers=workers, breaker_failure_threshold=100,
+        ))
+        try:
+            for _ in range(3):
+                with pytest.raises((RuntimeError, RemoteQueryError),
+                                   match="every rewrite broke"):
+                    server.handle_query(PARAM_QUERY, params=["Planning"])
+            stats = server.handle_stats()
+        finally:
+            server.shutdown()
+        strategies = stats["breakers"]["strategies"]
+        observed[workers] = (
+            stats["counters"]["queries_failed"],
+            stats["counters"]["fallbacks"],
+            tuple(strategies[name]["total_failures"]
+                  for name in ("emst", "phase1", "original")),
+        )
+    assert observed[0] == observed[2] == (3, 0, (3, 3, 3))
+
+
+@needs_fork
 def test_dml_is_visible_to_workers():
     """A script applied in the parent must be observable in worker
     executions via the shared-memory publish/sync protocol — including a
