@@ -171,7 +171,7 @@ class ResiliencePolicy:
 
 
 def run_with_fallback(strategy, attempt, executor="tuple", quarantine=None,
-                      breakers=None):
+                      start=None):
     """Run ``attempt(strategy)`` down the degradation ladder; returns
     ``(value, FallbackReport)``.
 
@@ -179,11 +179,12 @@ def run_with_fallback(strategy, attempt, executor="tuple", quarantine=None,
     :class:`~repro.api.PlanRun` that produced the value. A failing rung
     is recorded and the next one tried; the last rung's error, or one in
     :data:`NEVER_DEGRADE`, propagates. A strategy off the ladder
-    (``correlated``, ``norewrite``) runs alone. ``quarantine`` is copied
-    into the report; a ``StrategyBreakerBoard`` passed as ``breakers``
-    picks the first rung and is fed the report however the walk ends.
+    (``correlated``, ``norewrite``) runs alone. ``start`` (default:
+    ``strategy``) is the first rung tried — the server's breaker board
+    picks it. ``quarantine`` is copied into the report. An error that
+    ends the walk carries the report as ``exc.fallback_report``.
     """
-    start = strategy if breakers is None else breakers.select(strategy)
+    start = start or strategy
     chain = DEFAULT_FALLBACK_CHAIN
     rungs = chain[chain.index(start):] if start in chain else (start,)
     report = FallbackReport(
@@ -215,9 +216,5 @@ def run_with_fallback(strategy, attempt, executor="tuple", quarantine=None,
                 report.quarantined = dict(quarantine.reasons)
             return value, report
     except Exception as exc:
-        # A pool worker ships this with its error reply.
         exc.fallback_report = report
         raise
-    finally:
-        if breakers is not None:
-            breakers.record(report)

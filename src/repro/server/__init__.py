@@ -6,9 +6,9 @@ server speaking a length-prefixed JSON protocol, with
 
 * an adornment-keyed prepared-plan cache — rewritten + optimized QGM is
   reused across executions and sessions, keyed on ``(statement
-  fingerprint, binding adornment, strategy, catalog version)`` so DDL
-  *invalidates* plans instead of corrupting them
-  (:mod:`repro.server.plan_cache`),
+  fingerprint, strategy)`` and served only under the catalog version it
+  was prepared against, so DDL *invalidates* plans instead of corrupting
+  them (:mod:`repro.server.plan_cache`),
 * per-query deadlines with cooperative cancellation threaded through the
   evaluator checkpoints (:class:`~repro.resilience.ResourceGovernor`),
 * admission control and load shedding with machine-readable
@@ -16,8 +16,8 @@ server speaking a length-prefixed JSON protocol, with
 * per-rewrite-strategy circuit breakers demoting along
   ``emst -> phase1 -> original``
   (:class:`~repro.resilience.StrategyBreakerBoard`),
-* a retrying client (:mod:`repro.server.client`) and a session-boundary
-  chaos harness (``python -m repro.server.chaos``),
+* a retrying synchronous client (:mod:`repro.server.client`) and a
+  session-boundary chaos harness (``python -m repro.server.chaos``),
 * a fork-based worker pool executing queries in separate processes over
   shared-memory column blocks, with crash respawn and a crash breaker
   (:mod:`repro.server.workers`, ``ServerConfig(workers=N)``),
@@ -29,7 +29,7 @@ Run ``python -m repro.server --workload`` for a demo server.
 """
 
 from repro.server.admission import AdmissionController
-from repro.server.client import QueryClient, SyncQueryClient
+from repro.server.client import SyncQueryClient
 from repro.server.core import QueryServer, ServerConfig
 from repro.server.plan_cache import AdornmentPlanCache, CachedPlan
 from repro.server.result_cache import ResultCache
@@ -40,7 +40,6 @@ __all__ = [
     "AdmissionController",
     "AdornmentPlanCache",
     "CachedPlan",
-    "QueryClient",
     "QueryServer",
     "ResultCache",
     "ServerConfig",

@@ -1,8 +1,8 @@
-"""Clients for the query server: asyncio and blocking-socket variants.
+"""The query server's client: a blocking socket speaking the
+length-prefixed JSON protocol.
 
-Both speak the length-prefixed JSON protocol and share the same retry
-behaviour: errors the server marks ``retryable`` (shed under load,
-cancelled, transport drop) are retried with jittered exponential backoff
+Errors the server marks ``retryable`` (shed under load, cancelled,
+transport drop) are retried with jittered exponential backoff
 (:class:`~repro.resilience.retry.RetryPolicy`), honouring the server's
 ``retry_after`` hint as a floor. Non-retryable errors surface immediately
 as :class:`ServerError`.
@@ -10,7 +10,6 @@ as :class:`ServerError`.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -176,89 +175,3 @@ class SyncQueryClient:
     def ping(self):
         return self.request({"op": "ping"})
 
-
-class QueryClient:
-    """Asyncio client mirroring :class:`SyncQueryClient`."""
-
-    def __init__(self, host="127.0.0.1", port=7474, retry=None):
-        self.host = host
-        self.port = port
-        self.retry = retry or RetryPolicy()
-        self._reader = None
-        self._writer = None
-        self._next_id = 1
-
-    async def connect(self):
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-        return self
-
-    async def close(self):
-        if self._writer is not None:
-            writer, self._writer, self._reader = self._writer, None, None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self):
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info):
-        await self.close()
-
-    async def request_once(self, message):
-        await self.connect()
-        request = dict(message)
-        request["id"] = self._next_id
-        self._next_id += 1
-        try:
-            self._writer.write(protocol.encode_frame(request))
-            await self._writer.drain()
-            response = await protocol.read_frame(self._reader)
-        except (ConnectionError, OSError):
-            await self.close()
-            raise
-        if response is None:
-            await self.close()
-            raise ConnectionError("server closed the connection")
-        return _raise_or_return(response)
-
-    async def request(self, message):
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return await self.request_once(message)
-            except Exception as exc:
-                if not self.retry.should_retry(attempt, exc):
-                    raise
-                await asyncio.sleep(
-                    self.retry.delay(
-                        attempt, RetryPolicy.retry_after_from(exc)
-                    )
-                )
-
-    async def query(self, sql, params=None, strategy=None, deadline=None,
-                    executor=None, fresh=False):
-        message = {"op": "query", "sql": sql}
-        if params is not None:
-            message["params"] = list(params)
-        if strategy is not None:
-            message["strategy"] = strategy
-        if deadline is not None:
-            message["deadline"] = deadline
-        if executor is not None:
-            message["executor"] = executor
-        if fresh:
-            message["fresh"] = True
-        return await self.request(message)
-
-    async def script(self, sql):
-        return await self.request({"op": "script", "sql": sql})
-
-    async def stats(self):
-        return (await self.request({"op": "stats"}))["stats"]

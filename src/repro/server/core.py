@@ -15,12 +15,15 @@ Concurrency model:
   catalog before a DDL or after it, never a half-applied mix, and plans
   prepared before the DDL are unreachable after it.
 * **cache misses serialize** — preparing may register statement-scoped
-  inline views in the shared catalog; a single prepare lock makes that
-  safe. Post-warmup the hot path (look up the plan, run its compiled
+  inline views in the shared catalog; the plan cache's prepare lock makes
+  that safe. Post-warmup the hot path (look up the plan, run its compiled
   program with this request's parameter values) never takes it.
 * **deadlines and cancellation are cooperative** — each request gets a
   :class:`~repro.resilience.ResourceGovernor` with a clamped deadline and
   the session's cancel token; the evaluator checkpoints observe both.
+* **every per-request decision is made here, once** — parse, parameter
+  check, deadline clamp, starting strategy, result cache, counters and
+  breaker accounting; a pool worker only runs the request it is handed.
 """
 
 from __future__ import annotations
@@ -40,12 +43,9 @@ from repro.api import (
     check_executor,
     check_strategy,
     parse_single_query,
-    run_plan,
 )
 from repro.errors import ExecutionError
-from repro.qgm.params import parameter_count
 from repro.resilience.breaker import StrategyBreakerBoard
-from repro.resilience.fallback import run_with_fallback
 from repro.sql import parse_script, to_sql
 from repro.sql.parameterize import (
     fingerprint_query,
@@ -53,11 +53,7 @@ from repro.sql.parameterize import (
     parameterize_query,
 )
 from repro.server.admission import AdmissionController
-from repro.server.plan_cache import (
-    AdornmentPlanCache,
-    CachedPlan,
-    statement_adornment,
-)
+from repro.server.plan_cache import AdornmentPlanCache, run_prepared
 from repro.server.result_cache import ResultCache
 
 
@@ -147,9 +143,9 @@ class ReadWriteLock:
 class PreparedHandle:
     """A server-side prepared statement: the parse/parameterize work done
     once; plans materialize in the shared cache on first execute (and
-    rematerialize transparently after DDL bumps the catalog version)."""
+    rematerialize transparently after DDL bumps the catalog version).
+    Pickled as is into every pool dispatch."""
 
-    sql: str
     query: object
     views: list
     fingerprint: str
@@ -183,7 +179,7 @@ def _script_fingerprint(views, query):
 class QueryServer:
     """Shared-database, multi-session query service (transport-agnostic)."""
 
-    def __init__(self, database, config=None, governor_factory=None):
+    def __init__(self, database, config=None):
         self.database = database
         self.config = config or ServerConfig()
         self.connection = Connection(database)
@@ -202,8 +198,6 @@ class QueryServer:
             cooldown_seconds=self.config.breaker_cooldown_seconds,
         )
         self.lock = ReadWriteLock()
-        self._prepare_lock = threading.Lock()
-        self._governor_factory = governor_factory
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.max_concurrent,
             thread_name_prefix="repro-query",
@@ -239,13 +233,6 @@ class QueryServer:
     def handle_query(self, sql, params=None, strategy=None, deadline=None,
                      cancel_event=None, executor=None, fresh=False):
         """One-shot: parse, cache-or-prepare, bind, execute."""
-        return self.handle_execute(
-            self.query_handle(sql, strategy, executor), params,
-            deadline=deadline, cancel_event=cancel_event, fresh=fresh,
-        )
-
-    def query_handle(self, sql, strategy=None, executor=None):
-        """The :class:`PreparedHandle` for one query op's text."""
         script = parse_single_query(
             sql,
             other_statements=(
@@ -253,7 +240,10 @@ class QueryServer:
                 "send DDL/DML through the script op"
             ),
         )
-        return self._make_handle(sql, script, strategy, executor)
+        return self.handle_execute(
+            self._make_handle(sql, script, strategy, executor), params,
+            deadline=deadline, cancel_event=cancel_event, fresh=fresh,
+        )
 
     def handle_prepare(self, sql, strategy=None, executor=None):
         """Parse + parameterize once; returns a :class:`PreparedHandle`
@@ -274,7 +264,9 @@ class QueryServer:
 
     def handle_execute(self, handle, params=None, deadline=None,
                        cancel_event=None, fresh=False):
-        """Execute a prepared handle with bound values.
+        """Execute a prepared handle with bound values, in-process or on a
+        pool worker. The only code that selects from and records to the
+        breaker board.
 
         The whole span — result-cache lookup, dispatch/execution, store —
         runs under *one* read-lock acquisition (the lock is not
@@ -306,19 +298,38 @@ class QueryServer:
                         self.queries_ok += 1
                     return cached
             try:
-                if self.pool is not None and self.pool.admit():
-                    response, report = self._execute_on_pool(
-                        handle, params, deadline, cancel_event
+                if handle.param_count > len(values):
+                    raise ExecutionError(
+                        "statement expects %d parameter(s), got %d"
+                        % (
+                            handle.param_count - len(handle.extracted_values),
+                            len(values) - len(handle.extracted_values),
+                        )
                     )
+                # The server's latency envelope: its default when the
+                # client sent no deadline, never more than its maximum.
+                if deadline is None:
+                    deadline = self.config.default_deadline_seconds
+                request = (
+                    handle, values, self.breakers.select(handle.strategy),
+                    min(deadline, self.config.max_deadline_seconds),
+                    self.config.max_materialized_rows, cancel_event,
+                )
+                if self.pool is not None and self.pool.admit():
+                    response, report = self.pool.execute(*request)
                 else:
-                    response, report = self.execute_local(
-                        handle, values, deadline, cancel_event
+                    response, report = run_prepared(
+                        self.cache, self.connection, *request
                     )
             except Exception as exc:
+                # A request that failed on a rung, here or in a worker,
+                # still carries the walk's report.
+                report = getattr(exc, "fallback_report", None)
+                if report is not None:
+                    self.breakers.record(report)
                 self._note_failure(exc)
                 raise
-            # One accounting for both paths: a pool reply carries the
-            # worker's report.
+            self.breakers.record(report)
             with self._stats_lock:
                 self.queries_ok += 1
                 self.fallbacks += len(report.strategy_failures)
@@ -335,52 +346,6 @@ class QueryServer:
                 # half-failed execution cannot leave a cache entry.
                 self.result_cache.store(key, response)
             return response
-
-    def execute_local(self, handle, values, deadline=None,
-                      cancel_event=None):
-        """Run ``handle`` here, down the fallback ladder; returns
-        ``(response, FallbackReport)``, leaving the counters to the
-        caller. The in-process path and every pool worker run this."""
-        if handle.param_count > len(values):
-            raise ExecutionError(
-                "statement expects %d parameter(s), got %d"
-                % (
-                    handle.param_count - len(handle.extracted_values),
-                    len(values) - len(handle.extracted_values),
-                )
-            )
-        governor = self._make_governor(deadline, cancel_event)
-        return run_with_fallback(
-            handle.strategy,
-            lambda strategy: self._run_once(handle, strategy, values, governor),
-            executor=handle.executor,
-            breakers=self.breakers,
-        )
-
-    def _execute_on_pool(self, handle, params, deadline, cancel_event):
-        """Ship the statement to a pool worker; returns its response and
-        report. The report, carried by error replies too, feeds this
-        server's breakers as if the ladder had run here."""
-        clamped = self._clamped_deadline(deadline)
-        message = {
-            "op": "query",
-            "sql": handle.sql,
-            "params": list(params or []),
-            "strategy": handle.strategy,
-            "executor": handle.executor,
-            "deadline": clamped,
-        }
-        reply = self.pool.dispatch(message, clamped, cancel_event=cancel_event)
-        report = reply.get("report")
-        if report is not None:
-            self.breakers.record(report)
-        if not reply.get("ok"):
-            from repro.server.workers import RemoteQueryError
-
-            raise RemoteQueryError(reply.get("error") or {})
-        response = reply["response"]
-        response["worker_pid"] = reply.get("pid")
-        return response, report
 
     def handle_script(self, sql):
         """DDL/DML script: runs alone (write lock). Cached plans made
@@ -473,9 +438,10 @@ class QueryServer:
                 handle = self._make_handle(
                     sql, script, spec.get("strategy"), spec.get("executor")
                 )
-                governor = self._make_governor(None, None)
                 with self.lock.read():
-                    self._entry_for(handle, handle.strategy, governor)
+                    self.cache.entry_for(
+                        handle, handle.strategy, self.connection
+                    )
                 warmed += 1
             except Exception:  # noqa: BLE001 — warming is best-effort
                 continue
@@ -492,7 +458,6 @@ class QueryServer:
         query = script.queries[0]
         extracted = parameterize_query(query)
         handle = PreparedHandle(
-            sql=sql,
             query=query,
             views=list(script.views),
             fingerprint=_script_fingerprint(script.views, query),
@@ -508,112 +473,6 @@ class QueryServer:
                 "executor": executor,
             }
         return handle
-
-    def _clamped_deadline(self, deadline):
-        """The request's deadline: the server default when the client sent
-        none, never more than the server's maximum."""
-        return min(
-            deadline if deadline is not None
-            else self.config.default_deadline_seconds,
-            self.config.max_deadline_seconds,
-        )
-
-    def _make_governor(self, deadline, cancel_event):
-        clamped = self._clamped_deadline(deadline)
-        if self._governor_factory is not None:
-            governor = self._governor_factory()
-            governor.deadline_seconds = clamped
-        else:
-            from repro.resilience import ResourceGovernor
-
-            governor = ResourceGovernor(
-                deadline_seconds=clamped,
-                max_materialized_rows=self.config.max_materialized_rows,
-            )
-        governor.begin_query()
-        if cancel_event is not None:
-            governor.attach_cancel_token(cancel_event, "client disconnected")
-        return governor
-
-    def _entry_for(self, handle, strategy, governor):
-        """Cache lookup, preparing (serialized) on a miss. Runs under the
-        read lock: the catalog version read here stays valid for the whole
-        execution.
-
-        A hit whose recorded table versions no longer match the live
-        tables is *evicted and re-prepared* — the stale plan was still
-        correct (plans never embed rows), but it was optimized against
-        dead statistics, and serving it forever would make ANALYZE
-        pointless. The cache state returned alongside the entry is
-        ``"hit"``, ``"miss"``, or ``"replan"``.
-        """
-        catalog_version = self.database.schema_version()
-        entry = self.cache.lookup(handle.fingerprint, strategy, catalog_version)
-        state = "miss"
-        if entry is not None:
-            if not entry.staleness(self.database.table_versions()):
-                return entry, "hit"
-            self.cache.evict_stale(entry.key)
-            state = "replan"
-        with self._prepare_lock:
-            # Another thread may have prepared it while we waited.
-            entry = self.cache.lookup(
-                handle.fingerprint, strategy, catalog_version
-            )
-            if entry is not None:
-                if not entry.staleness(self.database.table_versions()):
-                    return entry, "hit"
-                self.cache.evict_stale(entry.key)
-                state = "replan"
-            governor.checkpoint("prepare of %s" % handle.fingerprint)
-            with self.database.catalog.scoped_views(handle.views):
-                graph, plan, heuristic, _ = self.connection.prepare(
-                    handle.query, strategy
-                )
-            # Record versions for exactly the base tables the (rewritten)
-            # graph reads: DML against an unrelated table must not make
-            # this plan look stale.
-            stored = self.database.stored_tables()
-            names = [
-                name for name in graph.base_table_names() if name in stored
-            ]
-            entry = CachedPlan(
-                fingerprint=handle.fingerprint,
-                adornment=statement_adornment(graph),
-                strategy=strategy,
-                catalog_version=catalog_version,
-                graph=graph,
-                plan=plan,
-                heuristic=heuristic,
-                param_count=parameter_count(graph),
-                table_versions=self.database.table_versions(names),
-            )
-            self.cache.store(entry)
-            return entry, state
-
-    def _run_once(self, handle, strategy, values, governor):
-        """One rung of the ladder: returns ``(response, PlanRun)``."""
-        entry, cache_state = self._entry_for(handle, strategy, governor)
-        # The cached graph is never touched: the values travel as the
-        # execution's parameter vector, and every concurrent execution of
-        # this entry shares its compiled program and nothing else.
-        run = run_plan(
-            entry, self.database, handle.executor,
-            governor=governor,
-            params=values if entry.param_count else None,
-            retry_on_tuple=True,
-        )
-        result = run.result
-        return {
-            "columns": list(result.columns),
-            "rows": [list(row) for row in result.rows],
-            "row_count": len(result.rows),
-            "cache": cache_state,
-            "fingerprint": entry.fingerprint,
-            "adornment": entry.adornment,
-            "executor": run.executor,
-            "stale_tables": entry.staleness(self.database.table_versions()),
-        }, run
 
     def _note_failure(self, exc):
         # Errors relayed from a worker arrive as RemoteQueryError carrying

@@ -1,22 +1,26 @@
-"""Adornment-keyed prepared-plan cache.
+"""Adornment-keyed prepared-plan cache, and the one way to run a
+prepared statement over it.
 
 A parameterized statement is the paper's magic-sets use case in miniature:
 the rewrite binds the parameter positions exactly like a magic set binds a
 view's columns, so the rewritten + optimized graph is reusable for *any*
 values with the same binding pattern. The cache keys each entry on
-
-``(statement fingerprint, binding adornment, strategy, catalog version)``
+``(statement fingerprint, strategy)`` and serves it only under the catalog
+version it was prepared against:
 
 * **fingerprint** — sha256 of the parameterized statement's canonical SQL
   (:func:`repro.sql.parameterize.fingerprint_query`): constants collapsed,
   whitespace and literal spelling irrelevant,
-* **binding adornment** — one ``b``/``c``/``f`` letter per parameter slot
-  (§2's vocabulary applied to the statement's bindings): ``b`` when the
-  slot is used in an equality predicate, ``c`` in any other predicate,
-  ``f`` when it only feeds output expressions,
 * **strategy** — emst/phase1/original plans differ structurally,
 * **catalog version** — any durable DDL makes every older entry
   unreachable; DDL *invalidates* plans, it can never corrupt them.
+
+Each entry records its **binding adornment** — one ``b``/``c``/``f``
+letter per parameter slot (§2's vocabulary applied to the statement's
+bindings): ``b`` when the slot is used in an equality predicate, ``c`` in
+any other predicate, ``f`` when it only feeds output expressions. The
+fingerprint determines it, so it never tells two entries apart; it is
+reported with every result.
 
 Entries also record the data versions of the tables they were optimized
 against, so statistics staleness is detectable (a stale plan is still
@@ -28,6 +32,10 @@ execution's parameter vector, and the batch executor's compiled program
 (:attr:`CachedPlan.program`, built by the first execution that needs it)
 holds no per-execution state. Graph and program are immutable by
 convention and shared across executor threads and forked workers.
+
+:func:`run_prepared` walks the fallback chain for one request, reading
+each rung's plan through the cache; the server's in-process path and
+every pool worker call it.
 """
 
 from __future__ import annotations
@@ -37,8 +45,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.api import run_plan
 from repro.magic.adornment import BOUND, CONDITIONED, FREE
 from repro.qgm import expr as qe
+from repro.qgm.params import parameter_count
+from repro.resilience.fallback import run_with_fallback
+from repro.resilience.governor import ResourceGovernor
 
 
 def statement_adornment(graph):
@@ -98,12 +110,7 @@ class CachedPlan:
 
     @property
     def key(self):
-        return (
-            self.fingerprint,
-            self.adornment,
-            self.strategy,
-            self.catalog_version,
-        )
+        return (self.fingerprint, self.strategy)
 
     def staleness(self, current_versions):
         """Tables whose data version moved since this plan was optimized."""
@@ -115,59 +122,42 @@ class CachedPlan:
 
 
 class AdornmentPlanCache:
-    """A bounded LRU of :class:`CachedPlan`, thread-safe.
-
-    Lookups present ``(fingerprint, strategy, catalog_version)`` — the
-    adornment is a property of the fingerprint (same parameterized shape,
-    same binding pattern), so a secondary index resolves the full
-    adornment-bearing key. Entries stored under an older catalog version
-    are purged on sight and counted as ``invalidated``.
+    """A bounded LRU of :class:`CachedPlan` keyed on ``(fingerprint,
+    strategy)``, thread-safe. An entry prepared under an older catalog
+    version is purged on sight and counted as ``invalidated``.
     """
 
     def __init__(self, capacity=128):
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries = OrderedDict()  # full key -> CachedPlan
-        self._by_lookup = {}  # (fingerprint, strategy) -> full key
+        #: Serializes misses: preparing may register statement-scoped
+        #: inline views in the shared catalog.
+        self._prepare_lock = threading.Lock()
+        self._entries = OrderedDict()  # (fingerprint, strategy) -> CachedPlan
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
         self.stale_replans = 0
 
-    def _after_fork(self):
-        """Replace the lock after a fork: the parent may have held it at
+    def after_fork(self):
+        """Replace the locks after a fork: the parent may have held one at
         fork time, and a child that inherits a locked lock deadlocks on
         first use. Only the forking worker's private copy is touched."""
         self._lock = threading.Lock()
-
-    def evict_stale(self, key):
-        """Drop an entry whose statistics went stale so the caller can
-        re-prepare against current table versions. Counted separately
-        from capacity evictions (``stale_replans``)."""
-        with self._lock:
-            if key in self._entries:
-                self._drop(key)
-                self.stale_replans += 1
-                return True
-            return False
+        self._prepare_lock = threading.Lock()
 
     def lookup(self, fingerprint, strategy, catalog_version):
+        key = (fingerprint, strategy)
         with self._lock:
-            key = self._by_lookup.get((fingerprint, strategy))
-            if key is None:
-                self.misses += 1
-                return None
             entry = self._entries.get(key)
-            if entry is None:
-                del self._by_lookup[(fingerprint, strategy)]
-                self.misses += 1
-                return None
-            if entry.catalog_version != catalog_version:
+            if entry is not None and entry.catalog_version != catalog_version:
                 # DDL happened since this plan was prepared: the view it
                 # was expanded against may be gone. Purge, never serve.
-                self._drop(key)
+                del self._entries[key]
                 self.invalidated += 1
+                entry = None
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -177,26 +167,79 @@ class AdornmentPlanCache:
 
     def store(self, entry):
         with self._lock:
-            lookup = (entry.fingerprint, entry.strategy)
-            previous = self._by_lookup.get(lookup)
-            if previous is not None and previous in self._entries:
-                self._drop(previous)
+            self._entries.pop(entry.key, None)
             self._entries[entry.key] = entry
-            self._by_lookup[lookup] = entry.key
             while len(self._entries) > self.capacity:
-                oldest, _ = self._entries.popitem(last=False)
-                self._by_lookup.pop((oldest[0], oldest[2]), None)
+                self._entries.popitem(last=False)
                 self.evictions += 1
         return entry
 
-    def _drop(self, key):
-        self._entries.pop(key, None)
-        self._by_lookup.pop((key[0], key[2]), None)
+    def entry_for(self, handle, strategy, connection, governor=None):
+        """Read-through lookup: the cached plan for ``handle`` under
+        ``strategy``, prepared on ``connection`` (serialized) on a miss.
+        Callers hold the server's read lock, so the catalog version read
+        here stays valid for the whole execution. Returns ``(entry,
+        state)``, ``state`` being ``"hit"``, ``"miss"`` or ``"replan"``.
 
-    def clear(self):
+        A hit whose recorded table versions no longer match the live
+        tables is *evicted and re-prepared* — the stale plan was still
+        correct (plans never embed rows), but it was optimized against
+        dead statistics, and serving it forever would make ANALYZE
+        pointless.
+        """
+        database = connection.database
+        catalog_version = database.schema_version()
+        entry, state = self._usable(handle, strategy, database, catalog_version)
+        if entry is not None:
+            return entry, state
+        with self._prepare_lock:
+            # Another thread may have prepared it while we waited.
+            entry, again = self._usable(
+                handle, strategy, database, catalog_version
+            )
+            if entry is not None:
+                return entry, again
+            if again == "replan":
+                state = again
+            if governor is not None:
+                governor.checkpoint("prepare of %s" % handle.fingerprint)
+            with database.catalog.scoped_views(handle.views):
+                graph, plan, heuristic, _ = connection.prepare(
+                    handle.query, strategy
+                )
+            # Record versions for exactly the base tables the (rewritten)
+            # graph reads: DML against an unrelated table must not make
+            # this plan look stale.
+            stored = database.stored_tables()
+            names = [
+                name for name in graph.base_table_names() if name in stored
+            ]
+            return self.store(CachedPlan(
+                fingerprint=handle.fingerprint,
+                adornment=statement_adornment(graph),
+                strategy=strategy,
+                catalog_version=catalog_version,
+                graph=graph,
+                plan=plan,
+                heuristic=heuristic,
+                param_count=parameter_count(graph),
+                table_versions=database.table_versions(names),
+            )), state
+
+    def _usable(self, handle, strategy, database, catalog_version):
+        """``(entry, "hit")`` for a cached plan with current statistics,
+        else ``(None, "miss")``, or ``(None, "replan")`` after evicting one
+        whose statistics went stale (counted as ``stale_replans``)."""
+        entry = self.lookup(handle.fingerprint, strategy, catalog_version)
+        if entry is None:
+            return None, "miss"
+        if not entry.staleness(database.table_versions()):
+            return entry, "hit"
         with self._lock:
-            self._entries.clear()
-            self._by_lookup.clear()
+            if self._entries.get(entry.key) is entry:
+                del self._entries[entry.key]
+                self.stale_replans += 1
+        return None, "replan"
 
     def __len__(self):
         with self._lock:
@@ -215,3 +258,47 @@ class AdornmentPlanCache:
                 "invalidated": self.invalidated,
                 "stale_replans": self.stale_replans,
             }
+
+
+def run_prepared(cache, connection, handle, values, start, deadline_seconds,
+                 max_rows, cancel_event=None):
+    """Run a prepared statement down the fallback chain from ``start``
+    under a governor holding the request's budgets; returns ``(response,
+    FallbackReport)``. Each rung's plan is read through ``cache`` and
+    prepared on ``connection``. Choosing ``start`` and recording the
+    report belong to the caller (the server's breaker board)."""
+    database = connection.database
+    governor = ResourceGovernor(
+        deadline_seconds=deadline_seconds, max_materialized_rows=max_rows
+    )
+    if cancel_event is not None:
+        governor.attach_cancel_token(cancel_event, "client disconnected")
+
+    def attempt(strategy):
+        entry, cache_state = cache.entry_for(
+            handle, strategy, connection, governor
+        )
+        # The cached graph is never touched: the values travel as the
+        # execution's parameter vector, and every concurrent execution of
+        # this entry shares its compiled program and nothing else.
+        run = run_plan(
+            entry, database, handle.executor,
+            governor=governor,
+            params=values if entry.param_count else None,
+            retry_on_tuple=True,
+        )
+        result = run.result
+        return {
+            "columns": list(result.columns),
+            "rows": [list(row) for row in result.rows],
+            "row_count": len(result.rows),
+            "cache": cache_state,
+            "fingerprint": entry.fingerprint,
+            "adornment": entry.adornment,
+            "executor": run.executor,
+            "stale_tables": entry.staleness(database.table_versions()),
+        }, run
+
+    return run_with_fallback(
+        handle.strategy, attempt, executor=handle.executor, start=start
+    )

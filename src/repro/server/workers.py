@@ -21,15 +21,18 @@ serving throughput scale with cores:
   current again. One publish serves every worker — the blocks cross
   process boundaries once, not once per worker.
 * **pipe dispatch protocol** — one duplex pipe per worker; the parent
-  sends ``{"op": "query", sql, params, strategy, executor, deadline,
-  registry}`` and the worker replies ``{"ok": True, "response": ...,
-  "report": <FallbackReport>}`` or ``{"ok": False, "error": <wire
-  error>, "report": <FallbackReport or None>}``. Each worker runs its own
-  :class:`~repro.server.core.QueryServer` (private plan cache — warmed
-  by inheriting the parent's cache at fork — breakers, governor
-  deadlines) and walks the fallback ladder there; the parent keeps
-  admission, the read/write lock, the cross-request result cache, and
-  the counters and breaker board it feeds from each reply's report.
+  sends ``{"op": "query", "handle": <PreparedHandle>, "values": [...],
+  "start": <strategy>, "deadline": <clamped seconds>, "max_rows": <row
+  budget>, "registry": <sync registry>}`` and the worker replies
+  ``{"ok": True, "response": ..., "report": <FallbackReport>, "pid":
+  ...}`` or ``{"ok": False, "error": <wire error>, "report":
+  <FallbackReport or None>}``. The parent has already made every
+  per-request decision (parse, parameter check, deadline clamp, starting
+  strategy from its breaker board); a worker holds only the forked
+  database and its copy of the plan cache (warmed by inheriting the
+  parent's at fork), applies the sync and walks the fallback chain from
+  ``start`` (:func:`~repro.server.plan_cache.run_prepared`). The parent
+  feeds each reply's report to its counters and board.
 * **crash containment** — crash detection is sentinel-based (a forked
   sibling may inherit pipe fds, so EOF alone is not trustworthy): the
   dispatch loop waits on the worker's pipe *and* its process sentinel.
@@ -53,12 +56,15 @@ import signal
 import threading
 import time
 
+from repro.api import Connection
 from repro.errors import (
     QueryCancelledError,
     ResourceExhaustedError,
     WorkerCrashedError,
 )
 from repro.resilience.breaker import CircuitBreaker
+from repro.server import protocol
+from repro.server.plan_cache import run_prepared
 
 try:  # pragma: no cover - platform probe
     import multiprocessing
@@ -236,70 +242,37 @@ def apply_sync(database, registry, state):
 # -- the worker process ----------------------------------------------------------
 
 
-def _worker_main(child_conn, close_fds, database, config, plan_cache,
+def _worker_main(child_conn, close_fds, database, plan_cache,
                  catalog_generation):
-    """Entry point of a forked worker.
-
-    Builds a private :class:`QueryServer` over the inherited database
-    (adopting the parent's plan cache — the fork made it a private,
-    pre-warmed copy) and serves the pipe until shutdown. A query error
+    """Entry point of a forked worker: serves the pipe until shutdown,
+    running each dispatched request over the inherited database and plan
+    cache (the fork made both private, pre-warmed copies). A query error
     is a *reply*, never a worker death.
     """
-    from dataclasses import replace
-
-    from repro.server import protocol
-    from repro.server.core import QueryServer
-
     for conn in close_fds:
         try:
             conn.close()
         except OSError:  # pragma: no cover
             pass
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker_config = replace(
-        config,
-        workers=0,  # a worker must never fork its own pool
-        result_cache_capacity=0,  # results are cached parent-side only
-        statement_cache_path=None,
-    )
-    server = QueryServer(database, worker_config)
-    if plan_cache is not None:
-        plan_cache._after_fork()
-        server.cache = plan_cache
+    plan_cache.after_fork()
+    connection = Connection(database)
     state = {"catalog_generation": catalog_generation}
     while True:
         try:
             message = child_conn.recv()
         except (EOFError, OSError):
             break
-        op = message.get("op")
-        if op == "shutdown":
+        if message.get("op") == "shutdown":
             break
         try:
-            if op == "query":
-                apply_sync(server.database, message.get("registry") or {},
-                           state)
-                handle = server.query_handle(
-                    message["sql"],
-                    strategy=message.get("strategy"),
-                    executor=message.get("executor"),
-                )
-                response, report = server.execute_local(
-                    handle,
-                    handle.bind(message.get("params")),
-                    deadline=message.get("deadline"),
-                )
-                reply = {"ok": True, "response": response,
-                         "report": report, "pid": os.getpid()}
-            else:
-                reply = {
-                    "ok": False,
-                    "error": {
-                        "type": "ReproError",
-                        "message": "unknown worker op %r" % op,
-                        "retryable": False,
-                    },
-                }
+            apply_sync(database, message["registry"], state)
+            response, report = run_prepared(
+                plan_cache, connection, message["handle"], message["values"],
+                message["start"], message["deadline"], message["max_rows"],
+            )
+            reply = {"ok": True, "response": response,
+                     "report": report, "pid": os.getpid()}
         except BaseException as exc:  # noqa: BLE001 — every error is a reply
             reply = {"ok": False, "error": protocol.error_to_wire(exc),
                      "report": getattr(exc, "fallback_report", None)}
@@ -314,12 +287,15 @@ class RemoteQueryError(Exception):
     session with its original wire identity intact (type name,
     retryability, retry_after) — ``protocol.error_to_wire`` passes the
     ``wire`` attribute through untouched, so the client cannot tell
-    whether the error happened in-process or in a worker."""
+    whether the error happened in-process or in a worker. The worker's
+    fallback report rides along as ``fallback_report``, as on an
+    in-process error."""
 
-    def __init__(self, wire):
+    def __init__(self, wire, fallback_report=None):
         super().__init__(
             "%s: %s" % (wire.get("type"), wire.get("message"))
         )
+        self.fallback_report = fallback_report
         self.wire = dict(wire)
         self.error_type = wire.get("type")
         self.retryable = bool(wire.get("retryable"))
@@ -347,7 +323,7 @@ class WorkerPool:
     fresh fork always captures a write-quiescent database.
     """
 
-    def __init__(self, database, config, plan_cache=None):
+    def __init__(self, database, config, plan_cache):
         if _FORK_CONTEXT is None:  # pragma: no cover - non-fork platform
             raise WorkerCrashedError(
                 "multi-process workers need the fork start method"
@@ -384,7 +360,6 @@ class WorkerPool:
                 child_conn,
                 siblings + [parent_conn],
                 self.database,
-                self.config,
                 self.plan_cache,
                 self.store.generation,
             ),
@@ -462,10 +437,14 @@ class WorkerPool:
         under the server's write lock."""
         self.store.publish()
 
-    def dispatch(self, message, deadline_seconds, cancel_event=None):
-        """Send one query to a worker and await its reply.
+    def execute(self, handle, values, start, deadline_seconds, max_rows,
+                cancel_event=None):
+        """Run one request on a worker; returns ``(response,
+        FallbackReport)`` like :func:`~repro.server.plan_cache.run_prepared`.
 
-        Raises :class:`WorkerCrashedError` (retryable) when the worker
+        A query error in the worker raises :class:`RemoteQueryError`
+        carrying the worker's report. Raises
+        :class:`WorkerCrashedError` (retryable) when the worker
         dies mid-query, :class:`QueryCancelledError` when the cancel
         token trips while waiting (the worker is killed — cooperative
         cancellation does not cross the pipe), and a deadline
@@ -475,40 +454,50 @@ class WorkerPool:
         hard_deadline = (
             time.monotonic() + deadline_seconds + DEADLINE_GRACE_SECONDS
         )
-        handle = self._checkout(hard_deadline)
-        handle.busy = True
+        worker = self._checkout(hard_deadline)
+        worker.busy = True
         with self._lock:
             self.dispatches += 1
-        message = dict(message)
-        message["registry"] = self.store.registry()
+        message = {
+            "op": "query",
+            "handle": handle,
+            "values": values,
+            "start": start,
+            "deadline": deadline_seconds,
+            "max_rows": max_rows,
+            "registry": self.store.registry(),
+        }
         try:
-            handle.conn.send(message)
+            worker.conn.send(message)
         except (BrokenPipeError, OSError) as exc:
-            self._crash(handle, "pipe broken on send: %s" % exc)
+            self._crash(worker, "pipe broken on send: %s" % exc)
         while True:
             ready = mp_connection.wait(
-                [handle.conn, handle.process.sentinel], timeout=_POLL_SECONDS
+                [worker.conn, worker.process.sentinel], timeout=_POLL_SECONDS
             )
-            if handle.conn in ready:
+            if worker.conn in ready:
                 try:
-                    reply = handle.conn.recv()
+                    reply = worker.conn.recv()
                 except (EOFError, OSError) as exc:
-                    self._crash(handle, "pipe closed mid-reply: %s" % exc)
+                    self._crash(worker, "pipe closed mid-reply: %s" % exc)
                 self.breaker.record_success()
-                handle.busy = False
-                self._idle.put(handle)
-                return reply
+                worker.busy = False
+                self._idle.put(worker)
+                if not reply["ok"]:
+                    raise RemoteQueryError(reply["error"], reply["report"])
+                reply["response"]["worker_pid"] = reply["pid"]
+                return reply["response"], reply["report"]
             if ready:  # sentinel fired without a reply: the worker died
-                self._crash(handle, "process exited mid-query")
+                self._crash(worker, "process exited mid-query")
             if cancel_event is not None and cancel_event.is_set():
-                self._kill(handle, "cancel")
+                self._kill(worker, "cancel")
                 raise QueryCancelledError(
                     "query cancelled while executing on worker",
                     where="worker pool",
                     reason="client disconnected",
                 )
             if time.monotonic() >= hard_deadline:
-                self._kill(handle, "deadline")
+                self._kill(worker, "deadline")
                 raise ResourceExhaustedError(
                     "query exceeded its %.3fs deadline on a worker (killed "
                     "after %.1fs grace)"

@@ -157,7 +157,8 @@ def test_closure_differential_mp(closure_mp, index):
 @needs_fork
 def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
     """Degradation inside a worker reaches the parent's counters and
-    breaker board exactly as it does when the ladder runs in-process."""
+    breaker board exactly as it does when the ladder runs in-process, and
+    that board picks where every request starts in both modes."""
     from repro.engine import BatchEvaluator
 
     database = build_empdept_database(
@@ -179,11 +180,7 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
     monkeypatch.setattr(BatchEvaluator, "run", boom)
     observed = {}
     for workers in (0, 2):
-        # A threshold no breaker reaches: each worker's board is private,
-        # so only an unopened emst circuit means the same thing in both.
-        server = QueryServer(database, ServerConfig(
-            workers=workers, breaker_failure_threshold=100,
-        ))
+        server = QueryServer(database, ServerConfig(workers=workers))
         try:
             for name in ("Planning", "Dept0001", "Dept0002", "Dept0003"):
                 response = server.handle_query(
@@ -200,8 +197,51 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
             stats["counters"]["fallbacks"],
             stats["counters"]["executor_fallbacks"],
             stats["breakers"]["strategies"]["emst"]["total_failures"],
+            stats["breakers"]["demotions"],
         )
-    assert observed[0] == observed[2] == (4, 4, 4)
+    # The default threshold opens the emst circuit after three failures,
+    # so the fourth request starts at phase1 in both modes: one board.
+    assert observed[0] == observed[2] == (3, 4, 3, 2)
+
+
+@needs_fork
+def test_worker_never_parses_sql(monkeypatch):
+    """The parent parses every request once; a worker runs the handle it
+    is sent. Parsing anywhere but the parent raises."""
+    import repro.api
+    import repro.server.core
+
+    parent = os.getpid()
+    for module, name in ((repro.server.core, "parse_single_query"),
+                         (repro.server.core, "parse_script"),
+                         (repro.api, "parse_script")):
+        original = getattr(module, name)
+
+        def parent_only(*args, _original=original, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a worker parsed SQL")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, parent_only)
+    database = build_empdept_database(
+        n_departments=8, employees_per_department=4
+    )
+    Connection(database).run_script(PAPER_VIEWS_SQL)
+    server = _mp_server(database)  # forks after the patch
+    try:
+        expected = canonical(Connection(database).execute(
+            PARAM_QUERY.replace("?", "'Planning'")
+        ).rows)
+        response = server.handle_query(PARAM_QUERY, params=["Planning"])
+        assert response.get("worker_pid")
+        assert canonical(map(tuple, response["rows"])) == expected
+        handle, _ = server.handle_prepare(PARAM_QUERY)
+        for _ in range(3):  # reaches every worker
+            response = server.handle_execute(handle, ["Planning"])
+            assert response.get("worker_pid")
+            assert canonical(map(tuple, response["rows"])) == expected
+    finally:
+        server.shutdown()
 
 
 @needs_fork
