@@ -15,7 +15,6 @@ Emits ``BENCH {json}`` on stdout and ``distinct_drop.json`` in
 
 from __future__ import annotations
 
-import copy
 import gc
 import json
 import statistics
@@ -23,7 +22,7 @@ import time
 
 from repro.engine import BatchEvaluator, Evaluator
 from repro.optimizer.heuristic import optimize_with_heuristic
-from repro.qgm import build_query_graph
+from repro.qgm import build_query_graph, clone_graph
 from repro.qgm.model import DistinctMode, MagicRole
 from repro.sql import parse_script
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
@@ -121,11 +120,11 @@ def _measure(db, sql):
         and box.distinct == DistinctMode.PERMIT
     ]
 
-    # Both timed graphs are fresh deep copies: the optimizer-mutated
-    # original and a copy have different allocation locality, which showed
-    # up as a systematic timing bias when only one side was copied.
-    relaxed_graph = copy.deepcopy(result.graph)
-    forced_graph = copy.deepcopy(result.graph)
+    # Both timed graphs are fresh copies: the optimizer-mutated original
+    # and a copy have different allocation locality, which showed up as a
+    # systematic timing bias when only one side was copied.
+    relaxed_graph = clone_graph(result.graph)
+    forced_graph = clone_graph(result.graph)
     forced = 0
     for box in forced_graph.boxes():
         if (

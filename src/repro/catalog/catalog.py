@@ -27,9 +27,9 @@ class Catalog:
         self.version = 0
 
     def __deepcopy__(self, memo):
-        # Query graphs hold a catalog reference; deep-copying a graph (the
-        # heuristic snapshots the pre-EMST graph) must share the catalog,
-        # not duplicate it.
+        # Query graphs and databases hold a catalog reference; deep-copying
+        # one of them must share the catalog, not duplicate it (graph
+        # snapshots use qgm.clone.clone_graph, which shares it too).
         return self
 
     # -- base tables ---------------------------------------------------------

@@ -93,8 +93,8 @@ class TableSchema:
             self._check_key(fk.columns)
 
     def __deepcopy__(self, memo):
-        # Schemas are immutable after creation; share them across graph
-        # snapshots.
+        # Schemas are immutable after creation; share them with any deep
+        # copy of a box or database (as clone_graph does).
         return self
 
     def _check_key(self, key):

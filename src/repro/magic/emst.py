@@ -100,7 +100,7 @@ class EmstRule(RewriteRule):
         # firing may have re-pointed consumers at an adorned copy, leaving
         # this box unreachable. Processing a dead box would pollute the
         # shared adorned-copy/magic caches with unrestricted contributions.
-        if not any(box is live for live in context.graph.boxes()):
+        if not context.index.is_live(box):
             box.emst_done = True
             return False
         MagicProcessor(context, options=self).process(box)

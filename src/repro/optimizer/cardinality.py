@@ -7,7 +7,9 @@ constant selects ``1/V`` of the rows, an equijoin selects
 ``1/max(V_left, V_right)``, a range predicate selects 1/3.
 
 The estimator also consults the interbox dataflow fixpoints
-(:mod:`repro.analysis.dataflow`), memoised per instance:
+(:mod:`repro.analysis.dataflow`), memoised per instance — an estimator
+given a ``root`` solves the key analysis once over the root's whole
+subgraph instead of once per box it is asked about:
 
 * a column proven to be a *key* of its box has exactly one distinct value
   per row, so its distinct count is pinned to the box's row estimate;
@@ -19,6 +21,11 @@ Predicate lists the interpreted comparison domain
 (:mod:`repro.analysis.equivalence.domains`) proves contradictory — the
 ``QGM604`` condition — estimate to exactly 0.0 rows instead of a
 product of selectivities.
+
+Everything the join-order enumeration asks repeatedly is worked out once
+per estimator: each box's predicate footprints (which foreach quantifiers
+a predicate needs, see :meth:`CardinalityEstimator.applicable_predicates`)
+and each predicate's top-level selectivity.
 """
 
 from __future__ import annotations
@@ -54,8 +61,12 @@ class ColumnEstimate:
 class CardinalityEstimator:
     """Estimates row counts of boxes and selectivities of predicates."""
 
-    def __init__(self, catalog):
+    def __init__(self, catalog, root=None):
         self.catalog = catalog
+        #: Box whose reachable subgraph the key analysis is solved over on
+        #: the first key question (boxes outside it are solved from
+        #: themselves).
+        self.root = root
         self._rows = {}
         self._columns = {}
         self._cyclic = {}
@@ -63,6 +74,8 @@ class CardinalityEstimator:
         self._null_facts = {}
         self._dupfree = {}
         self._contradictory = {}
+        self._footprints = {}
+        self._selectivities = {}
 
     # -- dataflow facts -------------------------------------------------------
 
@@ -73,12 +86,18 @@ class CardinalityEstimator:
         if cached is None:
             from repro.analysis.dataflow import solve_keys
 
-            try:
-                solved = solve_keys(box)
-            except Exception:
-                solved = {}
-            for box_id, fact in solved.items():
-                self._key_facts.setdefault(box_id, fact)
+            roots = [box]
+            if self.root is not None and not self._key_facts:
+                roots.insert(0, self.root)
+            for root in roots:
+                try:
+                    solved = solve_keys(root)
+                except Exception:
+                    solved = {}
+                for box_id, fact in solved.items():
+                    self._key_facts.setdefault(box_id, fact)
+                if id(box) in self._key_facts:
+                    break
             cached = self._key_facts.setdefault(id(box), ())
         return cached
 
@@ -174,9 +193,7 @@ class CardinalityEstimator:
         if box.kind == BoxKind.BASE:
             return float(self.catalog.statistics(box.table_name).row_count)
         if box.kind == BoxKind.SELECT:
-            return self.select_cardinality(
-                box, box.foreach_quantifiers(), box.predicates, visiting
-            )
+            return self.select_cardinality(box, visiting)
         if box.kind == BoxKind.GROUPBY:
             quantifier = box.quantifiers[0]
             input_rows = self.rows(quantifier.input_box, visiting)
@@ -209,20 +226,18 @@ class CardinalityEstimator:
             return max(left, joined)
         return 1000.0
 
-    def select_cardinality(self, box, quantifiers, predicates, visiting=None):
-        """Cardinality of joining ``quantifiers`` under ``predicates``
-        (used both for whole boxes and for DP subsets)."""
+    def select_cardinality(self, box, visiting=None):
+        """Output cardinality of the select box ``box``."""
         if visiting is None:
             visiting = set()
-        if predicates and self._predicates_contradictory(predicates):
+        if box.predicates and self._predicates_contradictory(box.predicates):
             return 0.0
         cardinality = 1.0
-        available = set(quantifiers)
+        quantifiers = box.foreach_quantifiers()
         for quantifier in quantifiers:
             cardinality *= self.rows(quantifier.input_box, visiting)
-        for predicate in predicates:
-            if self._predicate_applies(predicate, available, box):
-                cardinality *= self.selectivity(predicate, visiting)
+        for predicate in self.applicable_predicates(box, set(quantifiers)):
+            cardinality *= self.selectivity(predicate, visiting)
         for quantifier in box.quantifiers:
             if quantifier.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI):
                 cardinality *= SEMI_JOIN_SELECTIVITY
@@ -232,20 +247,29 @@ class CardinalityEstimator:
             cardinality *= 0.9
         return cardinality
 
-    @staticmethod
-    def _predicate_applies(predicate, available, box):
-        local = set(box.quantifiers)
-        needed = {
-            ref.quantifier
-            for ref in qe.column_refs(predicate)
-            if ref.quantifier in local
-        }
-        foreach_needed = {
-            q for q in needed if q.qtype == QuantifierType.FOREACH
-        }
-        if needed - foreach_needed:
-            return False  # involves E/A/S quantifiers: handled separately
-        return foreach_needed <= available and bool(foreach_needed)
+    def applicable_predicates(self, box, available):
+        """Predicates of ``box`` fully evaluable over the foreach
+        quantifiers in ``available``, in predicate order. A predicate over
+        none of the box's quantifiers, or over one of its E/A/S quantifiers
+        (those are applied separately), never applies."""
+        footprints = self._footprints.get(id(box))
+        if footprints is None:
+            footprints = []
+            local = set(box.quantifiers)
+            for predicate in box.predicates:
+                needed = {
+                    ref.quantifier
+                    for ref in qe.column_refs(predicate)
+                    if ref.quantifier in local
+                }
+                if all(q.qtype == QuantifierType.FOREACH for q in needed):
+                    footprints.append((predicate, frozenset(needed)))
+            self._footprints[id(box)] = footprints
+        return [
+            predicate
+            for predicate, needed in footprints
+            if needed and needed <= available
+        ]
 
     # -- column statistics ------------------------------------------------------
 
@@ -332,8 +356,19 @@ class CardinalityEstimator:
     # -- selectivities --------------------------------------------------------------
 
     def selectivity(self, predicate, visiting=None):
-        """Estimated fraction of candidate rows satisfying ``predicate``."""
-        visiting = visiting or set()
+        """Estimated fraction of candidate rows satisfying ``predicate``.
+
+        Top-level calls (no row estimate in progress) are memoised: their
+        inputs are estimates that, once cached, never change."""
+        if visiting:
+            return self._selectivity(predicate, visiting)
+        cached = self._selectivities.get(id(predicate))
+        if cached is None:
+            cached = self._selectivity(predicate, set())
+            self._selectivities[id(predicate)] = cached
+        return cached
+
+    def _selectivity(self, predicate, visiting):
         if isinstance(predicate, qe.QBinary):
             if predicate.op == "AND":
                 return self.selectivity(predicate.left, visiting) * self.selectivity(

@@ -94,7 +94,7 @@ def physical_plan(graph, plan=None, catalog=None):
     orders); without one, declaration order is assumed.
     """
     catalog = catalog or graph.catalog
-    estimator = CardinalityEstimator(catalog)
+    estimator = CardinalityEstimator(catalog, root=graph.top_box)
     program = compile_program(
         graph, plan.join_orders if plan is not None else None
     )

@@ -22,12 +22,11 @@ optimizer invocations); the optimization-time benchmark compares the two.
 
 from __future__ import annotations
 
-import copy as _copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.qgm.model import BoxKind
+from repro.qgm.clone import clone_graph
 from repro.optimizer.plan import GraphPlan, optimize_graph
 
 
@@ -104,7 +103,7 @@ def optimize_with_heuristic(graph, catalog=None, engine=None, use_emst=True,
 
     # Keep a pristine copy of the non-magic graph: the heuristic guarantees
     # we can fall back to it when EMST does not pay off.
-    snapshot = _copy.deepcopy(graph)
+    snapshot = clone_graph(graph)
 
     before = dict(context.firing_counts)
     context = engine.run_phase(
@@ -162,7 +161,7 @@ def optimize_exhaustive_emst(graph, catalog=None, max_quantifiers=6):
 
     catalog = catalog or graph.catalog
 
-    base = _copy.deepcopy(graph)
+    base = clone_graph(graph)
     engine = RewriteEngine(default_rules(include_emst=False))
     engine.run_phase(base, 1)
     plan_before = optimize_graph(base, catalog)
@@ -175,7 +174,7 @@ def optimize_exhaustive_emst(graph, catalog=None, max_quantifiers=6):
 
     best = None
     for permutation in itertools.permutations(foreach):
-        candidate = _copy.deepcopy(base)
+        candidate = clone_graph(base)
         orders = dict(plan_before.join_orders)
         orders[candidate.top_box.box_id] = list(permutation)
         emst_engine = RewriteEngine(default_rules(include_emst=True))

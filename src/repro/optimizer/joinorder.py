@@ -11,36 +11,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, QuantifierType
+from repro.qgm.model import BoxKind
 
 DP_LIMIT = 10
 
 
-def _applicable_predicates(box, subset):
-    """Predicates of ``box`` fully evaluable over ``subset`` (F quantifiers)."""
-    local = set(box.quantifiers)
-    out = []
-    for predicate in box.predicates:
-        needed = {
-            ref.quantifier
-            for ref in qe.column_refs(predicate)
-            if ref.quantifier in local
-        }
-        foreach_needed = {q for q in needed if q.qtype == QuantifierType.FOREACH}
-        if needed - foreach_needed:
-            continue
-        if foreach_needed and foreach_needed <= subset:
-            out.append(predicate)
-    return out
-
-
 def _subset_cardinality(box, subset, estimator):
-    predicates = _applicable_predicates(box, subset)
     cardinality = 1.0
     for quantifier in subset:
         cardinality *= estimator.rows(quantifier.input_box)
-    for predicate in predicates:
+    for predicate in estimator.applicable_predicates(box, subset):
         cardinality *= estimator.selectivity(predicate)
     return max(cardinality, 1.0)
 

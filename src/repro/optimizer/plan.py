@@ -86,7 +86,7 @@ def _correlation_multiplicity(graph, estimator):
 def optimize_graph(graph, catalog=None):
     """Plan every box of ``graph``; returns a :class:`GraphPlan`."""
     catalog = catalog or graph.catalog
-    estimator = CardinalityEstimator(catalog)
+    estimator = CardinalityEstimator(catalog, root=graph.top_box)
     plan = GraphPlan()
     multiplicity = _correlation_multiplicity(graph, estimator)
     total = 0.0

@@ -10,25 +10,109 @@ quantifiers.
 
 from __future__ import annotations
 
-import copy as _copy
-
 from repro.qgm import expr as qe
-from repro.qgm.model import Box, Quantifier
+from repro.qgm.model import Box, BoxKind, OutputColumn, Quantifier, QueryGraph
 
 
 def clone_graph(graph):
-    """A self-contained deep copy of a whole :class:`QueryGraph`.
+    """A self-contained structural copy of a whole :class:`QueryGraph`.
 
-    The catalog is shared (it is read-only metadata and may be large);
-    every box, quantifier and expression is copied, preserving ``box_id``
-    values so plan artifacts keyed by box id (join orders) remain valid
-    against the copy. Used by the resilience layer to snapshot the graph
-    before a rule firing so a failed firing can be rolled back.
+    Every box and quantifier is a new object and every expression is
+    rebuilt with its column references re-pointed at the copied
+    quantifiers; ``box_id`` values are preserved so plan artifacts keyed by
+    box id (join orders) remain valid against the copy. The catalog, table
+    schemas and literal nodes are shared: they are never mutated through a
+    graph. Boxes reachable only from the graph's bookkeeping maps (unused
+    base boxes, adorned copies no longer referenced) are copied too.
+
+    Used for the heuristic's phase-1 snapshot, the rewrite engine's
+    per-firing rollback snapshot and trial rewrites.
     """
-    memo = {}
-    if graph.catalog is not None:
-        memo[id(graph.catalog)] = graph.catalog
-    return _copy.deepcopy(graph, memo)
+    boxes = {}  # id(original box) -> copy
+    quantifiers = {}  # original quantifier -> copy
+    pending = []
+
+    def box_copy(box):
+        copy = boxes.get(id(box))
+        if copy is None:
+            copy = Box(
+                kind=box.kind,
+                name=box.name,
+                box_id=box.box_id,
+                distinct=box.distinct,
+                table_name=box.table_name,
+                schema=box.schema,
+                magic_role=box.magic_role,
+                adornment=box.adornment,
+                emst_done=box.emst_done,
+                properties=dict(box.properties),
+            )
+            boxes[id(box)] = copy
+            pending.append((box, copy))
+        return copy
+
+    def quantifier_copy(quantifier):
+        copy = quantifiers.get(quantifier)
+        if copy is None:
+            copy = Quantifier(
+                name=quantifier.name,
+                qtype=quantifier.qtype,
+                input_box=box_copy(quantifier.input_box),
+                parent_box=(
+                    box_copy(quantifier.parent_box)
+                    if quantifier.parent_box is not None else None
+                ),
+                is_magic=quantifier.is_magic,
+                null_aware=quantifier.null_aware,
+                decorrelated=quantifier.decorrelated,
+            )
+            quantifiers[quantifier] = copy
+        return copy
+
+    def repoint(node):
+        if isinstance(node, qe.QColRef):
+            return qe.QColRef(
+                quantifier=quantifier_copy(node.quantifier), column=node.column
+            )
+        return node
+
+    def expr_copy(expression):
+        # map_expr rebuilds every interior node and hands literals to
+        # ``repoint`` unchanged, so literals are the only shared nodes.
+        return qe.map_expr(expression, repoint)
+
+    copy_graph = QueryGraph(graph.catalog)
+    if graph.top_box is not None:
+        copy_graph.top_box = box_copy(graph.top_box)
+    copy_graph._base_boxes = {
+        name: box_copy(box) for name, box in graph._base_boxes.items()
+    }
+    copy_graph.adorned_copies = {
+        key: box_copy(box) for key, box in graph.adorned_copies.items()
+    }
+    while pending:
+        original, copy = pending.pop()
+        copy.quantifiers = [quantifier_copy(q) for q in original.quantifiers]
+        copy.linked_magic = [box_copy(m) for m in original.linked_magic]
+        copy.columns = [
+            OutputColumn(
+                name=column.name,
+                expr=expr_copy(column.expr) if column.expr is not None else None,
+            )
+            for column in original.columns
+        ]
+        copy.predicates = [expr_copy(p) for p in original.predicates]
+        copy.group_keys = [expr_copy(k) for k in original.group_keys]
+        for quantifier, new_quantifier in zip(original.quantifiers, copy.quantifiers):
+            if quantifier.selector_predicates:
+                new_quantifier.selector_predicates = [
+                    expr_copy(p) for p in quantifier.selector_predicates
+                ]
+    copy_graph.order_by = list(graph.order_by)
+    copy_graph.limit = graph.limit
+    copy_graph._next_box_id = graph._next_box_id
+    copy_graph._name_counters = dict(graph._name_counters)
+    return copy_graph
 
 
 def restore_graph(graph, snapshot):
@@ -88,8 +172,6 @@ def clone_box(graph, box, name=None, keep_linked_magic=False, deep_derived=False
     # Fixpoint: which boxes must be cloned (vs shared)?
     to_clone = {id(box): box}
     if deep_derived:
-        from repro.qgm.model import BoxKind
-
         for member in _subtree_boxes(box):
             if member.kind != BoxKind.BASE:
                 to_clone[id(member)] = member
@@ -170,8 +252,6 @@ def clone_box(graph, box, name=None, keep_linked_magic=False, deep_derived=False
 
     def remap(expression):
         return qe.remap_quantifier(expression, quantifier_map)
-
-    from repro.qgm.model import OutputColumn
 
     for original_id, original in to_clone.items():
         copy = box_map[original_id]

@@ -25,31 +25,18 @@ soundness/termination argument for the fixpoint.
 from __future__ import annotations
 
 
-def box_keys(box, ignore_enforce=False, _visiting=None):
+def box_keys(box, ignore_enforce=False):
     """Return the list of derivable keys for ``box``.
 
     Each key is a frozenset of lower-cased output column names. Set
     ``ignore_enforce`` to derive keys as if the box did *not* enforce
     DISTINCT (used to decide whether the enforcement is redundant).
-    ``_visiting`` is accepted for backward compatibility and ignored — the
-    fixpoint backend handles recursive graphs natively.
     """
     # Imported lazily: repro.analysis.dataflow imports the QGM model, and
     # repro.qgm.__init__ imports this module.
     from repro.analysis.dataflow.keyflow import solve_box_keys
 
     return solve_box_keys(box, ignore_enforce=ignore_enforce)
-
-
-def _minimal(keys):
-    """Drop keys that are supersets of other keys; deduplicate.
-
-    Retained as a public-ish helper; the canonical implementation lives in
-    :func:`repro.analysis.dataflow.keyflow.minimal_keys`.
-    """
-    from repro.analysis.dataflow.keyflow import minimal_keys
-
-    return minimal_keys(keys)
 
 
 def is_duplicate_free(box, ignore_enforce=False):

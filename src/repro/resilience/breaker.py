@@ -8,7 +8,9 @@ broken pipeline, fail, roll back and re-prepare under ``phase1``. A
 ``failure_threshold`` consecutive failures a strategy's circuit *opens*
 and the serving layer starts requests further down the chain directly for
 ``cooldown_seconds``; after the cooldown one trial request is let through
-(*half-open*) — success closes the circuit, failure re-opens it.
+(*half-open*) — success closes the circuit, failure re-opens it. A trial
+that never reports back (deadline, cancellation, a crashed worker) is
+given up on after another ``cooldown_seconds`` and a new trial admitted.
 
 The breaker is deliberately time-source-injectable (``clock``) so tests
 exercise the state machine without sleeping.
@@ -39,6 +41,7 @@ class CircuitBreaker:
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at = None
+        self.trial_started_at = None
         #: Lifetime counters for observability.
         self.total_failures = 0
         self.total_successes = 0
@@ -52,14 +55,17 @@ class CircuitBreaker:
         with self._lock:
             if self.state == self.CLOSED:
                 return True
+            now = self.clock()
             if self.state == self.OPEN:
-                if self.clock() - self.opened_at >= self.cooldown_seconds:
-                    self.state = self.HALF_OPEN
-                    return True
+                if now - self.opened_at < self.cooldown_seconds:
+                    return False
+                self.state = self.HALF_OPEN
+            elif now - self.trial_started_at < self.cooldown_seconds:
+                # HALF_OPEN: further requests stay demoted until the trial
+                # reports back, or is overdue and presumed lost.
                 return False
-            # HALF_OPEN: one trial is already implied by the transition
-            # above; further requests stay demoted until it reports back.
-            return False
+            self.trial_started_at = now
+            return True
 
     def record_success(self):
         with self._lock:

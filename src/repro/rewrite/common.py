@@ -35,7 +35,11 @@ def substitute_in_box(box, mapping):
 
 
 def total_uses(graph, target):
-    """Number of quantifiers ranging over ``target`` plus magic links."""
+    """Number of quantifiers ranging over ``target`` plus magic links.
+
+    Walks the graph: for checks made while a rule is mutating it. Checks
+    made before a mutation read :meth:`RuleIndex.total_uses
+    <repro.rewrite.rule.RuleIndex.total_uses>` instead."""
     count = 0
     for box in graph.boxes():
         for quantifier in box.quantifiers:
@@ -61,15 +65,3 @@ def in_own_subtree(box):
         for quantifier in current.quantifiers:
             stack.append(quantifier.input_box)
     return False
-
-
-def referenced_output_columns(graph, target):
-    """The set of ``target`` output column names (lower-cased) referenced by
-    any expression in the graph through any quantifier over ``target``."""
-    used = set()
-    for box in graph.boxes():
-        for expression in box.all_expressions():
-            for ref in qe.column_refs(expression):
-                if ref.quantifier.input_box is target:
-                    used.add(ref.column.lower())
-    return used

@@ -8,17 +8,17 @@ fold them away in phase 3 ("This merge was possible only because we
 inferred, in phase 2, that duplicates were guaranteed to be absent from the
 magic tables").
 
-Duplicate-freeness is decided by :func:`repro.qgm.keys.is_duplicate_free`,
-which since the dataflow subsystem landed is a façade over the fixpoint key
-analysis (:mod:`repro.analysis.dataflow.keyflow`) — so the proof also works
-through recursive cycles, and :func:`repro.magic.magic_boxes.
+Duplicate-freeness is decided by :func:`repro.qgm.keys.is_duplicate_free`
+(asked through the rule index, which remembers the verdict until the graph
+next changes), which since the dataflow subsystem landed is a façade over
+the fixpoint key analysis (:mod:`repro.analysis.dataflow.keyflow`) — so the
+proof also works through recursive cycles, and :func:`repro.magic.magic_boxes.
 relax_proven_duplicate_free` applies the same proof graph-wide between
 phases 2 and 3.
 """
 
 from __future__ import annotations
 
-from repro.qgm.keys import is_duplicate_free
 from repro.qgm.model import DistinctMode
 from repro.rewrite.rule import RewriteRule
 
@@ -34,7 +34,7 @@ class DistinctPullupRule(RewriteRule):
         return box.distinct == DistinctMode.ENFORCE
 
     def apply(self, box, context):
-        if is_duplicate_free(box, ignore_enforce=True):
+        if context.index.duplicate_free(box):
             box.distinct = DistinctMode.PERMIT
             return True
         return False

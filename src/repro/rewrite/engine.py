@@ -47,6 +47,9 @@ class RewriteEngine:
             context.phase = phase
             if join_orders is not None:
                 context.join_orders.update(join_orders)
+        # The graph may have changed since the context last looked at it
+        # (e.g. the heuristic's between-phase sweeps).
+        context.drop_index()
         if governor is None:
             governor = (
                 resilience.governor if resilience is not None
@@ -92,8 +95,9 @@ class RewriteEngine:
                 if quarantine is None or rule.name not in quarantine
             ]
             # The cursor: depth-first over the current graph. The box list
-            # is recomputed each sweep because rules mutate the graph.
-            for box in graph.boxes():
+            # is the rule index's, rebuilt after every firing because rules
+            # mutate the graph.
+            for box in context.index.boxes:
                 for rule in live:
                     if not rule.applies_to(box, context):
                         continue
@@ -101,6 +105,9 @@ class RewriteEngine:
                         rule, box, graph, context, protect, paranoid, quarantine,
                         checker,
                     )
+                    if fired is not False:
+                        # A firing or a rollback changed the graph.
+                        context.drop_index()
                     if fired is None:
                         # Rolled back: every box/quantifier object was
                         # replaced by the snapshot's, so the cursor state

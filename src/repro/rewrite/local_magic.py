@@ -15,7 +15,7 @@ from repro.qgm import expr as qe
 from repro.qgm.clone import clone_box
 from repro.qgm.model import BoxKind, QuantifierType
 from repro.rewrite.rule import RewriteRule
-from repro.rewrite.common import in_own_subtree, total_uses
+from repro.rewrite.common import in_own_subtree
 from repro.rewrite.pushdown import can_push_into_child, push_predicate_into_child
 
 
@@ -42,7 +42,7 @@ class LocalMagicRule(RewriteRule):
             child = quantifier.input_box
             if child.kind == BoxKind.BASE or child.is_special:
                 continue
-            if total_uses(context.graph, child) <= 1:
+            if context.index.total_uses(child) <= 1:
                 continue  # the plain pushdown rule owns single-use children
             if in_own_subtree(child):
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.rewrite.rule import RewriteRule
-from repro.rewrite.common import in_own_subtree, substitute_everywhere, total_uses
+from repro.rewrite.common import in_own_subtree, substitute_everywhere
 
 
 class MergeRule(RewriteRule):
@@ -45,7 +45,7 @@ class MergeRule(RewriteRule):
             return False
         if child.linked_magic:
             return False
-        if total_uses(context.graph, child) != 1:
+        if context.index.total_uses(child) != 1:
             return False
         if in_own_subtree(child):
             return False
@@ -53,9 +53,7 @@ class MergeRule(RewriteRule):
             # Dropping the child's duplicate elimination is only legal when
             # it is provably a no-op, or when the parent enforces DISTINCT
             # itself (dedup later subsumes dedup earlier for set output).
-            from repro.qgm.keys import is_duplicate_free
-
-            if not is_duplicate_free(child, ignore_enforce=True):
+            if not context.index.duplicate_free(child):
                 if parent.distinct != DistinctMode.ENFORCE:
                     return False
         return True

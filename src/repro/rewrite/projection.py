@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.qgm.model import BoxKind, DistinctMode
 from repro.rewrite.rule import RewriteRule
-from repro.rewrite.common import referenced_output_columns, total_uses
 
 
 class ProjectionPruneRule(RewriteRule):
@@ -24,25 +23,19 @@ class ProjectionPruneRule(RewriteRule):
         return box.kind in (BoxKind.SELECT, BoxKind.GROUPBY)
 
     def apply(self, box, context):
-        graph = context.graph
-        if box is graph.top_box:
+        if box is context.graph.top_box:
             return False
         if box.distinct == DistinctMode.ENFORCE:
             return False
         if context.phase < 3 and box.is_special:
             return False
+        index = context.index
         # Positional consumers (set ops) forbid pruning.
-        for consumer in graph.boxes():
-            for quantifier in consumer.quantifiers:
-                if quantifier.input_box is box and consumer.kind in (
-                    BoxKind.UNION,
-                    BoxKind.INTERSECT,
-                    BoxKind.EXCEPT,
-                ):
-                    return False
-        if total_uses(graph, box) < 1:
+        if index.positionally_consumed(box):
             return False
-        used = referenced_output_columns(graph, box)
+        if index.total_uses(box) < 1:
+            return False
+        used = index.referenced_columns(box)
         keep = [c for c in box.columns if c.name.lower() in used]
         if not keep:
             keep = box.columns[:1]  # a box must output something

@@ -163,7 +163,7 @@ class PredicatePushdownRule(RewriteRule):
                 continue
             if context.phase < 3 and child.is_special:
                 continue
-            if total_uses(context.graph, child) != 1:
+            if context.index.total_uses(child) != 1:
                 continue
             if in_own_subtree(child):
                 continue

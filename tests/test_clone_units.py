@@ -1,10 +1,14 @@
-"""Clone machinery options: deep_derived, keep_linked_magic, selector
-predicate carrying, and supplementary-box construction mechanics."""
+"""Clone machinery: the structural whole-graph copy (``clone_graph``),
+``clone_box`` options (deep_derived, keep_linked_magic, selector predicate
+carrying), and supplementary-box construction mechanics."""
 
-from repro import Database
+import pytest
+
+from repro import Connection, Database
 from repro.sql import parse_statement
-from repro.qgm import BoxKind, build_query_graph, validate_graph
-from repro.qgm.clone import clone_box
+from repro.qgm import BoxKind, build_query_graph, render_text, validate_graph
+from repro.qgm import expr as qe
+from repro.qgm.clone import clone_box, clone_graph, restore_graph
 
 
 def view_graph():
@@ -79,11 +83,9 @@ def test_clone_carries_selector_predicates():
         db.catalog,
     )
     from repro.optimizer.heuristic import optimize_with_heuristic
-    import copy as _copy
 
-    # Decorrelate (sets selector predicates), then deep-copy the graph as
-    # the heuristic snapshot machinery does, and clone the top box: the
-    # selectors must survive both.
+    # Decorrelate (sets selector predicates), then clone the top box of
+    # the chosen graph: the selectors must survive.
     result = optimize_with_heuristic(graph, db.catalog)
     chosen = result.graph
     scalars = [
@@ -133,3 +135,127 @@ def test_supplementary_box_outputs_only_referenced_columns():
     assert {"a", "b"} <= names
     # The moved local predicate lives in the supplementary box now.
     assert any("c" in str(p) for p in supplementary.predicates)
+
+
+# -- clone_graph: the structural snapshot ----------------------------------------
+
+
+@pytest.fixture
+def phase2_graph():
+    """A query over the paper's views after rewrite phase 2: an adorned
+    copy in the cache, magic links on NMQ (groupby) boxes, a correlated
+    scalar subquery."""
+    from repro.optimizer.plan import optimize_graph
+    from repro.rewrite.engine import RewriteEngine, default_rules
+    from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
+
+    from tests.test_integration_suite import EMP_QUERIES
+
+    db = build_empdept_database(n_departments=6, employees_per_department=4)
+    Connection(db).run_script(PAPER_VIEWS_SQL)
+    graph = build_query_graph(parse_statement(EMP_QUERIES[5]), db.catalog)
+    engine = RewriteEngine(default_rules(include_emst=True))
+    context = engine.run_phase(graph, 1)
+    plan = optimize_graph(graph, db.catalog)
+    engine.run_phase(graph, 2, join_orders=plan.join_orders, context=context)
+    assert graph.adorned_copies
+    assert any(box.linked_magic for box in graph.boxes())
+    return graph
+
+
+def _all_boxes(graph):
+    boxes = {id(box): box for box in graph.boxes()}
+    for box in list(graph._base_boxes.values()) + list(graph.adorned_copies.values()):
+        boxes.setdefault(id(box), box)
+    return list(boxes.values())
+
+
+def _objects(graph):
+    """ids of every Box, Quantifier and QColRef the graph holds."""
+    ids = set()
+    for box in _all_boxes(graph):
+        ids.add(id(box))
+        for quantifier in box.quantifiers:
+            ids.add(id(quantifier))
+        for expression in box.all_expressions():
+            ids.update(id(ref) for ref in qe.column_refs(expression))
+    return ids
+
+
+def test_clone_graph_shares_no_box_quantifier_or_column_ref(phase2_graph):
+    copy = clone_graph(phase2_graph)
+    assert not _objects(phase2_graph) & _objects(copy)
+    # ... and every reference of the copy points into the copy.
+    copied_quantifiers = {
+        id(q) for box in _all_boxes(copy) for q in box.quantifiers
+    }
+    for box in _all_boxes(copy):
+        for expression in box.all_expressions():
+            for ref in qe.column_refs(expression):
+                assert id(ref.quantifier) in copied_quantifiers
+
+
+def test_clone_graph_shares_catalog_and_schemas(phase2_graph):
+    copy = clone_graph(phase2_graph)
+    assert copy.catalog is phase2_graph.catalog
+    originals = {box.box_id: box for box in _all_boxes(phase2_graph)}
+    base_boxes = [box for box in _all_boxes(copy) if box.kind == BoxKind.BASE]
+    assert base_boxes
+    for box in base_boxes:
+        assert box.schema is not None
+        assert box.schema is originals[box.box_id].schema
+
+
+def test_clone_graph_renders_identically_with_the_same_box_ids(phase2_graph):
+    copy = clone_graph(phase2_graph)
+    assert render_text(copy) == render_text(phase2_graph)
+    assert [b.box_id for b in copy.boxes()] == [
+        b.box_id for b in phase2_graph.boxes()
+    ]
+    validate_graph(copy)
+
+
+def test_clone_graph_remaps_the_bookkeeping_maps(phase2_graph):
+    copy = clone_graph(phase2_graph)
+    original = {id(box) for box in _all_boxes(phase2_graph)}
+    original_reachable = {id(box) for box in phase2_graph.boxes()}
+    copy_reachable = {id(box) for box in copy.boxes()}
+    for name in ("adorned_copies", "_base_boxes"):
+        originals, copies = getattr(phase2_graph, name), getattr(copy, name)
+        assert list(copies) == list(originals)
+        for key, box in copies.items():
+            assert id(box) not in original
+            assert box.box_id == originals[key].box_id
+            # A map entry the graph uses is the very box the copy uses.
+            assert (id(box) in copy_reachable) == (
+                id(originals[key]) in original_reachable
+            )
+
+
+def test_mutating_the_clone_leaves_the_original_alone(phase2_graph):
+    before = render_text(phase2_graph)
+    copy = clone_graph(phase2_graph)
+    for box in copy.boxes():
+        box.predicates.clear()
+        box.linked_magic.clear()
+        box.name += "_x"
+        for quantifier in box.quantifiers:
+            quantifier.name += "_x"
+        if box.columns:
+            box.columns[0].name = "mutated"
+    copy.top_box.quantifiers.pop()
+    copy.adorned_copies.clear()
+    assert render_text(phase2_graph) == before
+    assert phase2_graph.adorned_copies
+    validate_graph(phase2_graph)
+
+
+def test_restore_graph_round_trips_a_clone(phase2_graph):
+    from repro.optimizer.plan import optimize_graph
+
+    before = render_text(phase2_graph)
+    cost = optimize_graph(phase2_graph).total_cost
+    restore_graph(phase2_graph, clone_graph(phase2_graph))
+    assert render_text(phase2_graph) == before
+    assert optimize_graph(phase2_graph).total_cost == cost
+    validate_graph(phase2_graph)

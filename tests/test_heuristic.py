@@ -59,7 +59,9 @@ def test_heuristic_without_emst_single_pass(chain_db):
 
 def test_snapshot_fallback_is_executable(chain_db):
     """When the heuristic rejects EMST, the snapshot graph it falls back to
-    must be intact and runnable (the deepcopy must not corrupt anything)."""
+    must be intact and runnable: the structural copy taken after phase 1
+    shares only the catalog, schemas and literals with the graph phases 2
+    and 3 go on to rewrite, so their mutations cannot reach it."""
     graph = build_query_graph(parse_statement(QUERY), chain_db.catalog)
     result = optimize_with_heuristic(graph, chain_db.catalog)
     # Whatever was chosen, both captured graphs must execute identically.

@@ -499,6 +499,34 @@ def test_prepared_query_executes_under_policy(emp_conn):
     assert canonical(result.rows) == clean
 
 
+# -- circuit breakers ------------------------------------------------------------
+
+
+def test_lost_half_open_trial_is_replaced_after_a_cooldown():
+    """A trial that never reports back (deadline, cancellation, a crashed
+    worker) must not leave the strategy demoted for ever."""
+    from repro.resilience.breaker import StrategyBreakerBoard
+    from repro.resilience.fallback import FallbackReport
+
+    clock = [0.0]
+    board = StrategyBreakerBoard(
+        failure_threshold=1, cooldown_seconds=10, clock=lambda: clock[0]
+    )
+    board.record_failure("emst", ValueError("bad rewrite"))
+    assert board.select("emst") == "phase1"
+    clock[0] = 10.0
+    assert board.select("emst") == "emst"  # the half-open trial
+    # ... which ends without recording an outcome.
+    assert board.select("emst") == "phase1"
+    clock[0] = 15.0
+    assert board.select("emst") == "phase1"  # the trial is not overdue yet
+    clock[0] = 20.0
+    assert board.select("emst") == "emst"  # overdue: a new trial
+    assert board.select("emst") == "phase1"
+    board.record(FallbackReport(requested="emst", executed="emst"))
+    assert board.select("emst") == "emst"
+
+
 # -- chaos: the randomized fault sweep (second pytest invocation: -m chaos) ----
 
 
