@@ -4,9 +4,9 @@ Two questions the equivalence subsystem has to answer with numbers:
 
 1. **What does paranoid-mode translation validation cost per firing?**
    The paper query runs through the EMST pipeline under
-   ``ResiliencePolicy(paranoid=True)`` twice — with and without the
-   chase — and every per-firing verification time is sampled (p50/p99),
-   alongside the end-to-end delta.
+   ``ResiliencePolicy(paranoid=True)`` and once with no policy at all;
+   every per-firing verification time is sampled (p50/p99), alongside
+   the end-to-end delta.
 2. **What does dependency-driven join elimination buy?** The FK-covered
    ``lineitem ⋈ orders`` probe is evaluated as written and after
    :class:`~repro.rewrite.redundant_join.RedundantJoinRule` removes the
@@ -64,8 +64,7 @@ def _empdept_connection(scale):
     return connection
 
 
-def _timed_paranoid_run(connection, equivalence):
-    policy = ResiliencePolicy(paranoid=True, equivalence=equivalence)
+def _timed_run(connection, policy):
     started = time.perf_counter()
     outcome = connection.explain_execute(
         PAPER_QUERY, strategy="emst", resilience=policy
@@ -87,10 +86,12 @@ def _verification_overhead(scale):
     connection = _empdept_connection(scale)
     RuleContext.record_equivalence = recording
     try:
-        with_seconds, outcome = _timed_paranoid_run(connection, True)
+        with_seconds, outcome = _timed_run(
+            connection, ResiliencePolicy(paranoid=True)
+        )
     finally:
         RuleContext.record_equivalence = recorded
-    without_seconds, baseline = _timed_paranoid_run(connection, False)
+    without_seconds, baseline = _timed_run(connection, None)
 
     verdicts = {}
     reasons = {}
@@ -112,7 +113,7 @@ def _verification_overhead(scale):
         "per_firing_ms_p99": _percentile(samples, 0.99) * 1000.0,
         "chase_seconds_total": outcome.stats.get("equivalence_seconds", 0.0),
         "seconds_with_validation": with_seconds,
-        "seconds_without_validation": without_seconds,
+        "seconds_without_paranoid": without_seconds,
     }
 
 

@@ -33,7 +33,6 @@ from repro.analysis.framework import (
     Analyzer,
     analyze_graph,
     default_passes,
-    register_pass,
     soundness_passes,
 )
 from repro.analysis.soundness import SoundnessChecker
@@ -49,6 +48,5 @@ __all__ = [
     "SoundnessChecker",
     "analyze_graph",
     "default_passes",
-    "register_pass",
     "soundness_passes",
 ]

@@ -34,25 +34,25 @@ from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisRepo
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind
 
+#: Trial eliminations attempted per box (each clones the graph).
+MAX_TRIAL_PAIRS = 6
+
 
 class EquivalencePass(AnalysisPass):
     """Report dependency-implied redundancies the chase can prove."""
 
     name = "equivalence"
 
-    def __init__(self, deep: bool = True, budget=None, max_pairs: int = 6):
+    def __init__(self, deep: bool = True):
         #: ``deep=False`` skips the per-pair trial eliminations (QGM602).
         self.deep = deep
-        self.budget = budget
-        #: Trial eliminations attempted per box (each clones the graph).
-        self.max_pairs = max_pairs
 
     def run(self, context: AnalysisContext, report: AnalysisReport) -> None:
         checker = None
         if context.catalog is not None:
             from repro.analysis.equivalence import EquivalenceChecker
 
-            checker = EquivalenceChecker(context.catalog, budget=self.budget)
+            checker = EquivalenceChecker(context.catalog)
             if checker.deps.is_empty():
                 checker = None
         for box in context.boxes:
@@ -115,7 +115,7 @@ class EquivalencePass(AnalysisPass):
         for keep, drop, mapping in rule._semantic_candidates(box, context):
             if drop.name in reported:
                 continue
-            if trials >= self.max_pairs:
+            if trials >= MAX_TRIAL_PAIRS:
                 break
             trials += 1
             if rule._verify_elimination(box, context, checker, keep, drop, mapping):

@@ -8,15 +8,12 @@ surfaces every problem at once (the contrast with the historical
 Passes share an :class:`AnalysisContext` so expensive facts (the reachable
 box list, the consumer map, strongly connected components, inferred column
 types) are computed once per run regardless of how many passes need them.
-
-Customizers register extra passes with :func:`register_pass`; they run
-after the built-ins in registration order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.diagnostics import (
     CODES,
@@ -123,17 +120,6 @@ class AnalysisPass:
         )
 
 
-#: Extra pass factories registered by customizers (callables returning a
-#: fresh AnalysisPass). They participate in every default pipeline.
-_EXTRA_PASSES: List[Callable[[], AnalysisPass]] = []
-
-
-def register_pass(factory: Callable[[], AnalysisPass]) -> Callable[[], AnalysisPass]:
-    """Register an extra analysis pass factory (extensibility hook)."""
-    _EXTRA_PASSES.append(factory)
-    return factory
-
-
 def default_passes() -> List[AnalysisPass]:
     """The full pipeline: structural, types, dead code, magic, dataflow,
     chase-based equivalence."""
@@ -144,7 +130,7 @@ def default_passes() -> List[AnalysisPass]:
     from repro.analysis.dataflow_checks import DataflowPass
     from repro.analysis.equivalence_checks import EquivalencePass
 
-    passes: List[AnalysisPass] = [
+    return [
         StructuralPass(),
         TypeCheckPass(),
         DeadCodePass(),
@@ -152,8 +138,6 @@ def default_passes() -> List[AnalysisPass]:
         DataflowPass(),
         EquivalencePass(),
     ]
-    passes.extend(factory() for factory in _EXTRA_PASSES)
-    return passes
 
 
 def soundness_passes() -> List[AnalysisPass]:
@@ -216,6 +200,5 @@ __all__ = [
     "Severity",
     "analyze_graph",
     "default_passes",
-    "register_pass",
     "soundness_passes",
 ]

@@ -1,9 +1,9 @@
 """The rewrite-soundness checker: attribute every new diagnostic to the
 rule firing that introduced it.
 
-Paranoid mode used to call ``validate_graph`` after each rule firing and
-report "the graph is broken"; this checker instead diffs the *analysis
-report* before and after each firing, so the resilience layer learns
+Paranoid mode diffs the *analysis report* before and after each firing
+(its passes include :class:`~repro.analysis.structural.StructuralPass`,
+every ``validate_graph`` invariant), so the resilience layer learns
 **which rule** introduced **which diagnostic** — and only quarantines on
 new *errors* (a rule is free to add or remove warnings mid-pipeline).
 
@@ -13,21 +13,21 @@ rule), consulted after every successful firing, and its attribution log
 flows into :meth:`~repro.rewrite.rule.RuleContext.observability`, hence
 into ``ExecutionOutcome.stats["soundness_violations"]`` and ``explain``.
 
-When an :class:`~repro.analysis.equivalence.EquivalenceChecker` is
-attached, each firing is additionally *translation-validated*: the
-pre-firing snapshot and the rewritten graph are canonicalized into
-tableaux, chased under the catalog's dependencies, and compared. A
-``REFUTED`` verdict — the rewrite provably changed the query's meaning
-on a concrete counterexample database — is reported as ``QGM601`` and
-raised exactly like a new error diagnostic, so the engine's existing
-rollback-and-quarantine path handles it. ``UNKNOWN`` is always accepted
-(the validator's fragment is conjunctive blocks plus unions; anything
-beyond yields UNKNOWN, never a false alarm).
+Each firing is also *translation-validated* by an
+:class:`~repro.analysis.equivalence.EquivalenceChecker` over the graph's
+catalog: the pre-firing snapshot and the rewritten graph are
+canonicalized into tableaux, chased under the catalog's dependencies,
+and compared. A ``REFUTED`` verdict — the rewrite provably changed the
+query's meaning on a concrete counterexample database — is reported as
+``QGM601`` and raised exactly like a new error diagnostic, so the
+engine's existing rollback-and-quarantine path handles it. ``UNKNOWN``
+is always accepted (the validator's fragment is conjunctive blocks plus
+unions; anything beyond yields UNKNOWN, never a false alarm).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.framework import Analyzer, soundness_passes
@@ -37,24 +37,14 @@ from repro.errors import QgmError
 class SoundnessChecker:
     """Diffs pre/post-firing analysis results for one rewrite run."""
 
-    def __init__(
-        self,
-        graph,
-        analyzer: Optional[Analyzer] = None,
-        equivalence_checker=None,
-        diff_analysis: bool = True,
-    ):
-        self.analyzer = analyzer if analyzer is not None else Analyzer(
-            soundness_passes()
-        )
-        #: When set, every firing with a ``before`` snapshot is submitted
-        #: to chase-based translation validation (REFUTED -> QGM601).
-        self.equivalence_checker = equivalence_checker
-        #: Allows running translation validation alone (benchmarks).
-        self.diff_analysis = diff_analysis
-        self.baseline: Set[Tuple] = (
-            self._keys(self.analyzer.analyze(graph)) if diff_analysis else set()
-        )
+    def __init__(self, graph):
+        from repro.analysis.equivalence import EquivalenceChecker
+
+        self.analyzer = Analyzer(soundness_passes())
+        #: Every firing with a ``before`` snapshot is submitted to
+        #: chase-based translation validation (REFUTED -> QGM601).
+        self.equivalence_checker = EquivalenceChecker(graph.catalog)
+        self.baseline: Set[Tuple] = self._keys(self.analyzer.analyze(graph))
         #: rule name -> list of diagnostics that rule introduced (errors
         #: trigger rollback + quarantine; warnings are recorded only).
         self.attributed: Dict[str, List[Diagnostic]] = {}
@@ -71,54 +61,46 @@ class SoundnessChecker:
         New warnings/infos are absorbed into the baseline and attributed
         silently. New *errors* are attributed, recorded on ``context``,
         and raised as :class:`~repro.errors.QgmError` so the engine rolls
-        the firing back and quarantines the rule. When an equivalence
-        checker is attached and ``before`` (the pre-firing snapshot) is
-        given, the firing is also translation-validated; a ``REFUTED``
-        verdict raises as a ``QGM601`` error. Returns the list of new
-        diagnostics (when it does not raise).
+        the firing back and quarantines the rule. When ``before`` (the
+        pre-firing snapshot) is given, the firing is also
+        translation-validated; a ``REFUTED`` verdict raises as a
+        ``QGM601`` error. Returns the list of new diagnostics (when it
+        does not raise).
         """
-        fresh: List[Diagnostic] = []
-        if self.diff_analysis:
-            report = self.analyzer.analyze(graph)
-            fresh = [d for d in report if d.key() not in self.baseline]
-            if fresh:
-                for diagnostic in fresh:
-                    diagnostic.rule = rule_name
-                self.attributed.setdefault(rule_name, []).extend(fresh)
-                new_errors = [d for d in fresh if d.severity == Severity.ERROR]
-                if context is not None:
-                    context.record_soundness(
-                        rule_name, [d.code for d in (new_errors or fresh)]
-                    )
-                if new_errors:
-                    summary = "; ".join(
-                        "%s at %s: %s" % (d.code, d.location, d.message)
-                        for d in new_errors[:3]
-                    )
-                    if len(new_errors) > 3:
-                        summary += "; ... (%d total)" % len(new_errors)
-                    raise QgmError(
-                        "rule %r introduced %d new error diagnostic(s): %s"
-                        % (rule_name, len(new_errors), summary),
-                        context={
-                            "rule": rule_name,
-                            "codes": [d.code for d in new_errors],
-                        },
-                    )
-            # Warnings only (or clean): keep them out of the next diff.
-            self.baseline = self._keys(report)
-        else:
-            # Without the diffing analyzer, keep the historical fail-fast
-            # structural backstop (soundness=False behaves as before).
-            from repro.qgm.validate import validate_graph
-
-            validate_graph(graph)
+        report = self.analyzer.analyze(graph)
+        fresh = [d for d in report if d.key() not in self.baseline]
+        if fresh:
+            for diagnostic in fresh:
+                diagnostic.rule = rule_name
+            self.attributed.setdefault(rule_name, []).extend(fresh)
+            new_errors = [d for d in fresh if d.severity == Severity.ERROR]
+            if context is not None:
+                context.record_soundness(
+                    rule_name, [d.code for d in (new_errors or fresh)]
+                )
+            if new_errors:
+                summary = "; ".join(
+                    "%s at %s: %s" % (d.code, d.location, d.message)
+                    for d in new_errors[:3]
+                )
+                if len(new_errors) > 3:
+                    summary += "; ... (%d total)" % len(new_errors)
+                raise QgmError(
+                    "rule %r introduced %d new error diagnostic(s): %s"
+                    % (rule_name, len(new_errors), summary),
+                    context={
+                        "rule": rule_name,
+                        "codes": [d.code for d in new_errors],
+                    },
+                )
+        # Warnings only (or clean): keep them out of the next diff.
+        self.baseline = self._keys(report)
         self._translation_validate(graph, rule_name, context, before)
         return fresh
 
     def _translation_validate(self, graph, rule_name, context, before):
         """Chase-check ``before -> graph``; REFUTED raises as QGM601."""
-        if self.equivalence_checker is None or before is None:
+        if before is None:
             return
         verdict = self.equivalence_checker.check_graphs(before, graph)
         if verdict.status == "UNKNOWN":

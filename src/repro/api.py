@@ -81,8 +81,8 @@ class PlanRun:
     batch_error: Optional[Exception] = None
 
 
-def run_plan(planned, database, executor, governor=None, fault_plan=None,
-             params=None, retry_on_tuple=False):
+def run_plan(planned, database, executor, governor=None, params=None,
+             retry_on_tuple=False):
     """Run one planned statement on one executor; returns a :class:`PlanRun`.
 
     ``planned`` is a :class:`PreparedQuery` or a server
@@ -115,7 +115,7 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
     if strategy == "correlated":
         evaluator = CorrelatedEvaluator(
             graph, database, join_orders=join_orders,
-            governor=governor, fault_plan=fault_plan, params=params,
+            governor=governor, params=params,
         )
         return PlanRun(evaluator.run(), evaluator.stats, executor)
     # The Original strategy re-evaluates correlated subqueries per outer
@@ -124,7 +124,6 @@ def run_plan(planned, database, executor, governor=None, fault_plan=None,
         join_orders=join_orders,
         memoize_correlated=(strategy == "emst"),
         governor=governor,
-        fault_plan=fault_plan,
         params=params,
     )
     batch_error = None
@@ -230,9 +229,6 @@ class ExecutionOutcome:
     stats: Dict[str, int] = field(default_factory=dict)
     #: A FallbackReport when the query ran under a ResiliencePolicy.
     resilience: Optional[object] = None
-    #: An :class:`~repro.analysis.AnalysisReport` over the executed graph
-    #: when the query ran with ``analyze=True``.
-    diagnostics: Optional[object] = None
 
     @property
     def rows(self):
@@ -282,16 +278,15 @@ class PreparedQuery:
         ``params`` are the values of the statement's ``?`` slots. Under a
         resilience policy a batch-executor failure retries on the tuple
         engine, as everywhere else."""
-        governor = fault_plan = None
+        governor = None
         if self.resilience is not None:
             # Budgets are per execution: rewrite/plan costs were paid at
             # prepare time, so each run gets the full execution budget.
             self.resilience.governor.begin_query()
             governor = self.resilience.governor
-            fault_plan = self.resilience.fault_plan
         run = run_plan(
             self, self.database, self.executor,
-            governor=governor, fault_plan=fault_plan, params=params,
+            governor=governor, params=params,
             retry_on_tuple=self.resilience is not None,
         )
         return run.result, run.stats
@@ -472,19 +467,17 @@ class Connection:
         ).result
 
     def explain_execute(self, sql_text, strategy="emst", resilience=None,
-                        analyze=False, executor=None):
+                        executor=None):
         """Parse and execute a single query; returns an ExecutionOutcome.
 
-        ``analyze=True`` additionally runs the full static-analysis suite
-        (:func:`repro.analysis.analyze_graph`) over the graph that was
-        executed; the report lands on ``outcome.diagnostics`` and its
-        severity counts in ``outcome.stats["analysis"]``.
+        The static-analysis report of the executed graph is
+        ``repro.analysis.analyze_graph(outcome.graph, catalog)``.
         """
         script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             return self.execute_query(
                 script.queries[0], strategy=strategy, resilience=resilience,
-                analyze=analyze, executor=executor,
+                executor=executor,
             )
 
     # -- core ---------------------------------------------------------------------
@@ -512,13 +505,11 @@ class Connection:
         return graph, plan, heuristic, rewrite_seconds
 
     def execute_query(self, query, strategy="emst", resilience=None,
-                      analyze=False, executor=None):
+                      executor=None):
         resilience = resilience if resilience is not None else self.resilience
         executor = executor if executor is not None else self.executor
         if resilience is None:
-            return self._execute_once(
-                query, strategy, None, analyze=analyze, executor=executor
-            )[0]
+            return self._execute_once(query, strategy, None, executor)[0]
         resilience.begin_query()
         # Every rung runs on the requested executor and, if that was
         # "batch" and it failed, once more on the tuple engine (inside
@@ -527,8 +518,7 @@ class Connection:
         outcome, report = run_with_fallback(
             strategy,
             lambda candidate: self._execute_once(
-                query, candidate, resilience, analyze=analyze,
-                executor=executor,
+                query, candidate, resilience, executor
             ),
             executor=executor,
             quarantine=resilience.quarantine,
@@ -536,21 +526,14 @@ class Connection:
         outcome.resilience = report
         return outcome
 
-    def _execute_once(self, query, strategy, resilience, analyze=False,
-                      executor="tuple"):
+    def _execute_once(self, query, strategy, resilience, executor):
         """One prepare + execute under one strategy, no strategy fallback;
         returns ``(ExecutionOutcome, PlanRun)``. Under a resilience policy
         the executor may still degrade batch -> tuple (see the run)."""
         graph, plan, heuristic, rewrite_seconds = self.prepare(
             query, strategy, resilience=resilience
         )
-        report = None
-        if analyze:
-            from repro.analysis import analyze_graph
-
-            report = analyze_graph(graph, catalog=self.database.catalog)
         governor = resilience.governor if resilience is not None else None
-        fault_plan = resilience.fault_plan if resilience is not None else None
         prepared = PreparedQuery(
             database=self.database, graph=graph, plan=plan,
             heuristic=heuristic, strategy=strategy, executor=executor,
@@ -558,8 +541,7 @@ class Connection:
         started = time.perf_counter()
         run = run_plan(
             prepared, self.database, executor,
-            governor=governor, fault_plan=fault_plan,
-            retry_on_tuple=resilience is not None,
+            governor=governor, retry_on_tuple=resilience is not None,
         )
         elapsed = time.perf_counter() - started
         stats = run.stats.as_dict()
@@ -567,8 +549,6 @@ class Connection:
             stats.update(heuristic.context.observability())
         if heuristic is not None and heuristic.relaxed_distinct:
             stats["relaxed_distinct"] = list(heuristic.relaxed_distinct)
-        if report is not None:
-            stats["analysis"] = report.counts()
         return ExecutionOutcome(
             result=run.result,
             strategy=strategy,
@@ -579,7 +559,6 @@ class Connection:
             rewrite_seconds=rewrite_seconds,
             executor=run.executor,
             stats=stats,
-            diagnostics=report,
         ), run
 
     def explain(self, sql_text, strategy="emst", executor=None):

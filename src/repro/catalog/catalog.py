@@ -34,8 +34,8 @@ class Catalog:
 
     # -- base tables ---------------------------------------------------------
 
-    def add_table(self, schema, statistics=None):
-        """Register a base table schema (and optionally its statistics).
+    def add_table(self, schema):
+        """Register a base table schema (with empty statistics).
 
         Foreign keys whose target table is already in the catalog are
         validated eagerly (the referenced columns must exist and cover a
@@ -63,7 +63,7 @@ class Catalog:
                     % (fk.describe(), schema.name, parent.name)
                 )
         self._tables[key] = schema
-        self._statistics[key] = statistics or TableStatistics()
+        self._statistics[key] = TableStatistics()
         self.version += 1
         return schema
 

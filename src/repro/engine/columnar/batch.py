@@ -42,7 +42,7 @@ class BatchEvaluator(Evaluator):
 
     def __init__(
         self, graph, database, join_orders=None, memoize_correlated=True,
-        governor=None, fault_plan=None, params=None, program=None,
+        governor=None, params=None, program=None,
     ):
         if program is None:
             program = compile_program(graph, join_orders)
@@ -50,7 +50,7 @@ class BatchEvaluator(Evaluator):
         super().__init__(
             graph, database, join_orders=join_orders,
             memoize_correlated=memoize_correlated, governor=governor,
-            fault_plan=fault_plan, params=params,
+            params=params,
         )
 
     # -- what the program already knows ------------------------------------------

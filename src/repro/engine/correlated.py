@@ -45,12 +45,11 @@ class CorrelatedEvaluator(Evaluator):
 
     def __init__(
         self, graph, database, join_orders=None, memoize=False,
-        governor=None, fault_plan=None, params=None,
+        governor=None, params=None,
     ):
         super().__init__(
             graph, database, join_orders=join_orders,
-            memoize_correlated=memoize, governor=governor,
-            fault_plan=fault_plan, params=params,
+            memoize_correlated=memoize, governor=governor, params=params,
         )
         if any(
             len(component) > 1 or self_recursive(component[0])
@@ -69,8 +68,6 @@ class CorrelatedEvaluator(Evaluator):
         reference to a box evaluates it again."""
         filters = filters or {}
         self.stats.box_evaluations += 1
-        if self.fault_plan is not None:
-            self.fault_plan.on_box_evaluation(box.name)
         if self.governor is not None:
             # An environment that binds a quantifier (more than the root
             # environment holds) makes this a per-binding evaluation.

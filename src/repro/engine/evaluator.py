@@ -116,16 +116,15 @@ class Evaluator:
 
     def __init__(
         self, graph, database, join_orders=None, memoize_correlated=True,
-        governor=None, fault_plan=None, params=None,
+        governor=None, params=None,
     ):
         self.graph = graph
         self.database = database
         self.join_orders = join_orders or {}
         self.memoize_correlated = memoize_correlated
-        # Resilience hooks: the governor meters rows/correlated work/wall
-        # clock, the fault plan injects test failures (both optional).
+        # The one resilience hook (optional): the governor meters rows,
+        # correlated work and the wall clock.
         self.governor = governor
-        self.fault_plan = fault_plan
         self.stats = EvaluatorStats()
         #: The environment of every uncorrelated evaluation. Shared, never
         #: mutated: code that binds a quantifier copies it first.
@@ -239,8 +238,6 @@ class Evaluator:
     def _finalize(self, box, rows):
         self.stats.box_evaluations += 1
         self.stats.rows_produced += len(rows)
-        if self.fault_plan is not None:
-            self.fault_plan.on_box_evaluation(box.name)
         if self.governor is not None:
             self.governor.charge_rows(len(rows), "evaluation of box %r" % box.name)
         if box.distinct == DistinctMode.ENFORCE:

@@ -14,8 +14,8 @@ the pipeline fail soft:
 * ``fallback.run_with_fallback`` — the one strategy degradation ladder
   ``emst -> phase1 -> original`` (connection and server alike),
 * :class:`FaultPlan` — a seedable fault-injection harness that wraps
-  rewrite rules and evaluator hooks so the failure paths are exercised by
-  real tests (``python -m repro.resilience.chaos``).
+  rewrite rules and builds a governor firing box faults, so the failure
+  paths are exercised by real tests (``python -m repro.resilience.chaos``).
 """
 
 from repro.resilience.governor import ResourceGovernor

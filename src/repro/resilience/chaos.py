@@ -93,15 +93,13 @@ def run_chaos(seed=0, trials=3, scale=0.5, faults_per_trial=2, verbose=True):
     ``seed``. Returns a list of failure descriptions (empty = all good)."""
     from repro.resilience.fallback import ResiliencePolicy
     from repro.resilience.faults import FaultPlan
-
-    def canonical(rows):
-        return sorted(tuple(row) for row in rows)
+    from repro.workloads.experiments import canonical_rows
 
     failures = []
     checked = 0
     for connection, queries in _battery(scale=scale, seed=77):
         for query_index, sql in enumerate(queries):
-            clean = canonical(
+            clean = canonical_rows(
                 connection.explain_execute(sql, strategy="original").rows
             )
             for trial in range(trials):
@@ -122,7 +120,7 @@ def run_chaos(seed=0, trials=3, scale=0.5, faults_per_trial=2, verbose=True):
                     )
                     continue
                 checked += 1
-                if canonical(outcome.rows) != clean:
+                if canonical_rows(outcome.rows) != clean:
                     failures.append(
                         "trial %d of %r diverged under faults %r "
                         "(fallback=%s, quarantined=%s)"

@@ -125,35 +125,39 @@ class ResiliencePolicy:
     """Bundles everything the pipeline needs to fail soft.
 
     Pass one to :class:`~repro.api.Connection` (connection-wide) or to a
-    single ``execute_query`` call. ``paranoid=True`` re-analyzes the graph
-    after every rule firing through the rewrite-soundness checker
+    single ``execute_query`` call. ``paranoid=True`` checks every rule
+    firing with the rewrite-soundness checker
     (:class:`~repro.analysis.soundness.SoundnessChecker`): new *error*
-    diagnostics are attributed to the firing rule, rolled back and the
-    rule quarantined. ``soundness=False`` drops back to the bare
-    fail-fast ``validate_graph`` (no attribution, structural checks
-    only). In paranoid mode, ``equivalence=True`` (the default) also
-    submits each firing to chase-based translation validation
-    (:class:`~repro.analysis.equivalence.EquivalenceChecker`): a firing
-    the chase *refutes* — proves to change query meaning on a concrete
-    counterexample database — is rolled back and the rule quarantined
-    under code ``QGM601``. ``protect_rules=False`` disables the
-    per-firing snapshot (faster, but a raising rule then fails the whole
-    strategy and only the chain fallback applies).
+    diagnostics are attributed to the firing rule, and each firing is
+    translation-validated by the chase
+    (:class:`~repro.analysis.equivalence.EquivalenceChecker`); either
+    finding rolls the firing back and quarantines the rule (a chase
+    *refutation* under code ``QGM601``). ``protect_rules=False``
+    disables the per-firing snapshot (faster, but a raising rule then
+    fails the whole strategy and only the chain fallback applies; the
+    paranoid checks need the snapshot and are skipped with it).
+
+    ``fault_plan`` (test harness, a
+    :class:`~repro.resilience.faults.FaultPlan`) wraps the rewrite rules;
+    its box faults fire through ``fault_plan.governor()``, the default
+    governor when a plan is given. A plan with box faults refuses any
+    other governor.
     """
 
-    def __init__(
-        self,
-        governor=None,
-        paranoid=False,
-        protect_rules=True,
-        fault_plan=None,
-        soundness=True,
-        equivalence=True,
-    ):
-        self.governor = governor if governor is not None else ResourceGovernor()
+    def __init__(self, governor=None, paranoid=False, protect_rules=True,
+                 fault_plan=None):
+        if governor is None:
+            governor = (
+                fault_plan.governor() if fault_plan is not None
+                else ResourceGovernor()
+            )
+        elif fault_plan is not None and not fault_plan.fires_through(governor):
+            raise ValueError(
+                "the fault plan's box faults fire only through its own "
+                "governor: pass governor=fault_plan.governor(...)"
+            )
+        self.governor = governor
         self.paranoid = paranoid
-        self.soundness = soundness
-        self.equivalence = equivalence
         self.protect_rules = protect_rules
         self.fault_plan = fault_plan
         self.quarantine = QuarantineRegistry()

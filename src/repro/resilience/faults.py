@@ -4,11 +4,11 @@ layers.
 A :class:`FaultPlan` is a schedule of faults — exceptions, graph
 corruption, artificial slowness — keyed by rule name and *firing index*
 (the n-th time the rule's ``apply`` runs, counted across the plan's
-lifetime), plus evaluator-level hooks keyed by box-evaluation index. The
-plan wraps registered rewrite rules via :meth:`wrap_rules` and is polled
-by the evaluators via :meth:`on_box_evaluation`, so the rollback,
-quarantine and governor paths are exercised by real control flow rather
-than monkey-patching.
+lifetime), plus evaluator-level faults keyed by box-evaluation index. The
+plan wraps registered rewrite rules via :meth:`wrap_rules`, and its box
+faults ride the governor it builds (:meth:`governor`), so the engines
+know no hook but the governor. The rollback, quarantine and governor
+paths are exercised by real control flow rather than monkey-patching.
 
 Faults are injected through ordinary exceptions (:class:`InjectedFault`)
 or real graph mutations, which is exactly what a buggy production rule
@@ -21,6 +21,7 @@ import random
 import time
 
 from repro.errors import ReproError
+from repro.resilience.governor import ResourceGovernor
 from repro.rewrite.rule import RewriteRule
 
 EVERY_FIRING = None
@@ -89,7 +90,8 @@ class FaultPlan:
         return self
 
     def fail_evaluation(self, on_evaluation=1, message=None):
-        """Raise :class:`InjectedFault` on the n-th box evaluation."""
+        """Raise :class:`InjectedFault` on the n-th box evaluation (fires
+        only through the plan's :meth:`governor`)."""
         self._eval_faults.append(
             _Fault(
                 "raise",
@@ -144,6 +146,18 @@ class FaultPlan:
         indices are stable when faults are added later)."""
         return [FaultyRule(rule, self) for rule in rules]
 
+    def governor(self, **budgets):
+        """A :class:`~repro.resilience.governor.ResourceGovernor` with
+        ``budgets`` that fires this plan's box-evaluation faults."""
+        return FaultingGovernor(self, **budgets)
+
+    def fires_through(self, governor):
+        """Whether this plan's box faults (if it has any) fire under
+        ``governor``: only a governor from :meth:`governor` fires them."""
+        return not self._eval_faults or (
+            isinstance(governor, FaultingGovernor) and governor.plan is self
+        )
+
     def reset_counters(self):
         self._rule_firings = {}
         self._evaluations = 0
@@ -173,8 +187,8 @@ class FaultPlan:
                 self.injected.append((rule_name, firing, "corrupt"))
                 _corrupt_graph(graph)
 
-    def on_box_evaluation(self, box_name=""):
-        """Called by the evaluators once per box evaluation."""
+    def on_box_evaluation(self, where):
+        """Called by the plan's governor once per box evaluation."""
         if not self._eval_faults:
             return
         self._evaluations += 1
@@ -187,10 +201,25 @@ class FaultPlan:
             else:
                 self.injected.append(("<evaluator>", self._evaluations, "raise"))
                 raise InjectedFault(
-                    "%s (evaluation %d, box %r)"
-                    % (fault.message, self._evaluations, box_name),
-                    context={"evaluation": self._evaluations, "box": box_name},
+                    "%s (evaluation %d, %s)"
+                    % (fault.message, self._evaluations, where),
+                    context={"evaluation": self._evaluations, "where": where},
                 )
+
+
+class FaultingGovernor(ResourceGovernor):
+    """A governor that fires its plan's box faults. Every engine charges
+    the rows of each box it evaluates outside a recursive fixpoint
+    (``charge_rows``) once, so that charge is the box-evaluation
+    injection point; the fault fires before the budget is checked."""
+
+    def __init__(self, plan, **budgets):
+        super().__init__(**budgets)
+        self.plan = plan
+
+    def charge_rows(self, count, where):
+        self.plan.on_box_evaluation(where)
+        super().charge_rows(count, where)
 
 
 def _corrupt_graph(graph):

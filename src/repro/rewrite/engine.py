@@ -9,9 +9,11 @@ ResourceGovernor` (sweep budget + deadline; a default one enforces the
 historical 200-sweep cap) and an optional
 :class:`~repro.resilience.fallback.ResiliencePolicy`. With a policy whose
 ``protect_rules`` is set, every rule firing runs against a snapshot of
-the graph: a rule that raises — or, in paranoid mode, leaves the graph
-structurally invalid — is rolled back and quarantined for the rest of
-the query, and the phase continues without it.
+the graph: a rule that raises — or, in paranoid mode, introduces a new
+error diagnostic or a firing the chase refutes (see
+:class:`~repro.analysis.soundness.SoundnessChecker`) — is rolled back and
+quarantined for the rest of the query, and the phase continues without
+it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ class RewriteEngine:
 
     def __init__(self, rules=None):
         self.rules = sorted(rules or default_rules(), key=lambda r: r.priority)
-
-    def add_rule(self, rule):
-        """Register an additional rule (extensibility hook)."""
-        self.rules.append(rule)
-        self.rules.sort(key=lambda r: r.priority)
 
     def run_phase(
         self, graph, phase, join_orders=None, context=None, governor=None,
@@ -57,31 +54,17 @@ class RewriteEngine:
             )
         quarantine = resilience.quarantine if resilience is not None else None
         protect = resilience is not None and resilience.protect_rules
-        paranoid = resilience is not None and resilience.paranoid
         checker = None
-        run_soundness = getattr(resilience, "soundness", True)
-        run_equivalence = getattr(resilience, "equivalence", True)
-        if protect and paranoid and (run_soundness or run_equivalence):
+        if protect and resilience.paranoid:
             # Paranoid mode runs the rewrite-soundness checker: the phase's
             # incoming diagnostics are the baseline, and every new *error*
             # after a firing is attributed to the rule and quarantines it.
-            # With equivalence enabled, each firing is additionally
-            # translation-validated against its pre-firing snapshot; a
-            # chase-refuted firing (QGM601) takes the same rollback path.
+            # Each firing is also translation-validated against its
+            # pre-firing snapshot; a chase-refuted firing (QGM601) takes
+            # the same rollback path.
             from repro.analysis.soundness import SoundnessChecker
 
-            equivalence_checker = None
-            if run_equivalence:
-                from repro.analysis.equivalence import EquivalenceChecker
-
-                equivalence_checker = EquivalenceChecker(
-                    getattr(graph, "catalog", None)
-                )
-            checker = SoundnessChecker(
-                graph,
-                equivalence_checker=equivalence_checker,
-                diff_analysis=run_soundness,
-            )
+            checker = SoundnessChecker(graph)
         active = [rule for rule in self.rules if phase in rule.phases]
         sweeps = 0
         changed = True
@@ -102,8 +85,7 @@ class RewriteEngine:
                     if not rule.applies_to(box, context):
                         continue
                     fired = self._fire(
-                        rule, box, graph, context, protect, paranoid, quarantine,
-                        checker,
+                        rule, box, graph, context, protect, quarantine, checker
                     )
                     if fired is not False:
                         # A firing or a rollback changed the graph.
@@ -123,8 +105,7 @@ class RewriteEngine:
                 changed = True
         return context
 
-    def _fire(self, rule, box, graph, context, protect, paranoid, quarantine,
-              checker=None):
+    def _fire(self, rule, box, graph, context, protect, quarantine, checker):
         """Apply ``rule`` at ``box``; returns True/False from the rule, or
         None when the firing failed and the graph was rolled back."""
         if not protect:
@@ -135,22 +116,16 @@ class RewriteEngine:
                 context.record_time(rule.name, time.perf_counter() - started)
 
         from repro.qgm.clone import clone_graph, restore_graph
-        from repro.qgm.validate import validate_graph
 
         snapshot = clone_graph(graph)
         started = time.perf_counter()
         try:
             fired = rule.apply(box, context)
-            if fired and paranoid:
-                if checker is not None:
-                    # Raises QgmError when the firing introduced new error
-                    # diagnostics — or was refuted by translation
-                    # validation — after attributing them to the rule.
-                    checker.after_firing(
-                        graph, rule.name, context, before=snapshot
-                    )
-                else:
-                    validate_graph(graph)
+            if fired and checker is not None:
+                # Raises QgmError when the firing introduced new error
+                # diagnostics — or was refuted by translation validation —
+                # after attributing them to the rule.
+                checker.after_firing(graph, rule.name, context, before=snapshot)
             return fired
         except ResourceExhaustedError:
             raise  # a blown budget is the query's fault, not the rule's

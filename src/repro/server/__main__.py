@@ -27,12 +27,13 @@ from repro.server.session import serve
 
 
 def build_parser():
+    defaults = ServerConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro.server",
         description="Fault-tolerant multi-session query server.",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7474)
+    parser.add_argument("--host", default=defaults.host)
+    parser.add_argument("--port", type=int, default=defaults.port)
     parser.add_argument(
         "--workload", action="store_true",
         help="preload the paper's employee/department workload and views",
@@ -42,22 +43,29 @@ def build_parser():
         help="workload scale: 1.0 = the paper's 100 departments x 40 "
              "employees (default 0.2)",
     )
-    parser.add_argument("--max-concurrent", type=int, default=8)
-    parser.add_argument("--max-queue", type=int, default=16)
-    parser.add_argument("--deadline", type=float, default=10.0,
-                        help="default per-query deadline in seconds")
-    parser.add_argument("--cache-capacity", type=int, default=128)
-    parser.add_argument("--strategy", default="emst")
     parser.add_argument(
-        "--workers", type=int, default=0,
+        "--max-concurrent", type=int, default=defaults.max_concurrent
+    )
+    parser.add_argument("--max-queue", type=int, default=defaults.max_queue)
+    parser.add_argument("--deadline", type=float,
+                        default=defaults.default_deadline_seconds,
+                        help="default per-query deadline in seconds")
+    parser.add_argument(
+        "--cache-capacity", type=int, default=defaults.cache_capacity
+    )
+    parser.add_argument("--strategy", default=defaults.default_strategy)
+    parser.add_argument(
+        "--workers", type=int, default=defaults.workers,
         help="forked query-worker processes (0 = in-process execution)",
     )
     parser.add_argument(
-        "--result-cache-capacity", type=int, default=0,
+        "--result-cache-capacity", type=int,
+        default=defaults.result_cache_capacity,
         help="cross-request result cache entries (0 = disabled)",
     )
     parser.add_argument(
-        "--statement-cache", default=None, metavar="PATH",
+        "--statement-cache", default=defaults.statement_cache_path,
+        metavar="PATH",
         help="persist the prepared-statement set here on shutdown and "
              "warm the plan cache from it on boot",
     )

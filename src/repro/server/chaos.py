@@ -49,6 +49,7 @@ from repro.server.client import ServerError, SyncQueryClient
 from repro.server.core import QueryServer, ServerConfig
 from repro.server.session import serve
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
+from repro.workloads.experiments import canonical_rows
 
 #: Error types a chaotic session is allowed to surface. Anything else —
 #: and any wrong row set — is a harness failure.
@@ -123,10 +124,6 @@ SLOW_QUERY = (
     "SELECT e1.empno FROM employee e1, employee e2, employee e3 "
     "WHERE e1.salary > 0 AND e2.salary > 0 AND e3.salary > 0"
 )
-
-
-def _canon(rows):
-    return sorted(tuple(row) for row in rows)
 
 
 # -- individual batteries --------------------------------------------------------
@@ -279,9 +276,9 @@ def check_cache_poisoning(harness, rng, rounds, report):
                     # different database states, so equality is not owed.
                     skipped += 1
                     continue
-                assert _canon(answer["rows"]) == _canon(oracle["rows"]), (
-                    "WRONG ROWS for %r under concurrent DDL/DML" % name
-                )
+                assert canonical_rows(answer["rows"]) == canonical_rows(
+                    oracle["rows"]
+                ), "WRONG ROWS for %r under concurrent DDL/DML" % name
                 checked += 1
     finally:
         stop.set()
@@ -298,7 +295,7 @@ def check_deadline_storm(harness, rng, clients, requests, report):
     sheds carry usable retry hints; the row invariant still holds."""
     expected = None
     with harness.client() as probe:
-        expected = _canon(
+        expected = canonical_rows(
             probe.query(PARAM_QUERY, params=["Planning"])["rows"]
         )
     outcomes = {"ok": 0, "deadline": 0, "shed": 0, "other_clean": 0}
@@ -345,7 +342,7 @@ def check_deadline_storm(harness, rng, clients, requests, report):
                     continue
                 with lock:
                     outcomes["ok"] += 1
-                    if not tight and _canon(result["rows"]) != expected:
+                    if not tight and canonical_rows(result["rows"]) != expected:
                         wrong.append("wrong rows under storm")
 
     threads = [
@@ -364,7 +361,7 @@ def check_deadline_storm(harness, rng, clients, requests, report):
     # Retrying shed requests must eventually succeed.
     with harness.client() as client:
         result = client.query(PARAM_QUERY, params=["Planning"])
-        assert _canon(result["rows"]) == expected
+        assert canonical_rows(result["rows"]) == expected
     report["storm_retry_ok"] = True
 
 
@@ -404,7 +401,7 @@ def check_worker_crashes(harness, rng, rounds, report):
         edges = ["(%d, %d)" % (i, i + 1) for i in range(120)]
         edges.append("(120, 0)")  # cycle: the fixpoint revisits facts
         client.script("INSERT INTO edge VALUES %s" % ", ".join(edges))
-        expected = _canon(
+        expected = canonical_rows(
             client.query(PARAM_QUERY, params=["Planning"], fresh=True)["rows"]
         )
     crashed = won_race = 0
@@ -479,11 +476,13 @@ def check_worker_crashes(harness, rng, rounds, report):
     # on the pool, not just the in-process fallback.
     with harness.client() as client:
         result = client.query(PARAM_QUERY, params=["Planning"], fresh=True)
-        assert _canon(result["rows"]) == expected, "wrong rows after crashes"
+        assert canonical_rows(result["rows"]) == expected, (
+            "wrong rows after crashes"
+        )
         oracle = client.query(
             PARAM_QUERY, params=["Planning"], strategy="original", fresh=True
         )
-        assert _canon(oracle["rows"]) == expected
+        assert canonical_rows(oracle["rows"]) == expected
     stats = pool.stats()
     assert stats["respawns"] >= crashed, "crashes without respawns"
     report["worker_crashes"] = crashed

@@ -390,7 +390,9 @@ EXPERIMENTS = {
 
 def canonical_rows(rows):
     """Sort rows and round floats to 10 significant digits, so strategies
-    that sum in different orders still compare equal."""
+    that sum in different orders still compare equal. Rows sort by
+    ``repr``, so a NULL next to a value in one column never compares
+    ``None`` with a number."""
 
     def canon(value):
         if isinstance(value, float):
@@ -466,12 +468,13 @@ def run_all_experiments(scale=1.0, repeats=3, keys=None):
     }
 
 
-def format_table1(runs, include_paper=True):
-    """Render the measured runs as the paper's Table 1."""
+def format_table1(runs):
+    """Render the measured runs as the paper's Table 1, next to the
+    paper's own figures."""
     lines = []
-    header = "%-6s %10s %12s %10s" % ("Query", "Original", "Correlated", "EMST")
-    if include_paper:
-        header += "   |   paper: %10s %8s" % ("Correlated", "EMST")
+    header = "%-6s %10s %12s %10s   |   paper: %10s %8s" % (
+        "Query", "Original", "Correlated", "EMST", "Correlated", "EMST"
+    )
     lines.append(header)
     lines.append("-" * len(header))
     for key in sorted(runs):
@@ -482,12 +485,8 @@ def format_table1(runs, include_paper=True):
             run.normalized["correlated"],
             run.normalized["emst"],
         )
-        if include_paper:
-            paper = PAPER_TABLE1[key]
-            line += "   |          %10.2f %8.2f" % (
-                paper["correlated"],
-                paper["emst"],
-            )
+        paper = PAPER_TABLE1[key]
+        line += "   |          %10.2f %8.2f" % (paper["correlated"], paper["emst"])
         if not run.rows_agree:
             line += "   ROWS DISAGREE!"
         if not run.shape_ok:

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-
-def canonical(rows):
-    """Sort rows and round floats so differently-ordered sums compare
-    equal. NULLs (None) and mixed types sort by repr."""
-
-    def canon(value):
-        if isinstance(value, float):
-            return float("%.10g" % value)
-        return value
-
-    out = [tuple(canon(v) for v in row) for row in rows]
-    return sorted(out, key=repr)
+# The one row canonicaliser (floats rounded, rows sorted by repr so NULLs
+# and mixed types compare), under the name the tests use.
+from repro.workloads.experiments import canonical_rows as canonical
 
 
 def assert_same_rows(left, right):

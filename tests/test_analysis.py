@@ -517,14 +517,11 @@ def equivalence(graph, db):
 
 @case("QGM601", Severity.ERROR, box="Q", rule="evil")
 def _chase_refuted_firing(db):
-    from repro.analysis.equivalence import EquivalenceChecker
     from repro.qgm.clone import clone_graph
 
     graph = build("SELECT e.empno FROM emp e WHERE e.salary = 100", db)
     before = clone_graph(graph)
-    checker = SoundnessChecker(
-        graph, equivalence_checker=EquivalenceChecker(db.catalog)
-    )
+    checker = SoundnessChecker(graph)
     graph.top_box.predicates = []  # an unsound "rewrite": drop the filter
     with pytest.raises(QgmError):
         checker.after_firing(graph, "evil", before=before)
@@ -746,28 +743,12 @@ def test_corrupting_rule_is_attributed_in_outcome_stats(paper_conn):
     assert all(code in CODES for code in violations["merge"])
 
 
-def test_soundness_opt_out_restores_bare_validate(paper_conn):
-    policy = ResiliencePolicy(
-        fault_plan=FaultPlan().corrupt_rule("merge", on_firing=1),
-        paranoid=True,
-        soundness=False,
-    )
-    outcome = paper_conn.explain_execute(
-        PAPER_SQL, strategy="emst", resilience=policy
-    )
-    assert "merge" in outcome.resilience.quarantined
-    assert "soundness_violations" not in outcome.stats or not outcome.stats[
-        "soundness_violations"
-    ]
-
-
-def test_explain_execute_analyze_attaches_report(paper_conn):
-    outcome = paper_conn.explain_execute(
-        PAPER_SQL, strategy="emst", analyze=True
-    )
-    assert isinstance(outcome.diagnostics, AnalysisReport)
-    assert not outcome.diagnostics.has_errors
-    assert outcome.stats["analysis"]["error"] == 0
+def test_analyze_graph_reports_on_the_executed_graph(paper_conn):
+    outcome = paper_conn.explain_execute(PAPER_SQL, strategy="emst")
+    report = analyze_graph(outcome.graph, catalog=paper_conn.database.catalog)
+    assert isinstance(report, AnalysisReport)
+    assert not report.has_errors
+    assert report.counts()["error"] == 0
 
 
 # -- the lint CLI -------------------------------------------------------------

@@ -402,5 +402,5 @@ def test_box_fault_fires_and_falls_back_to_the_tuple_engine():
     with pytest.raises(InjectedFault):
         BatchEvaluator(
             prepared.graph, bare.database,
-            join_orders=prepared.plan.join_orders, fault_plan=faulty,
+            join_orders=prepared.plan.join_orders, governor=faulty.governor(),
         ).run()

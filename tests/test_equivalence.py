@@ -882,14 +882,3 @@ def test_workload_sweep_has_zero_refutations(tmp_path, capsys):
             assert set(codes) <= valid
     # An unreachable floor trips the coverage gate.
     assert main(["--min-verified", "10000"]) == 1
-
-
-def test_equivalence_opt_out_skips_validation(empdept):
-    connection = Connection(empdept)
-    policy = ResiliencePolicy(paranoid=True, equivalence=False)
-    outcome = connection.explain_execute(
-        "SELECT e.empname FROM employee e WHERE e.salary > 40000",
-        strategy="emst",
-        resilience=policy,
-    )
-    assert not outcome.stats.get("equivalence_verdicts")

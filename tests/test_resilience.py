@@ -188,9 +188,9 @@ def test_max_correlated_invocations(emp_conn):
 
 
 def test_deadline_tripped_by_slow_evaluation(edge_conn):
+    plan = FaultPlan().slow_evaluation(on_evaluation=1, seconds=0.05)
     policy = ResiliencePolicy(
-        governor=ResourceGovernor(deadline_seconds=0.01),
-        fault_plan=FaultPlan().slow_evaluation(on_evaluation=1, seconds=0.05),
+        governor=plan.governor(deadline_seconds=0.01), fault_plan=plan
     )
     with pytest.raises(ResourceExhaustedError) as info:
         edge_conn.explain_execute(
@@ -275,6 +275,48 @@ def test_unprotected_rules_fall_back_along_strategy_chain(emp_conn):
     assert outcome.resilience.executed == "phase1"
     assert outcome.resilience.attempts[0][0] == "emst"
     assert "InjectedFault" in outcome.resilience.attempts[0][1]
+
+
+def test_box_faults_never_silently_skip_a_foreign_governor():
+    # Box faults fire through the plan's own governor only; a policy that
+    # would run them under another governor is refused, not left inert.
+    plan = FaultPlan().fail_evaluation(on_evaluation=1)
+    with pytest.raises(ValueError):
+        ResiliencePolicy(governor=ResourceGovernor(), fault_plan=plan)
+    assert plan.fires_through(ResiliencePolicy(fault_plan=plan).governor)
+    # A plan with rule faults only leaves the caller's governor alone.
+    governor = ResourceGovernor()
+    rule_only = FaultPlan().fail_rule("emst")
+    policy = ResiliencePolicy(governor=governor, fault_plan=rule_only)
+    assert policy.governor is governor
+
+
+@pytest.mark.parametrize(
+    "strategy, executor",
+    [("original", "tuple"), ("emst", "batch"), ("correlated", "tuple")],
+)
+def test_box_fault_fires_on_every_engine(emp_conn, strategy, executor):
+    sql = EMP_QUERIES[0]
+    clean = canonical(emp_conn.explain_execute(sql, strategy="original").rows)
+    plan = FaultPlan().fail_evaluation(on_evaluation=1)
+    policy = ResiliencePolicy(fault_plan=plan)
+    if strategy == "emst":
+        # The batch run raises; the same strategy retries on the tuple
+        # engine, whose evaluations come after the faulted one.
+        outcome = emp_conn.explain_execute(
+            sql, strategy=strategy, resilience=policy, executor=executor
+        )
+        assert canonical(outcome.rows) == clean
+        assert outcome.resilience.executed == "emst"
+        assert outcome.executor == "tuple"
+    else:
+        # ``original`` is the ladder's last rung; ``correlated`` is not on
+        # the ladder at all: either way the fault reaches the caller.
+        with pytest.raises(InjectedFault):
+            emp_conn.explain_execute(
+                sql, strategy=strategy, resilience=policy, executor=executor
+            )
+    assert [kind for _, _, kind in plan.injected] == ["raise"]
 
 
 def test_evaluation_fault_falls_back_to_next_strategy(emp_conn):

@@ -320,7 +320,5 @@ def test_custom_rule_can_be_added(empdept_db):
             return True
 
     graph = build("SELECT empno FROM employee", empdept_db)
-    engine = RewriteEngine([])
-    engine.add_rule(Marker())
-    context = engine.run_phase(graph, 1)
+    context = RewriteEngine([Marker()]).run_phase(graph, 1)
     assert context.firing_counts["marker"] == len(graph.boxes())
