@@ -394,12 +394,13 @@ class Connection:
 
     def _select_over_stored_rows(self, table, items, where):
         """UPDATE and DELETE are a select over the table they change:
-        ``SELECT items FROM table WHERE where``, with the engine's post-join
-        phase seeded by one environment per stored row — so subqueries and
+        ``SELECT items FROM table WHERE where``, compiled and run on the
+        batch pipeline over the table's columns — so subqueries and
         correlation in ``where`` and ``items`` mean what they mean in a
         query, and every expression sees the table as it was before the
-        statement. Returns, positionally, one entry per stored row: the
-        projected ``items`` row where the predicate holds, None where not.
+        statement. Returns ``(positions, projected)``: the positions in
+        ``table.rows`` where the predicate holds and the projected
+        ``items`` row of each.
         """
         query = sql_ast.Query(
             body=sql_ast.SelectCore(
@@ -413,31 +414,40 @@ class Connection:
         quantifier = box.foreach_quantifiers()[0]
         if quantifier.input_box.kind != BoxKind.BASE:
             # An aggregate puts a groupby box between the select and the
-            # table: there is no stored row to seed that select with.
+            # table: there is no stored row to select.
             raise NotSupportedError(
                 "aggregates over the target table are not supported in "
                 "UPDATE/DELETE (use a subquery)"
             )
-        evaluator = Evaluator(graph, self.database)
-        seeds = [{quantifier: row} for row in table.rows]
-        # The survivors are seed objects: matched by identity, never by
-        # value, so duplicate rows and 1 / 1.0 / True stay distinct.
-        survivors = evaluator.surviving(box, seeds)
-        projected = dict(zip(map(id, survivors), evaluator.project(box, survivors)))
-        return [projected.get(id(seed)) for seed in seeds]
+        program = compile_program(graph)
+        state = BatchEvaluator(graph, self.database, program=program)
+        operator = program.operators[id(box)]
+        rows = table.rows
+        batch = operator.select(state, state.root_env)
+        if batch.length == 0:
+            return [], []
+        # The survivors are the row view's own tuples: matched to their
+        # positions by identity, never by value, so duplicate rows and
+        # 1 / 1.0 / True stay distinct.
+        position_of = dict(zip(map(id, rows), range(len(rows))))
+        positions = [position_of[id(row)] for row in batch.slots[quantifier]]
+        return positions, operator.project(batch)
 
     def _delete(self, statement):
         table = self.database.table(statement.table)
-        hits = self._select_over_stored_rows(
+        positions, _ = self._select_over_stored_rows(
             table, [sql_ast.SelectItem(expr=sql_ast.Star())], statement.where
         )
-        table.rows = [row for row, hit in zip(table.rows, hits) if hit is None]
-        table.invalidate_indexes()
+        hit = set(positions)
+        table.rows = [
+            row for position, row in enumerate(table.rows)
+            if position not in hit
+        ]
         self.database.analyze(statement.table)
 
     def _update(self, statement):
         table = self.database.table(statement.table)
-        targets = [
+        ordinals = [
             table.schema.column_ordinal(column)
             for column, _ in statement.assignments
         ]
@@ -445,19 +455,10 @@ class Connection:
             sql_ast.SelectItem(expr=value, alias="a%d" % index)
             for index, (_, value) in enumerate(statement.assignments)
         ]
-        new_rows = []
-        for row, values in zip(
-            table.rows,
-            self._select_over_stored_rows(table, items, statement.where),
-        ):
-            if values is not None:
-                row = list(row)
-                for ordinal, value in zip(targets, values):
-                    row[ordinal] = value
-                row = tuple(row)
-            new_rows.append(row)
-        table.rows = new_rows
-        table.invalidate_indexes()
+        positions, values = self._select_over_stored_rows(
+            table, items, statement.where
+        )
+        table.update(positions, ordinals, values)
         self.database.analyze(statement.table)
 
     def execute(self, sql_text, strategy="emst", executor=None):

@@ -2,7 +2,12 @@
 
 from repro.catalog.schema import ColumnDef, ForeignKey, TableSchema
 from repro.catalog.catalog import Catalog
-from repro.catalog.statistics import ColumnStatistics, TableStatistics, compute_statistics
+from repro.catalog.statistics import (
+    ColumnStatistics,
+    TableStatistics,
+    column_statistics,
+    compute_statistics,
+)
 
 __all__ = [
     "ColumnDef",
@@ -11,5 +16,6 @@ __all__ = [
     "Catalog",
     "ColumnStatistics",
     "TableStatistics",
+    "column_statistics",
     "compute_statistics",
 ]

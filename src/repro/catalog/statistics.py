@@ -55,17 +55,37 @@ def _comparable(values):
     return []
 
 
-def compute_statistics(schema, rows):
-    """Compute :class:`TableStatistics` for ``rows`` laid out per ``schema``."""
-    stats = TableStatistics(row_count=len(rows))
-    for ordinal, column in enumerate(schema.columns):
-        values = [row[ordinal] for row in rows]
+_NONE = type(None)
+#: Value-type sets whose values all min/max together; any other set
+#: (bools, subclasses, a mix of classes) goes through :func:`_comparable`.
+_ORDERED = (frozenset({int}), frozenset({float}), frozenset({int, float}),
+            frozenset({str}))
+
+
+def column_statistics(values):
+    """:class:`ColumnStatistics` of one column's stored value list."""
+    types = set(map(type, values))
+    if _NONE in types:
+        types.discard(_NONE)
         non_null = [v for v in values if v is not None]
-        comparable = _comparable(values)
-        stats.columns[column.name.lower()] = ColumnStatistics(
-            distinct_count=max(len(set(non_null)), 1),
-            null_count=len(values) - len(non_null),
-            min_value=min(comparable) if comparable else None,
-            max_value=max(comparable) if comparable else None,
-        )
+    else:
+        non_null = values
+    if types in _ORDERED:
+        comparable = non_null
+    else:
+        comparable = _comparable(non_null)
+    return ColumnStatistics(
+        distinct_count=max(len(set(non_null)), 1),
+        null_count=len(values) - len(non_null),
+        min_value=min(comparable) if comparable else None,
+        max_value=max(comparable) if comparable else None,
+    )
+
+
+def compute_statistics(schema, columns):
+    """Compute :class:`TableStatistics` from ``columns``, one stored value
+    list per column of ``schema`` (what ``Table.column_blocks`` returns)."""
+    stats = TableStatistics(row_count=len(columns[0]) if columns else 0)
+    for column, values in zip(schema.columns, columns):
+        stats.columns[column.name.lower()] = column_statistics(values)
     return stats

@@ -342,7 +342,8 @@ class FilterQuantifierStep:
 class SelectOp:
     """A select box as a join pipeline: attach the foreach quantifiers in
     plan order, then bind scalar subqueries, apply the predicates that
-    waited for them, test E/A quantifiers, and project."""
+    waited for them, test E/A quantifiers (:meth:`select`), and project
+    (:meth:`project`)."""
 
     __slots__ = (
         "box", "steps", "tail_predicates", "tail", "scalars", "deferred",
@@ -362,6 +363,12 @@ class SelectOp:
         self.projection = [compile_vector(c.expr) for c in box.columns]
 
     def run(self, state, env):
+        return self.project(self.select(state, env))
+
+    def select(self, state, env):
+        """The batch of the box's surviving bindings under ``env``: every
+        foreach quantifier bound (unless no position survived) to rows of
+        its input — for a base table, the very tuples of its row view."""
         stats = state.stats
         # One position, no slots: the batch analogue of ``[dict(env)]``.
         batch = Batch(1, constants=env)
@@ -383,6 +390,10 @@ class SelectOp:
             batch = step.attach(state, batch)
         stats.batches += 1
         stats.batch_rows += batch.length
+        return batch
+
+    def project(self, batch):
+        """The output rows of the box, one per position of ``batch``."""
         if batch.length == 0:
             return []
         columns = [fn(batch) for fn in self.projection]
@@ -582,3 +593,5 @@ class FailedOp:
 
     def run(self, state, env):
         raise self.error.with_traceback(None)
+
+    select = run

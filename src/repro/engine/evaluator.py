@@ -18,8 +18,7 @@ the groupby fold (:meth:`Evaluator.fold_groups`), bag INTERSECT/EXCEPT
 (:func:`intersect_except`) and the semi/anti-join test
 (:func:`quantifier_passes`) take rows (or environments) in and give rows
 out, whoever calls them — the Correlated strategy, which only reaches boxes
-differently, and UPDATE/DELETE, which seed the post-join phase with the
-stored rows. The batch operators are differentially tested against it.
+differently. The batch operators are differentially tested against it.
 """
 
 from __future__ import annotations
@@ -314,9 +313,8 @@ class Evaluator:
         return envs, applied
 
     def surviving(self, box, envs, applied=()):
-        """The post-join phase of a select box, over environments that
-        bind all of its foreach quantifiers — however they came to be
-        bound: by the join phase, or one per stored row by UPDATE/DELETE.
+        """The post-join phase of a select box, over the environments its
+        join phase bound.
 
         Applies the join predicates not in ``applied`` (e.g. pure
         correlation filters, which reference no local quantifier), binds

@@ -3,16 +3,21 @@
 Tables are stored **column-major**: one Python list per column, with NULL
 as ``None``. A row-major view (list of plain tuples laid out per the
 table's schema) is materialised lazily and cached, so tuple-at-a-time
-consumers — the classic evaluators, statistics, the chase — keep working
-unchanged while the batch executor reads whole columns without
-per-row reconstruction. The :class:`Database` owns a
+consumers — the classic evaluators, the chase — keep working unchanged
+while the batch executor and ANALYZE read whole columns without per-row
+reconstruction. The :class:`Database` owns a
 :class:`~repro.catalog.Catalog` and the column storage, and is the object
 users hand to the session API.
 """
 
 from __future__ import annotations
 
-from repro.catalog import Catalog, compute_statistics
+from repro.catalog import (
+    Catalog,
+    TableStatistics,
+    column_statistics,
+    compute_statistics,
+)
 from repro.catalog.schema import ColumnDef, ForeignKey, TableSchema
 from repro.errors import CatalogError, ExecutionError
 
@@ -21,17 +26,19 @@ class Table:
     """A stored base table: schema + columnar data + lazy hash indexes.
 
     Data lives in ``_columns`` (one list per schema column); ``rows`` is a
-    cached row-tuple view rebuilt on demand after mutations. Because the
-    view is replaced (never mutated in place), an evaluator holding the
-    ``rows`` list of a table sees a stable snapshot even if a mutation
-    lands mid-query.
+    cached row-tuple view rebuilt on demand after mutations. Every
+    mutation is copy-on-write: it replaces the column lists it changes
+    (and the row view) instead of writing into them, so an evaluator
+    holding a column list or the ``rows`` list of a table sees a stable
+    snapshot even if a mutation lands mid-query. The row view never holds
+    one tuple object at two positions: a stored row is told apart from
+    its duplicates by identity.
 
-    ``version`` is a monotonic data-version counter, bumped by every
-    mutation through :meth:`invalidate_indexes`. Plan artifacts computed
-    against the table (cached plans optimized with its statistics) record
-    the version they saw, so staleness is *detectable* — a stale plan is
-    still correct (plans never embed row data), just possibly suboptimal,
-    and the serving layer decides whether to re-plan.
+    ``version`` is a monotonic data-version counter, bumped once by every
+    mutating statement; ``column_versions`` holds, per column, the
+    ``version`` of the last mutation that changed it (an INSERT or DELETE
+    changes every column, an UPDATE its SET columns). ANALYZE recomputes
+    and the worker pool re-ships only the columns whose version moved.
     """
 
     def __init__(self, schema, rows=None):
@@ -41,6 +48,7 @@ class Table:
         self._nrows = 0
         self._rows = []
         self.version = 0
+        self.column_versions = [0] * self._ncols
         self._indexes = {}
         if rows:
             self._append_rows(self._converted_rows(rows))
@@ -66,11 +74,14 @@ class Table:
         return converted
 
     def _append_rows(self, converted):
-        """Append pre-validated row tuples to the column arrays."""
+        """Append pre-validated row tuples: new column lists, the old ones
+        left as they were."""
         if not converted:
             return
-        for ordinal, column in enumerate(self._columns):
-            column.extend(row[ordinal] for row in converted)
+        self._columns = [
+            column + [row[ordinal] for row in converted]
+            for ordinal, column in enumerate(self._columns)
+        ]
         self._nrows += len(converted)
         self._rows = None  # row view rebuilt on next access
 
@@ -85,18 +96,18 @@ class Table:
 
     @rows.setter
     def rows(self, new_rows):
-        """Replace the table's contents (DELETE/UPDATE rebuild via this).
-
-        Callers still must bump the version through
-        :meth:`invalidate_indexes`, exactly as with the old list storage.
-        """
+        """Replace the table's contents (DELETE rebuilds via this): one
+        mutation, every column changed."""
         converted = self._converted_rows(new_rows)
         if converted:
             self._columns = [list(column) for column in zip(*converted)]
         else:
             self._columns = [[] for _ in range(self._ncols)]
         self._nrows = len(converted)
-        self._rows = converted
+        # Rebuilt from the columns on next access: ``new_rows`` may hold
+        # one tuple object twice.
+        self._rows = None
+        self._changed(range(self._ncols))
 
     def column_data(self, column):
         """The stored value list of one column (by name or ordinal).
@@ -112,48 +123,36 @@ class Table:
 
     def column_blocks(self):
         """The live column arrays (one list per schema column), for bulk
-        serialization — the worker-pool publisher pickles these into
-        shared memory. Read-only by contract, like :meth:`column_data`."""
+        reads — ANALYZE and the worker-pool publisher. Read-only by
+        contract, like :meth:`column_data`."""
         return self._columns
 
-    def load_columns(self, columns, version):
-        """Atomically replace the table's contents with pre-built column
-        blocks at a given data version — the worker-side half of the
-        shared-memory sync protocol. The blocks must all have equal
-        length and match the schema's arity; the version is adopted
-        as-is so the worker's copy reports the same
-        :attr:`version` the publisher recorded."""
-        if len(columns) != self._ncols:
-            raise ExecutionError(
-                "column-block arity %d does not match table %r (%d columns)"
-                % (len(columns), self.schema.name, self._ncols)
-            )
+    def load_columns(self, blocks, version):
+        """Replace some columns with pre-built value lists — the
+        worker-side half of the shared-memory sync protocol. ``blocks``
+        maps a column ordinal to ``(column version, values)``; the
+        versions are adopted as-is, so the worker's copy reports the same
+        :attr:`version` and :attr:`column_versions` the publisher
+        recorded. The resulting columns must all have equal length."""
+        columns = list(self._columns)
+        column_versions = list(self.column_versions)
+        for ordinal, (column_version, values) in blocks.items():
+            columns[ordinal] = values
+            column_versions[ordinal] = column_version
         lengths = {len(column) for column in columns}
         if len(lengths) > 1:
             raise ExecutionError(
                 "ragged column blocks for table %r: lengths %s"
                 % (self.schema.name, sorted(lengths))
             )
-        self._columns = [list(column) for column in columns]
+        self._columns = columns
         self._nrows = lengths.pop() if lengths else 0
         self._rows = None
         self._indexes.clear()
+        self.column_versions = column_versions
         self.version = version
 
     # -- mutation ---------------------------------------------------------------
-
-    def insert(self, row):
-        row = tuple(row)
-        if len(row) != self._ncols:
-            raise ExecutionError(
-                "row arity %d does not match table %r (%d columns)"
-                % (len(row), self.schema.name, self._ncols)
-            )
-        for ordinal, column in enumerate(self._columns):
-            column.append(row[ordinal])
-        self._nrows += 1
-        self._rows = None
-        self.invalidate_indexes()
 
     def insert_many(self, rows):
         converted = self._converted_rows(rows)
@@ -164,18 +163,46 @@ class Table:
         # version useless as a "how much changed" signal.
         self.invalidate_indexes()
 
+    def update(self, positions, ordinals, values):
+        """UPDATE: row ``positions[i]`` (an index into :attr:`rows`) takes
+        ``values[i][k]`` in column ``ordinals[k]`` (a later ordinal wins
+        over an earlier equal one). Copies and patches only the changed
+        columns and, when cached, the row view — where only the changed
+        rows get new tuples. One mutation; it changes the ``ordinals``
+        columns, matched rows or not."""
+        columns = list(self._columns)
+        for k, ordinal in enumerate(ordinals):
+            column = list(columns[ordinal])
+            for position, new in zip(positions, values):
+                column[position] = new[k]
+            columns[ordinal] = column
+        rows = self._rows
+        if rows is not None and positions:
+            rows = list(rows)
+            for position in positions:
+                rows[position] = tuple([column[position] for column in columns])
+        self._columns = columns
+        self._rows = rows
+        self._changed(ordinals)
+
     def invalidate_indexes(self):
-        """Drop the lazily built hash indexes and bump the monotonic data
-        version; the next ``index_on`` call rebuilds them. Callers that
-        assign ``rows`` directly (DELETE and UPDATE do) must call this
-        instead of touching ``_indexes``."""
+        """Drop the lazily built hash indexes and record a mutation of
+        every column; the next ``index_on`` call rebuilds them."""
+        self._changed(range(self._ncols))
+
+    def _changed(self, ordinals):
+        """Record one mutation of the ``ordinals`` columns: bump the data
+        version, stamp it on those columns, drop the indexes (they hold
+        row tuples)."""
         self.version += 1
+        for ordinal in ordinals:
+            self.column_versions[ordinal] = self.version
         self._indexes.clear()
 
     def index_on(self, columns):
         """A hash index ``key -> [row, ...]`` on one column (keys are bare
         values) or a tuple of columns (keys are value tuples). Built lazily
-        and kept until the next insert. This models the persistent index
+        and kept until the next mutation. This models the persistent index
         access paths both the correlated strategy and set-oriented magic
         plans rely on."""
         if isinstance(columns, str):
@@ -206,6 +233,9 @@ class Database:
     def __init__(self, catalog=None):
         self.catalog = catalog or Catalog()
         self._tables = {}
+        #: ``{table name (lower) -> (column versions, TableStatistics)}``
+        #: as of the table's last ANALYZE.
+        self._analyzed = {}
 
     def schema_version(self):
         """The catalog's monotonic DDL version (see
@@ -216,12 +246,12 @@ class Database:
 
     def table_versions(self, names=None):
         """``{table name (lower) -> data version}`` for ``names`` (all
-        stored tables when omitted); the plan cache records these to make
-        statistics staleness detectable.
+        stored tables when omitted); the server's result cache keys on
+        these, so no result computed before a write matches after it.
 
         An unknown name raises :class:`~repro.errors.CatalogError`, the
         same contract as :meth:`table` — silently skipping it would make a
-        staleness probe over a mistyped name report "nothing stale".
+        probe over a mistyped name report "nothing changed".
         """
         if names is None:
             return {
@@ -307,13 +337,40 @@ class Database:
         self.table(name).insert_many(rows)
 
     def analyze(self, name=None):
-        """Recompute optimizer statistics (ANALYZE). All tables if no name."""
+        """Recompute optimizer statistics (ANALYZE). All tables if no name.
+
+        Only the columns whose data version moved since the table's last
+        ANALYZE are recomputed (after an UPDATE, its SET columns); the
+        others keep their :class:`~repro.catalog.ColumnStatistics`. The
+        result equals a recomputation of every column. Statistics set
+        from elsewhere since (synthetic ones, say) are recomputed whole.
+        """
         names = [name] if name else [schema.name for schema in self.catalog.tables()]
         for table_name in names:
             table = self.table(table_name)
-            self.catalog.set_statistics(
-                table_name, compute_statistics(table.schema, table.rows)
-            )
+            key = table_name.lower()
+            versions = list(table.column_versions)
+            current = self.catalog.statistics(table_name)
+            last = self._analyzed.get(key)
+            if last is None or last[1] is not current:
+                stats = compute_statistics(table.schema, table.column_blocks())
+            else:
+                changed = [
+                    ordinal
+                    for ordinal, (then, now) in enumerate(zip(last[0], versions))
+                    if then != now
+                ]
+                if not changed:
+                    continue
+                stats = TableStatistics(
+                    row_count=len(table), columns=dict(current.columns)
+                )
+                for ordinal in changed:
+                    stats.columns[table.schema.columns[ordinal].name.lower()] = (
+                        column_statistics(table.column_data(ordinal))
+                    )
+            self.catalog.set_statistics(table_name, stats)
+            self._analyzed[key] = (versions, stats)
 
     def create_view(self, sql_text):
         """Parse and register a ``CREATE VIEW`` statement."""

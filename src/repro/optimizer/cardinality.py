@@ -26,6 +26,14 @@ Everything the join-order enumeration asks repeatedly is worked out once
 per estimator: each box's predicate footprints (which foreach quantifiers
 a predicate needs, see :meth:`CardinalityEstimator.applicable_predicates`)
 and each predicate's top-level selectivity.
+
+The estimator reads the catalog's statistics in exactly two places — a
+base table's row count and a base column's distinct count and range —
+both through :func:`read_statistic`, and records every value it read in
+:attr:`CardinalityEstimator.statistics_read`. An estimate, and so a plan,
+is a function of the graph and those values alone: a plan whose recorded
+values all still read the same (:func:`moved_tables`) is the plan a fresh
+optimization would produce.
 """
 
 from __future__ import annotations
@@ -47,6 +55,30 @@ OR_CAP = 0.9
 #: but it ranks a magic-restricted closure correctly against computing the
 #: closure of everything.
 RECURSION_FAN = 10.0
+
+
+def read_statistic(catalog, table, column=None):
+    """The statistic the estimator reads: ``table``'s row count when
+    ``column`` is None, else the column's ``(distinct count, min, max,
+    type of min, type of max)`` — ``1`` and ``1.0`` are equal values but
+    not the same reading."""
+    stats = catalog.statistics(table)
+    if column is None:
+        return stats.row_count
+    stats = stats.column(column)
+    low, high = stats.min_value, stats.max_value
+    return (stats.distinct_count, low, high, type(low), type(high))
+
+
+def moved_tables(statistics_read, catalog):
+    """The tables (sorted) some of whose ``statistics_read`` (``{(table,
+    column or None) -> reading}``, as recorded by an estimator) no longer
+    read the same from ``catalog``."""
+    moved = set()
+    for (table, column), reading in statistics_read.items():
+        if table not in moved and read_statistic(catalog, table, column) != reading:
+            moved.add(table)
+    return sorted(moved)
 
 
 @dataclass
@@ -76,6 +108,15 @@ class CardinalityEstimator:
         self._contradictory = {}
         self._footprints = {}
         self._selectivities = {}
+        #: ``{(table, column or None) -> reading}`` of every statistic
+        #: read so far (see :func:`read_statistic`), names lower-cased.
+        self.statistics_read = {}
+
+    def _read(self, table, column=None):
+        key = (table.lower(), None if column is None else column.lower())
+        reading = read_statistic(self.catalog, *key)
+        self.statistics_read[key] = reading
+        return reading
 
     # -- dataflow facts -------------------------------------------------------
 
@@ -191,7 +232,7 @@ class CardinalityEstimator:
 
     def _rows_uncached(self, box, visiting):
         if box.kind == BoxKind.BASE:
-            return float(self.catalog.statistics(box.table_name).row_count)
+            return float(self._read(box.table_name))
         if box.kind == BoxKind.SELECT:
             return self.select_cardinality(box, visiting)
         if box.kind == BoxKind.GROUPBY:
@@ -298,11 +339,9 @@ class CardinalityEstimator:
 
     def _column_uncached(self, box, name, visiting):
         if box.kind == BoxKind.BASE:
-            stats = self.catalog.statistics(box.table_name).column(name)
+            distinct, low, high, _, _ = self._read(box.table_name, name)
             return ColumnEstimate(
-                distinct=float(max(stats.distinct_count, 1)),
-                min_value=stats.min_value,
-                max_value=stats.max_value,
+                distinct=float(max(distinct, 1)), min_value=low, max_value=high
             )
         rows = self.rows(box, _visiting=visiting)
         if box.kind in (BoxKind.UNION, BoxKind.INTERSECT, BoxKind.EXCEPT):

@@ -49,6 +49,9 @@ class HeuristicResult:
     plan_without_emst: Optional[GraphPlan] = None
     #: The RuleContext of the run (per-rule timings, rollbacks, quarantines).
     context: Optional[object] = None
+    #: The statistics every plan pass read (the choice between the plans
+    #: depends on all of them), as in :attr:`GraphPlan.statistics_read`.
+    statistics_read: Dict = field(default_factory=dict)
 
     @property
     def join_orders(self):
@@ -99,6 +102,7 @@ def optimize_with_heuristic(graph, catalog=None, engine=None, use_emst=True,
             optimizer_invocations=optimizer_invocations,
             phase_firings=phase_firings,
             context=context,
+            statistics_read=plan_before.statistics_read,
         )
 
     # Keep a pristine copy of the non-magic graph: the heuristic guarantees
@@ -146,6 +150,9 @@ def optimize_with_heuristic(graph, catalog=None, engine=None, use_emst=True,
         graph_without_emst=snapshot,
         plan_without_emst=plan_before,
         context=context,
+        statistics_read={
+            **plan_before.statistics_read, **plan_after.statistics_read
+        },
     )
 
 
@@ -173,6 +180,7 @@ def optimize_exhaustive_emst(graph, catalog=None, max_quantifiers=6):
         foreach = foreach[:max_quantifiers]
 
     best = None
+    statistics_read = dict(plan_before.statistics_read)
     for permutation in itertools.permutations(foreach):
         candidate = clone_graph(base)
         orders = dict(plan_before.join_orders)
@@ -183,6 +191,7 @@ def optimize_exhaustive_emst(graph, catalog=None, max_quantifiers=6):
         emst_engine.run_phase(candidate, 3, context=context)
         plan = optimize_graph(candidate, catalog)
         invocations += 1
+        statistics_read.update(plan.statistics_read)
         if best is None or plan.total_cost < best[1].total_cost:
             best = (candidate, plan)
 
@@ -196,6 +205,7 @@ def optimize_exhaustive_emst(graph, catalog=None, max_quantifiers=6):
         cost_without_emst=plan_before.total_cost,
         cost_with_emst=chosen_plan.total_cost,
         optimizer_invocations=invocations,
+        statistics_read=statistics_read,
     )
     return result, invocations
 

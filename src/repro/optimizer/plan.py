@@ -41,6 +41,10 @@ class GraphPlan:
     plans: Dict[int, BoxPlan] = field(default_factory=dict)
     total_cost: float = 0.0
     optimizer_invocations: int = 1
+    #: Every catalog statistic the plan was computed from, ``{(table,
+    #: column or None) -> reading}`` (see
+    #: :func:`~repro.optimizer.cardinality.read_statistic`).
+    statistics_read: Dict = field(default_factory=dict)
 
     @property
     def join_orders(self):
@@ -87,7 +91,7 @@ def optimize_graph(graph, catalog=None):
     """Plan every box of ``graph``; returns a :class:`GraphPlan`."""
     catalog = catalog or graph.catalog
     estimator = CardinalityEstimator(catalog, root=graph.top_box)
-    plan = GraphPlan()
+    plan = GraphPlan(statistics_read=estimator.statistics_read)
     multiplicity = _correlation_multiplicity(graph, estimator)
     total = 0.0
     for box in graph.boxes():

@@ -317,16 +317,6 @@ class QueryGraph:
             visit(self.top_box)
         return order
 
-    def base_table_names(self):
-        """Lower-cased names of the stored tables this graph reads —
-        i.e. the tables whose data versions a cached plan (and any cached
-        result of this graph) actually depends on."""
-        return sorted({
-            box.table_name.lower()
-            for box in self.boxes()
-            if box.kind == BoxKind.BASE and box.table_name
-        })
-
     def consumers(self):
         """Map box → list of quantifiers ranging over it (graph-wide)."""
         uses = {}

@@ -22,9 +22,12 @@ any other predicate, ``f`` when it only feeds output expressions. The
 fingerprint determines it, so it never tells two entries apart; it is
 reported with every result.
 
-Entries also record the data versions of the tables they were optimized
-against, so statistics staleness is detectable (a stale plan is still
-correct — plans never embed rows — just possibly suboptimal).
+Entries also record every catalog statistic their plan passes read, so
+statistics staleness is detectable: an entry is stale exactly when one of
+those values reads differently now (a stale plan is still correct — plans
+never embed rows — just possibly suboptimal). A plan is a deterministic
+function of the graph and the statistics it read, so an entry that is not
+stale is exactly the plan a fresh prepare would give.
 
 Execution never writes to a cached entry: the graph keeps its
 :class:`~repro.qgm.expr.QParam` nodes, each request's values travel as the
@@ -47,6 +50,7 @@ from typing import Optional
 
 from repro.api import run_plan
 from repro.magic.adornment import BOUND, CONDITIONED, FREE
+from repro.optimizer.cardinality import moved_tables
 from repro.qgm import expr as qe
 from repro.qgm.params import parameter_count
 from repro.resilience.fallback import run_with_fallback
@@ -99,9 +103,10 @@ class CachedPlan:
     plan: Optional[object]
     heuristic: Optional[object]
     param_count: int
-    #: ``{table name (lower) -> data version}`` at optimization time;
-    #: compared against current versions to detect statistics staleness.
-    table_versions: dict = field(default_factory=dict)
+    #: ``{(table, column or None) -> reading}``: every statistic the plan
+    #: passes read (see :func:`~repro.optimizer.cardinality.read_statistic`);
+    #: compared against the current catalog to detect staleness.
+    statistics: dict = field(default_factory=dict)
     hits: int = 0
     #: The batch executor's compiled program (see
     #: :func:`repro.api.run_plan`); depends on ``graph`` and ``plan``
@@ -112,13 +117,10 @@ class CachedPlan:
     def key(self):
         return (self.fingerprint, self.strategy)
 
-    def staleness(self, current_versions):
-        """Tables whose data version moved since this plan was optimized."""
-        return sorted(
-            name
-            for name, version in self.table_versions.items()
-            if current_versions.get(name, version) != version
-        )
+    def staleness(self, catalog):
+        """Tables some statistic of which the plan read has moved in
+        ``catalog`` since this plan was optimized."""
+        return moved_tables(self.statistics, catalog)
 
 
 class AdornmentPlanCache:
@@ -181,11 +183,12 @@ class AdornmentPlanCache:
         here stays valid for the whole execution. Returns ``(entry,
         state)``, ``state`` being ``"hit"``, ``"miss"`` or ``"replan"``.
 
-        A hit whose recorded table versions no longer match the live
-        tables is *evicted and re-prepared* — the stale plan was still
-        correct (plans never embed rows), but it was optimized against
-        dead statistics, and serving it forever would make ANALYZE
-        pointless.
+        A hit some statistic of whose plan passes has moved since is
+        *evicted and re-prepared* — the stale plan was still correct
+        (plans never embed rows), but it was optimized against dead
+        statistics, and serving it forever would make ANALYZE pointless.
+        A write that moves no statistic the plan read (an UPDATE of a
+        column it never estimated over) keeps it.
         """
         database = connection.database
         catalog_version = database.schema_version()
@@ -207,13 +210,9 @@ class AdornmentPlanCache:
                 graph, plan, heuristic, _ = connection.prepare(
                     handle.query, strategy
                 )
-            # Record versions for exactly the base tables the (rewritten)
-            # graph reads: DML against an unrelated table must not make
-            # this plan look stale.
-            stored = database.stored_tables()
-            names = [
-                name for name in graph.base_table_names() if name in stored
-            ]
+            # What the plan passes read, and nothing else: DML that moves
+            # no statistic of theirs must not make this plan look stale.
+            planned = heuristic if heuristic is not None else plan
             return self.store(CachedPlan(
                 fingerprint=handle.fingerprint,
                 adornment=statement_adornment(graph),
@@ -223,7 +222,9 @@ class AdornmentPlanCache:
                 plan=plan,
                 heuristic=heuristic,
                 param_count=parameter_count(graph),
-                table_versions=database.table_versions(names),
+                statistics=(
+                    planned.statistics_read if planned is not None else {}
+                ),
             )), state
 
     def _usable(self, handle, strategy, database, catalog_version):
@@ -233,7 +234,7 @@ class AdornmentPlanCache:
         entry = self.lookup(handle.fingerprint, strategy, catalog_version)
         if entry is None:
             return None, "miss"
-        if not entry.staleness(database.table_versions()):
+        if not entry.staleness(database.catalog):
             return entry, "hit"
         with self._lock:
             if self._entries.get(entry.key) is entry:
@@ -296,7 +297,7 @@ def run_prepared(cache, connection, handle, values, start, deadline_seconds,
             "fingerprint": entry.fingerprint,
             "adornment": entry.adornment,
             "executor": run.executor,
-            "stale_tables": entry.staleness(database.table_versions()),
+            "stale_tables": entry.staleness(database.catalog),
         }, run
 
     return run_with_fallback(

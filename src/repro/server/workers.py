@@ -8,17 +8,20 @@ serving throughput scale with cores:
   from the parent with the whole database in memory; Python's fork gives
   every worker a consistent snapshot for free, and the (immutable during
   queries) column lists stay physically shared until someone writes.
-* **shared-memory column blocks for post-fork DML** — forked snapshots
-  go stale when the parent applies a script. After every script (under
-  the server's write lock, so no dispatch is in flight) the parent
-  *publishes*: for each table whose ``Table.version`` moved it pickles
-  the column blocks into a :mod:`multiprocessing.shared_memory` segment,
-  and it republishes the pickled catalog whenever the catalog bytes
-  changed (DDL, or fresh ANALYZE statistics after DML). Every dispatch
-  carries the current registry ``{table -> (version, segment)}``; a
-  worker whose local version differs attaches the segment, loads the
-  blocks via :meth:`~repro.engine.storage.Table.load_columns`, and is
-  current again. One publish serves every worker — the blocks cross
+* **shared-memory columns for post-fork DML** — forked snapshots go
+  stale when the parent applies a script. After every script (under the
+  server's write lock, so no dispatch is in flight) the parent
+  *publishes*: it pickles each column whose version in
+  ``Table.column_versions`` moved into its own
+  :mod:`multiprocessing.shared_memory` segment (an UPDATE ships its SET
+  columns, an INSERT or DELETE every column), and it republishes the
+  pickled catalog whenever the catalog bytes changed (DDL, or fresh
+  ANALYZE statistics after DML). Every dispatch carries the current
+  registry ``{table -> (version, {column -> (version, segment)})}``; a
+  worker whose table version differs attaches the segments of exactly
+  the columns whose version differs, loads them via
+  :meth:`~repro.engine.storage.Table.load_columns`, and is current
+  again. One publish serves every worker — a changed column crosses
   process boundaries once, not once per worker.
 * **pipe dispatch protocol** — one duplex pipe per worker; the parent
   sends ``{"op": "query", "handle": <PreparedHandle>, "values": [...],
@@ -137,19 +140,26 @@ def _attach_payload(name, nbytes):
 class SharedTableStore:
     """The parent-side publisher of columnar table pages.
 
-    Tracks, per table, the last data version written to shared memory
+    Tracks, per table, the column versions last written to shared memory
     (seeded with the versions the workers inherited at fork, so nothing
-    is published until something actually changes), plus one segment for
-    the pickled catalog keyed by a monotonically increasing generation.
-    ``publish()`` must run while no dispatch is in flight — the server
-    calls it under the write lock — so replaced segments can be unlinked
-    immediately without racing an attaching worker.
+    is published until something actually changes) and one segment per
+    published column, plus one segment for the pickled catalog keyed by a
+    monotonically increasing generation. ``publish()`` must run while no
+    dispatch is in flight — the server calls it under the write lock — so
+    replaced segments can be unlinked immediately without racing an
+    attaching worker.
     """
 
     def __init__(self, database):
         self.database = database
-        self._table_segments = {}  # name -> (version, segment, nbytes)
-        self._published_versions = dict(database.table_versions())
+        #: ``{name -> {ordinal -> (column version, segment, nbytes)}}``
+        self._column_segments = {}
+        #: ``{name -> table version}`` at its last publish.
+        self._table_versions = {}
+        self._published_versions = {
+            name: list(table.column_versions)
+            for name, table in database.stored_tables().items()
+        }
         self._catalog_segment = None  # (segment, nbytes)
         self._catalog_digest = self._pickle_catalog()[1]
         self.generation = 0
@@ -163,22 +173,29 @@ class SharedTableStore:
         return payload, hashlib.sha256(payload).digest()
 
     def publish(self):
-        """Publish every table whose version moved and the catalog if its
-        bytes changed (schema *or* statistics)."""
+        """Publish every column whose version moved (every column of a
+        table created since) and the catalog if its bytes changed (schema
+        *or* statistics)."""
         self.publishes += 1
         for name, table in self.database.stored_tables().items():
-            if self._published_versions.get(name) == table.version:
+            versions = table.column_versions
+            published = self._published_versions.get(name)
+            if published == versions:
                 continue
-            payload = pickle.dumps(
-                (table.version, table.column_blocks()),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            old = self._table_segments.pop(name, None)
-            if old is not None:
-                _release_segment(old[1])
-            segment = _new_segment(payload)
-            self._table_segments[name] = (table.version, segment, len(payload))
-            self._published_versions[name] = table.version
+            segments = self._column_segments.setdefault(name, {})
+            blocks = table.column_blocks()
+            for ordinal, version in enumerate(versions):
+                if published is not None and published[ordinal] == version:
+                    continue
+                payload = pickle.dumps(
+                    blocks[ordinal], protocol=pickle.HIGHEST_PROTOCOL
+                )
+                old = segments.pop(ordinal, None)
+                if old is not None:
+                    _release_segment(old[1])
+                segments[ordinal] = (version, _new_segment(payload), len(payload))
+            self._published_versions[name] = list(versions)
+            self._table_versions[name] = table.version
             self.published_tables += 1
         payload, digest = self._pickle_catalog()
         if digest != self._catalog_digest:
@@ -189,15 +206,20 @@ class SharedTableStore:
             self.generation += 1
 
     def registry(self):
-        """The sync registry shipped with every dispatch."""
-        tables = {
-            name: {
-                "version": version,
-                "segment": segment.name,
-                "nbytes": nbytes,
+        """The sync registry shipped with every dispatch: per published
+        table its version, its column segments ``{ordinal -> (column
+        version, segment name, nbytes)}`` and their total ``nbytes``."""
+        tables = {}
+        for name, segments in self._column_segments.items():
+            columns = {
+                ordinal: (version, segment.name, nbytes)
+                for ordinal, (version, segment, nbytes) in segments.items()
             }
-            for name, (version, segment, nbytes) in self._table_segments.items()
-        }
+            tables[name] = {
+                "version": self._table_versions[name],
+                "columns": columns,
+                "nbytes": sum(nbytes for _, _, nbytes in columns.values()),
+            }
         catalog = {"generation": self.generation}
         if self._catalog_segment is not None:
             catalog["segment"] = self._catalog_segment[0].name
@@ -205,9 +227,10 @@ class SharedTableStore:
         return {"tables": tables, "catalog": catalog}
 
     def close(self):
-        for _, segment, _ in self._table_segments.values():
-            _release_segment(segment)
-        self._table_segments.clear()
+        for segments in self._column_segments.values():
+            for _, segment, _ in segments.values():
+                _release_segment(segment)
+        self._column_segments.clear()
         if self._catalog_segment is not None:
             _release_segment(self._catalog_segment[0])
             self._catalog_segment = None
@@ -218,7 +241,10 @@ def apply_sync(database, registry, state):
 
     ``state`` holds the worker's last-applied catalog generation.
     Catalog first (a post-fork CREATE TABLE's schema must exist before
-    its column blocks are loaded), then any table whose version differs.
+    its columns are loaded), then, per table whose version differs, the
+    columns whose version differs — however many publishes the worker
+    missed, the registry names the latest segment of every column that
+    changed since fork. A table the worker has never seen loads whole.
     """
     catalog = registry.get("catalog") or {}
     if (
@@ -229,14 +255,24 @@ def apply_sync(database, registry, state):
             catalog["segment"], catalog["nbytes"]
         )
         state["catalog_generation"] = catalog["generation"]
+    stored = database.stored_tables()
     for name, info in (registry.get("tables") or {}).items():
-        local = database.stored_tables().get(name)
-        if local is not None and local.version == info["version"]:
-            continue
-        version, columns = _attach_payload(info["segment"], info["nbytes"])
+        local = stored.get(name)
         if local is None:
             local = database.register_table(database.catalog.table(name))
-        local.load_columns(columns, version)
+            current = {}
+        elif local.version == info["version"]:
+            continue
+        else:
+            current = dict(enumerate(local.column_versions))
+        local.load_columns(
+            {
+                ordinal: (version, _attach_payload(segment, nbytes))
+                for ordinal, (version, segment, nbytes) in info["columns"].items()
+                if current.get(ordinal) != version
+            },
+            info["version"],
+        )
 
 
 # -- the worker process ----------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Connection, Database
+from repro.catalog import compute_statistics
 from repro.errors import ExecutionError, NotSupportedError
 from repro.server.core import QueryServer, ServerConfig
 from repro.server.workers import fork_available
@@ -199,6 +200,15 @@ def test_dml_sequence_matches_reference_model(side, operations):
         conn.run_script(sql)
         assert database.table("t").version == version + 1, sql
         assert _exact(database.table("t").rows) == _exact(model), sql
+        # ANALYZE after DML recomputes only what changed; the result is
+        # the model's statistics computed from scratch (repr: the range
+        # ends keep their types).
+        fresh = compute_statistics(
+            database.catalog.table("t"),
+            [list(column) for column in zip(*model)] or [[], []],
+        )
+        assert database.catalog.statistics("t") == fresh, sql
+        assert repr(database.catalog.statistics("t")) == repr(fresh), sql
         rows = conn.execute("SELECT a, b FROM t").rows
         assert sorted(_exact(rows)) == sorted(_exact(model)), sql
 

@@ -103,7 +103,7 @@ def _entry(fingerprint="f1", adornment="b", strategy="emst", version=0):
         plan=None,
         heuristic=None,
         param_count=1,
-        table_versions={"t": 3},
+        statistics={("t", None): 3},
     )
 
 
@@ -147,8 +147,12 @@ def test_cache_lru_eviction():
 
 def test_plan_staleness_detection():
     entry = _entry()
-    assert entry.staleness({"t": 3}) == []
-    assert entry.staleness({"t": 5}) == ["t"]
+    db = Database()
+    db.create_table("t", ["a"], rows=[(1,), (2,), (3,)])
+    assert entry.staleness(db.catalog) == []
+    db.insert("t", [(4,), (5,)])
+    db.analyze("t")
+    assert entry.staleness(db.catalog) == ["t"]
 
 
 def test_statement_adornment_letters():
@@ -381,10 +385,10 @@ def test_ddl_invalidates_cached_plans(empdept_server):
 def test_dml_evicts_stale_plan_and_replans(empdept_server):
     """DML used to leave stale plans serving forever (``stale_tables``
     reported the problem, nothing acted on it). The cache now evicts a
-    hit whose recorded table versions moved and re-prepares against
-    current statistics — the response says so (``cache == "replan"``),
-    the replanned entry is *not* stale, and subsequent executions hit
-    the fresh plan."""
+    hit some statistic of whose plan passes moved (here the INSERT moves
+    ``employee``'s row count) and re-prepares against current statistics
+    — the response says so (``cache == "replan"``), the replanned entry
+    is *not* stale, and subsequent executions hit the fresh plan."""
     server = empdept_server
     server.handle_query(PARAM_QUERY, params=["Planning"])
     server.handle_script(
@@ -399,9 +403,8 @@ def test_dml_evicts_stale_plan_and_replans(empdept_server):
 
 
 def test_dml_on_unrelated_table_does_not_replan(empdept_server):
-    """Plan staleness is tracked per base table the (rewritten) graph
-    actually reads: DML against a table the plan never touches must not
-    evict it."""
+    """Plan staleness is tracked per statistic the plan passes read: DML
+    against a table the plan never touches must not evict it."""
     server = empdept_server
     server.handle_script("CREATE TABLE bystander (x, y)")
     server.handle_query(PARAM_QUERY, params=["Planning"])
@@ -413,6 +416,56 @@ def test_dml_on_unrelated_table_does_not_replan(empdept_server):
     result = server.handle_query(PARAM_QUERY, params=["Planning"])
     assert result["cache"] == "hit"
     assert result["stale_tables"] == []
+
+
+def _cached_entry(server, sql):
+    handle, _ = server.handle_prepare(sql)
+    entry = server.cache.lookup(
+        handle.fingerprint, handle.strategy, server.database.schema_version()
+    )
+    return handle, entry
+
+
+def test_update_of_unread_column_keeps_plan(empdept_server):
+    """No plan pass of ``PARAM_QUERY`` estimates over ``salary``: a
+    salary-only UPDATE moves none of the statistics the plan read, so the
+    cache keeps it — and the kept plan is the one a fresh prepare gives."""
+    server = empdept_server
+    server.handle_query(PARAM_QUERY, params=["Planning"])
+    replans = server.cache.stats()["stale_replans"]
+    server.handle_script(
+        "UPDATE employee SET salary = salary + 1000 WHERE workdept = 'D0001'"
+    )
+    result = server.handle_query(PARAM_QUERY, params=["Planning"])
+    assert result["cache"] == "hit"
+    assert result["stale_tables"] == []
+    assert server.cache.stats()["stale_replans"] == replans
+    handle, entry = _cached_entry(server, PARAM_QUERY)
+    assert ("employee", "salary") not in entry.statistics
+    connection = Connection(server.database)
+    _, plan, heuristic, _ = connection.prepare(handle.query, handle.strategy)
+    assert entry.plan.join_orders == plan.join_orders
+    assert entry.plan.total_cost == plan.total_cost
+    assert entry.heuristic.used_emst == heuristic.used_emst
+    assert entry.statistics == heuristic.statistics_read
+
+
+def test_update_of_read_column_replans(empdept_server):
+    """An UPDATE that moves a statistic the plan read (``workdept``'s
+    distinct count) re-plans, and names the table in ``stale_tables``
+    until it does."""
+    server = empdept_server
+    server.handle_query(PARAM_QUERY, params=["Planning"])
+    replans = server.cache.stats()["stale_replans"]
+    server.handle_script(
+        "UPDATE employee SET workdept = 'D0000' WHERE workdept = 'D0001'"
+    )
+    _, entry = _cached_entry(server, PARAM_QUERY)
+    assert entry.staleness(server.database.catalog) == ["employee"]
+    result = server.handle_query(PARAM_QUERY, params=["Planning"])
+    assert result["cache"] == "replan"
+    assert result["stale_tables"] == []
+    assert server.cache.stats()["stale_replans"] == replans + 1
 
 
 def test_prepare_execute_parameter_mismatch(empdept_server):

@@ -324,16 +324,20 @@ def test_dml_is_visible_to_workers():
 def test_shared_store_publish_and_apply_sync_without_fork():
     """The publish/sync protocol itself, no processes involved: a
     deep-copied database (standing in for a forked snapshot) catches up
-    to the parent through the shared-memory segments alone."""
+    to the parent through the shared-memory segments alone — one segment
+    per changed column."""
     parent = Database()
     parent.create_table("t", ["k", "v"], rows=[(1, "a"), (2, "b")])
     snapshot = copy.deepcopy(parent)
     store = SharedTableStore(parent)
     try:
+        assert store.registry()["tables"] == {}
         Connection(parent).run_script("INSERT INTO t VALUES (3, 'c')")
         store.publish()
         registry = store.registry()
         assert "t" in registry["tables"]
+        # An INSERT changes every column.
+        assert sorted(registry["tables"]["t"]["columns"]) == [0, 1]
         state = {"catalog_generation": store.generation}
         apply_sync(snapshot, registry, state)
         assert snapshot.table("t").rows == parent.table("t").rows
@@ -342,8 +346,94 @@ def test_shared_store_publish_and_apply_sync_without_fork():
         published = store.published_tables
         store.publish()
         assert store.published_tables == published
+        assert store.registry() == registry
+        # An UPDATE of one column re-ships that column only.
+        Connection(parent).run_script("UPDATE t SET v = 'z' WHERE k = 2")
+        store.publish()
+        updated = store.registry()["tables"]["t"]
+        before = registry["tables"]["t"]
+        assert updated["columns"][0] == before["columns"][0]
+        assert updated["columns"][1] != before["columns"][1]
+        assert updated["nbytes"] == sum(
+            nbytes for _, _, nbytes in updated["columns"].values()
+        )
+        apply_sync(snapshot, store.registry(), state)
+        table = snapshot.table("t")
+        assert table.rows == [(1, "a"), (2, "z"), (3, "c")]
+        assert table.version == parent.table("t").version
+        assert table.column_versions == parent.table("t").column_versions
     finally:
         store.close()
+
+
+# -- per-column sync through a forked pool ---------------------------------------
+
+
+def _sync_server():
+    database = Database()
+    database.create_table(
+        "t", ["k", "a", "b"], rows=[(i, i % 3, i * 10) for i in range(12)]
+    )
+    return database, _mp_server(database, workers=1)
+
+
+def _fresh_rows(server):
+    response = server.handle_query("SELECT k, a, b FROM t", fresh=True)
+    assert response["worker_pid"] not in (None, os.getpid())
+    return response, sorted(map(tuple, response["rows"]))
+
+
+@needs_fork
+def test_worker_sync_two_updates_of_different_columns():
+    """Two UPDATEs of different columns, both published before the
+    worker's next dispatch: the worker loads both columns (each at its
+    own version) and serves the rows both statements left."""
+    database, server = _sync_server()
+    try:
+        _, first = _fresh_rows(server)
+        model = [(k, a, b) for k, a, b in first]
+        server.handle_script("UPDATE t SET a = a + 100 WHERE k < 4")
+        server.handle_script("UPDATE t SET b = 0 WHERE a = 2")
+        model = [(k, a + 100 if k < 4 else a, b) for k, a, b in model]
+        model = [(k, a, 0 if a == 2 else b) for k, a, b in model]
+        columns = server.pool.store.registry()["tables"]["t"]["columns"]
+        assert sorted(columns) == [1, 2]
+        assert columns[1][0] != columns[2][0]  # one version per column
+        _, rows = _fresh_rows(server)
+        assert rows == sorted(model)
+        assert rows == sorted(database.table("t").rows)
+    finally:
+        server.shutdown()
+
+
+@needs_fork
+def test_worker_sync_crash_between_publish_and_apply():
+    """A worker killed after a publish and before applying it: its
+    replacement is forked from the parent's current state, already
+    holds the published columns, and serves the model's rows."""
+    database, server = _sync_server()
+    try:
+        response, _ = _fresh_rows(server)
+        victim = response["worker_pid"]
+        server.handle_script("UPDATE t SET b = b + 1 WHERE a = 1")
+        model = sorted(
+            (k, a, b + 1 if a == 1 else b) for k, a, b in
+            [(i, i % 3, i * 10) for i in range(12)]
+        )
+        os.kill(victim, signal.SIGKILL)
+        # The kill is found at the next checkout (or, if the checkout
+        # raced the kill, by the dispatch as a retryable crash).
+        for _ in range(5):
+            try:
+                response, rows = _fresh_rows(server)
+                break
+            except WorkerCrashedError:
+                continue
+        assert response["worker_pid"] != victim
+        assert server.pool.respawns >= 1
+        assert rows == model
+    finally:
+        server.shutdown()
 
 
 # -- the cross-request result cache ----------------------------------------------

@@ -17,7 +17,7 @@ def make_table():
 def test_insert_checks_arity():
     table = make_table()
     with pytest.raises(ExecutionError):
-        table.insert((1, 2, 3))
+        table.insert_many([(1, 2, 3)])
 
 
 def test_single_column_index():
@@ -37,13 +37,13 @@ def test_composite_index_uses_tuple_keys():
 def test_index_invalidated_on_insert():
     table = make_table()
     table.index_on("b")
-    table.insert((4, "x"))
+    table.insert_many([(4, "x")])
     assert len(table.index_on("b")["x"]) == 3
 
 
 def test_index_includes_null_keys():
     table = make_table()
-    table.insert((5, None))
+    table.insert_many([(5, None)])
     assert table.index_on("b")[None] == [(5, None)]
 
 
@@ -101,7 +101,7 @@ def test_columnar_layout_round_trip():
     table = make_table()
     assert table.column_data("a") == [1, 2, 3]
     assert table.column_data(1) == ["x", "y", "x"]
-    table.insert((4, None))
+    table.insert_many([(4, None)])
     assert table.column_data("b") == ["x", "y", "x", None]
     assert table.rows == [(1, "x"), (2, "y"), (3, "x"), (4, None)]
     # Replacing rows wholesale (the DELETE/UPDATE path) rebuilds columns.
@@ -115,7 +115,7 @@ def test_columnar_layout_round_trip():
 def test_rows_view_is_stable_snapshot_across_mutation():
     table = make_table()
     snapshot = table.rows
-    table.insert((4, "w"))
+    table.insert_many([(4, "w")])
     assert snapshot == [(1, "x"), (2, "y"), (3, "x")]
     assert table.rows == snapshot + [(4, "w")]
 
