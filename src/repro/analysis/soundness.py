@@ -11,7 +11,7 @@ The checker is created once per rewrite phase (baseline = the incoming
 graph's diagnostics, so pre-existing problems are never attributed to a
 rule), consulted after every successful firing, and its attribution log
 flows into :meth:`~repro.rewrite.rule.RuleContext.observability`, hence
-into ``ExecutionOutcome.stats["soundness_violations"]`` and ``explain``.
+into ``ExecutionOutcome.stats["soundness_violations"]``.
 
 Each firing is also *translation-validated* by an
 :class:`~repro.analysis.equivalence.EquivalenceChecker` over the graph's

@@ -30,16 +30,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import NotSupportedError, ReproError
-from repro.resilience.fallback import NEVER_DEGRADE, run_with_fallback
+from repro.resilience.fallback import run_with_fallback
 from repro.sql import ast as sql_ast, parse_script
 from repro.sql.ast import CreateTable, CreateView, Delete, InsertValues, Query, Update
 from repro.qgm import build_query_graph, render_text, validate_graph
 from repro.qgm.model import BoxKind
-
-# Unused here (every engine takes the parameter vector as is); importable
-# from this module for callers, and tests, that bind a graph by hand.
-from repro.qgm.clone import clone_graph  # noqa: F401
-from repro.qgm.params import bind_parameters  # noqa: F401
 from repro.engine import BatchEvaluator, CorrelatedEvaluator, Evaluator
 from repro.engine.columnar import compile_program
 from repro.optimizer import optimize_graph
@@ -68,22 +63,9 @@ def check_executor(executor):
         )
 
 
-@dataclass
-class PlanRun:
-    """What :func:`run_plan` did: the result, the engine's work counters,
-    the executor that produced them (the one asked for, unless
-    ``batch_error`` says why the batch engine's run was retried on the
-    tuple engine)."""
-
-    result: object
-    stats: object
-    executor: str
-    batch_error: Optional[Exception] = None
-
-
-def run_plan(planned, database, executor, governor=None, params=None,
-             retry_on_tuple=False):
-    """Run one planned statement on one executor; returns a :class:`PlanRun`.
+def run_plan(planned, database, executor, governor=None, params=None):
+    """Run one planned statement on one executor; returns ``(Result,
+    EvaluatorStats)``.
 
     ``planned`` is a :class:`PreparedQuery` or a server
     :class:`~repro.server.plan_cache.CachedPlan`: anything with ``graph``,
@@ -103,10 +85,6 @@ def run_plan(planned, database, executor, governor=None, params=None,
 
     Every engine carries ``params`` in its root environment; no engine
     needs them bound into the graph.
-
-    With ``retry_on_tuple`` a batch-engine failure retries once on the
-    tuple engine (the differential oracle) — unless it is in
-    :data:`~repro.resilience.fallback.NEVER_DEGRADE`.
     """
     check_executor(executor)
     graph = planned.graph
@@ -117,7 +95,7 @@ def run_plan(planned, database, executor, governor=None, params=None,
             graph, database, join_orders=join_orders,
             governor=governor, params=params,
         )
-        return PlanRun(evaluator.run(), evaluator.stats, executor)
+        return evaluator.run(), evaluator.stats
     # The Original strategy re-evaluates correlated subqueries per outer
     # row without caching, like the systems of the era.
     options = dict(
@@ -126,23 +104,15 @@ def run_plan(planned, database, executor, governor=None, params=None,
         governor=governor,
         params=params,
     )
-    batch_error = None
     if executor == "batch":
-        try:
-            if planned.program is None:
-                planned.program = compile_program(graph, join_orders)
-            evaluator = BatchEvaluator(
-                graph, database, program=planned.program, **options
-            )
-            return PlanRun(evaluator.run(), evaluator.stats, "batch")
-        except NEVER_DEGRADE:
-            raise
-        except Exception as exc:
-            if not retry_on_tuple:
-                raise
-            batch_error = exc
-    evaluator = Evaluator(graph, database, **options)
-    return PlanRun(evaluator.run(), evaluator.stats, "tuple", batch_error)
+        if planned.program is None:
+            planned.program = compile_program(graph, join_orders)
+        evaluator = BatchEvaluator(
+            graph, database, program=planned.program, **options
+        )
+    else:
+        evaluator = Evaluator(graph, database, **options)
+    return evaluator.run(), evaluator.stats
 
 
 def parse_single_query(sql_text, other_statements=None, wrong_count=None):
@@ -168,30 +138,19 @@ def parse_single_query(sql_text, other_statements=None, wrong_count=None):
 
 
 def _describe_rules(context):
-    """Per-rule observability lines for ``Connection.explain``."""
-    names = sorted(
-        set(context.rule_seconds)
-        | set(context.firing_counts)
-        | set(context.rollback_counts)
-    )
+    """Per-rule observability lines for ``Connection.explain``, which
+    prepares without a policy: no rollback, quarantine or soundness
+    verdict can arise there (those are in ``outcome.stats``)."""
+    names = sorted(set(context.rule_seconds) | set(context.firing_counts))
     if not names:
         return []
     lines = ["rule timings:"]
     for name in names:
-        line = "  %s: fired %d, %.4fs" % (
+        lines.append("  %s: fired %d, %.4fs" % (
             name,
             context.firing_counts.get(name, 0),
             context.rule_seconds.get(name, 0.0),
-        )
-        rollbacks = context.rollback_counts.get(name, 0)
-        if rollbacks:
-            line += ", rollbacks %d" % rollbacks
-        if name in context.quarantined:
-            line += ", quarantined (%s)" % context.quarantined[name]
-        violations = getattr(context, "soundness_violations", {}).get(name)
-        if violations:
-            line += ", soundness violations [%s]" % ", ".join(violations)
-        lines.append(line)
+        ))
     return lines
 
 
@@ -275,21 +234,17 @@ class PreparedQuery:
 
     def execute(self, params=None):
         """Run the prepared plan; returns ``(Result, EvaluatorStats)``.
-        ``params`` are the values of the statement's ``?`` slots. Under a
-        resilience policy a batch-executor failure retries on the tuple
-        engine, as everywhere else."""
+        ``params`` are the values of the statement's ``?`` slots."""
         governor = None
         if self.resilience is not None:
             # Budgets are per execution: rewrite/plan costs were paid at
             # prepare time, so each run gets the full execution budget.
             self.resilience.governor.begin_query()
             governor = self.resilience.governor
-        run = run_plan(
+        return run_plan(
             self, self.database, self.executor,
             governor=governor, params=params,
-            retry_on_tuple=self.resilience is not None,
         )
-        return run.result, run.stats
 
 
 class Connection:
@@ -304,9 +259,7 @@ class Connection:
 
     ``executor`` selects the execution engine for every query on the
     connection: ``"tuple"`` (default) is the classic row-at-a-time
-    evaluator, ``"batch"`` the columnar vectorized one. Under a
-    resilience policy a batch-executor failure falls back to the tuple
-    engine on the same strategy before the strategy chain degrades.
+    evaluator, ``"batch"`` the columnar vectorized one.
     """
 
     def __init__(self, database, resilience=None, executor="tuple"):
@@ -510,27 +463,21 @@ class Connection:
         resilience = resilience if resilience is not None else self.resilience
         executor = executor if executor is not None else self.executor
         if resilience is None:
-            return self._execute_once(query, strategy, None, executor)[0]
+            return self._execute_once(query, strategy, None, executor)
         resilience.begin_query()
-        # Every rung runs on the requested executor and, if that was
-        # "batch" and it failed, once more on the tuple engine (inside
-        # ``run_plan``, on the same prepared graph) before the strategy
-        # degrades: an executor bug must never cost rewrite quality.
         outcome, report = run_with_fallback(
             strategy,
             lambda candidate: self._execute_once(
                 query, candidate, resilience, executor
             ),
-            executor=executor,
             quarantine=resilience.quarantine,
         )
         outcome.resilience = report
         return outcome
 
     def _execute_once(self, query, strategy, resilience, executor):
-        """One prepare + execute under one strategy, no strategy fallback;
-        returns ``(ExecutionOutcome, PlanRun)``. Under a resilience policy
-        the executor may still degrade batch -> tuple (see the run)."""
+        """One prepare + execute under one strategy and one executor, no
+        fallback; returns the :class:`ExecutionOutcome`."""
         graph, plan, heuristic, rewrite_seconds = self.prepare(
             query, strategy, resilience=resilience
         )
@@ -540,27 +487,26 @@ class Connection:
             heuristic=heuristic, strategy=strategy, executor=executor,
         )
         started = time.perf_counter()
-        run = run_plan(
-            prepared, self.database, executor,
-            governor=governor, retry_on_tuple=resilience is not None,
+        result, evaluator_stats = run_plan(
+            prepared, self.database, executor, governor=governor
         )
         elapsed = time.perf_counter() - started
-        stats = run.stats.as_dict()
+        stats = evaluator_stats.as_dict()
         if heuristic is not None and heuristic.context is not None:
             stats.update(heuristic.context.observability())
         if heuristic is not None and heuristic.relaxed_distinct:
             stats["relaxed_distinct"] = list(heuristic.relaxed_distinct)
         return ExecutionOutcome(
-            result=run.result,
+            result=result,
             strategy=strategy,
             graph=graph,
             plan=plan,
             heuristic=heuristic,
             elapsed_seconds=elapsed,
             rewrite_seconds=rewrite_seconds,
-            executor=run.executor,
+            executor=executor,
             stats=stats,
-        ), run
+        )
 
     def explain(self, sql_text, strategy="emst", executor=None):
         """Return a textual explanation: the (rewritten) graph and plan."""
@@ -568,16 +514,7 @@ class Connection:
         script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             graph, plan, heuristic, _ = self.prepare(script.queries[0], strategy)
-        parts = ["strategy: %s" % strategy]
-        parts.append(
-            "executor: %s%s"
-            % (
-                executor,
-                " (columnar, falls back to tuple on error)"
-                if executor == "batch"
-                else "",
-            )
-        )
+        parts = ["strategy: %s" % strategy, "executor: %s" % executor]
         if heuristic is not None:
             parts.append(
                 "emst used: %s (cost %.1f vs %.1f without)"

@@ -17,8 +17,7 @@ fixpoint orchestration are inherited from the tuple
 :class:`~repro.engine.evaluator.Evaluator`, so the two engines share one
 semantics definition wherever rows are produced one at a time anyway. The
 tuple engine remains the differential-testing oracle: both must produce
-identical row sets, and callers that ask for it retry a failed batch
-execution on the tuple engine.
+identical row sets, and raise the same error on the same input.
 
 Cooperative cancellation keeps the tuple engine's contract — a governor
 checkpoint at least every :data:`~repro.engine.evaluator.CHECKPOINT_INTERVAL`

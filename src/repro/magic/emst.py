@@ -108,20 +108,14 @@ class EmstRule(RewriteRule):
         return True
 
 
-class _DefaultOptions:
-    use_supplementary = True
-    push_conditions = True
-    decorrelate_subqueries = True
-    sip_reorder = True
-
-
 class MagicProcessor:
-    """Applies magic-process to one box."""
+    """Applies magic-process to one box; ``options`` is the
+    :class:`EmstRule` whose variant flags it follows."""
 
-    def __init__(self, context, options=None):
+    def __init__(self, context, options):
         self.context = context
         self.graph = context.graph
-        self.options = options or _DefaultOptions()
+        self.options = options
 
     # -- entry ---------------------------------------------------------------
 
@@ -690,49 +684,41 @@ class MagicProcessor:
 # -- NMQ pass-down handlers -------------------------------------------------------
 
 
-def pass_down_groupby(processor, box):
-    """Use the magic table linked to a groupby box to restrict its input
-    (Example 4.3/4.6: the implied predicate pushes into the child)."""
-    if not box.linked_magic:
-        return
-    magic = box.linked_magic[0]
-    bound_columns = magic.properties.get("bound_columns", [])
+def pass_down_through_first_input(processor, box):
+    """Use the magic table linked to a groupby or outer-join box to
+    restrict its first input through the bound columns that input defines
+    directly (Example 4.3/4.6: the implied predicate pushes into the
+    child). A column defined by anything else — an aggregate, or an outer
+    join's right side — cannot restrict.
+
+    For an outer join the first input is the *preserved* (left) side.
+    Restricting it is always sound: a left row outside the magic set
+    produces no output row the consumer cares about. Restricting the
+    NULL-padded side would turn matched rows into NULL-padded ones —
+    exactly the subtlety the paper flags for complex NMQ operations — so
+    the right side is left untouched.
+    """
+    magic, bound_columns = _linked_magic(box)
     if not bound_columns:
         return
     inner = box.quantifiers[0]
     if inner.input_box.kind == BoxKind.BASE or inner.input_box.is_special:
         return  # stored tables take no magic (plan optimization handles them)
-    specs = []
-    bound_pairs = []
+    links = []
     for position, box_column in enumerate(bound_columns):
         defining = box.column(box_column).expr
-        if isinstance(defining, qe.QAggregate):
-            continue  # cannot restrict through an aggregate
-        if not isinstance(defining, qe.QColRef) or defining.quantifier is not inner:
-            continue
-        child_column = defining.column.lower()
-        magic_column = magic.columns[position].name
-        specs.append(("mc_%s" % child_column, magic_column))
-        bound_pairs.append((child_column, "mc_%s" % child_column))
-    if not specs:
-        return
-    bound_pairs.sort(key=lambda pair: pair[0])
-    specs.sort(key=lambda pair: pair[0])
-    contribution = build_link_contribution(processor.graph, magic, specs)
-    info = _LinkInfo(bound_pairs)
-    adornment = info.adornment_for(inner.input_box)
-    processor._attach_restriction(
-        box, inner, adornment, info, contribution, bound_pairs, []
-    )
+        if isinstance(defining, qe.QColRef) and defining.quantifier is inner:
+            links.append(
+                (defining.column.lower(), magic.columns[position].name)
+            )
+    if links:
+        _restrict_input(processor, box, inner, magic, links)
 
 
 def pass_down_setop(processor, box):
     """Push the linked magic table of a set-operation box into each of its
     inputs (for EXCEPT both the outer and the inner table: §4.3)."""
-    if not box.linked_magic:
-        return
-    magic = box.linked_magic[0]
-    bound_columns = magic.properties.get("bound_columns", [])
+    magic, bound_columns = _linked_magic(box)
     if not bound_columns:
         return
     positions = [box.column_ordinal(name) for name in bound_columns]
@@ -740,88 +726,33 @@ def pass_down_setop(processor, box):
         child = branch.input_box
         if child.kind == BoxKind.BASE or child.is_special:
             continue
-        specs = []
-        bound_pairs = []
-        for bound_position, position in enumerate(positions):
-            child_column = child.columns[position].name.lower()
-            magic_column = magic.columns[bound_position].name
-            specs.append(("mc_%s" % child_column, magic_column))
-            bound_pairs.append((child_column, "mc_%s" % child_column))
-        bound_pairs.sort(key=lambda pair: pair[0])
-        specs.sort(key=lambda pair: pair[0])
-        contribution = build_link_contribution(processor.graph, magic, specs)
-        info = _LinkInfo(bound_pairs)
-        adornment = info.adornment_for(child)
-        processor._attach_restriction(
-            box, branch, adornment, info, contribution, bound_pairs, []
-        )
+        _restrict_input(processor, box, branch, magic, [
+            (child.columns[position].name.lower(), magic.columns[index].name)
+            for index, position in enumerate(positions)
+        ])
 
 
-def pass_down_outerjoin(processor, box):
-    """Push the linked magic table of an outer-join box into its *preserved*
-    (left) side only.
-
-    Restricting the preserved side is always sound: a left row outside the
-    magic set produces no output row the consumer cares about. Restricting
-    the NULL-padded side would turn matched rows into NULL-padded ones —
-    exactly the subtlety the paper flags for complex NMQ operations — so
-    the right side is left untouched.
-    """
+def _linked_magic(box):
+    """``(magic box, its bound columns)`` linked to an NMQ box, or
+    ``(None, [])``."""
     if not box.linked_magic:
-        return
+        return None, []
     magic = box.linked_magic[0]
-    bound_columns = magic.properties.get("bound_columns", [])
-    if not bound_columns:
-        return
-    left = box.quantifiers[0]
-    if left.input_box.kind == BoxKind.BASE or left.input_box.is_special:
-        return  # stored tables take no magic (plan optimization handles them)
-    specs = []
-    bound_pairs = []
-    for position, box_column in enumerate(bound_columns):
-        defining = box.column(box_column).expr
-        if not isinstance(defining, qe.QColRef) or defining.quantifier is not left:
-            continue  # a right-side (NULL-padded) column: cannot restrict
-        child_column = defining.column.lower()
-        magic_column = magic.columns[position].name
-        specs.append(("mc_%s" % child_column, magic_column))
-        bound_pairs.append((child_column, "mc_%s" % child_column))
-    if not specs:
-        return
-    bound_pairs.sort(key=lambda pair: pair[0])
-    specs.sort(key=lambda pair: pair[0])
+    return magic, magic.properties.get("bound_columns", [])
+
+
+def _restrict_input(processor, box, quantifier, magic, links):
+    """Restrict ``quantifier``'s input through ``magic``: ``links`` pairs
+    each bound input column with the magic column carrying its values."""
+    links = sorted(links, key=lambda link: link[0])
+    specs = [("mc_%s" % column, magic_column) for column, magic_column in links]
+    bound_pairs = [(column, "mc_%s" % column) for column, _ in links]
     contribution = build_link_contribution(processor.graph, magic, specs)
-    info = _LinkInfo(bound_pairs)
-    adornment = info.adornment_for(left.input_box)
+    info = QuantifierAdornment(bound=[(column, None) for column, _ in links])
+    adornment = info.adornment_for(quantifier.input_box)
     processor._attach_restriction(
-        box, left, adornment, info, contribution, bound_pairs, []
+        box, quantifier, adornment, info, contribution, bound_pairs, []
     )
-
-
-class _LinkInfo:
-    """Minimal stand-in for QuantifierAdornment used by pass-down handlers."""
-
-    def __init__(self, bound_pairs):
-        self.bound = [(column, None) for column, _ in bound_pairs]
-        self.conditions = []
-        self.condition_columns = []
-        self.local_predicates = []
-        self.local_bound_columns = []
-        self.local_condition_columns = []
-
-    @property
-    def has_dependent(self):
-        return bool(self.bound)
-
-    @property
-    def is_trivial(self):
-        return not self.bound
-
-    def adornment_for(self, child):
-        from repro.magic.adornment import build_adornment
-
-        bound = {name for name, _ in self.bound}
-        return build_adornment(child, bound, set())
 
 
 def _flip(op):
@@ -831,11 +762,15 @@ def _flip(op):
 def _install_pass_down_handlers():
     from repro.magic.properties import operation_properties
 
-    operation_properties(BoxKind.GROUPBY).pass_down = pass_down_groupby
+    operation_properties(BoxKind.GROUPBY).pass_down = (
+        pass_down_through_first_input
+    )
     operation_properties(BoxKind.UNION).pass_down = pass_down_setop
     operation_properties(BoxKind.INTERSECT).pass_down = pass_down_setop
     operation_properties(BoxKind.EXCEPT).pass_down = pass_down_setop
-    operation_properties(BoxKind.OUTERJOIN).pass_down = pass_down_outerjoin
+    operation_properties(BoxKind.OUTERJOIN).pass_down = (
+        pass_down_through_first_input
+    )
 
 
 _install_pass_down_handlers()

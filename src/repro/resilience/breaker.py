@@ -9,8 +9,9 @@ broken pipeline, fail, roll back and re-prepare under ``phase1``. A
 and the serving layer starts requests further down the chain directly for
 ``cooldown_seconds``; after the cooldown one trial request is let through
 (*half-open*) — success closes the circuit, failure re-opens it. A trial
-that never reports back (deadline, cancellation, a crashed worker) is
-given up on after another ``cooldown_seconds`` and a new trial admitted.
+that never reports back (deadline, cancellation, a crashed worker, a
+query no rung could answer) is given up on after another
+``cooldown_seconds`` and a new trial admitted.
 
 The breaker is deliberately time-source-injectable (``clock``) so tests
 exercise the state machine without sleeping.
@@ -116,8 +117,9 @@ class StrategyBreakerBoard:
     :meth:`select` returns the first strategy at or below ``requested``
     whose circuit admits traffic; the chain's last entry (``original`` —
     no rewrite at all) is never blocked, so a query can always run.
-    :meth:`record` feeds one request's
-    :class:`~repro.resilience.fallback.FallbackReport` back in.
+    :meth:`record` feeds one answered request's
+    :class:`~repro.resilience.fallback.FallbackReport` back in; a request
+    that no rung answered has no report and charges no strategy.
     Thread-safe: the serving layer calls it from executor threads.
     """
 
@@ -157,9 +159,9 @@ class StrategyBreakerBoard:
             breaker.record_failure(error)
 
     def record(self, report):
-        """A failure for every rung the request failed on, a success for
-        the one that answered (if any)."""
-        for strategy, error in report.strategy_failures:
+        """A failure for every rung the request failed on before a later
+        one answered, a success for the one that answered."""
+        for strategy, error in report.attempts:
             self.record_failure(strategy, error)
         breaker = self.breakers.get(report.executed)
         if breaker is not None:

@@ -11,13 +11,14 @@ Two layers of degradation:
    :func:`run_with_fallback`, the one ladder both
    :class:`~repro.api.Connection` and the query server use, walks
    ``emst -> phase1 -> original`` and records what happened in a
-   :class:`FallbackReport`.
+   :class:`FallbackReport`. It is the only retry: each rung runs its plan
+   once, on the requested executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import QueryCancelledError, ResourceExhaustedError
 from repro.resilience.governor import ResourceGovernor
@@ -26,8 +27,8 @@ from repro.resilience.governor import ResourceGovernor
 #: without EMST, then no rewrite at all.
 DEFAULT_FALLBACK_CHAIN = ("emst", "phase1", "original")
 
-#: Never degrade a strategy or an executor on these: a blown budget or a
-#: cancel under ``emst`` would recur under ``original``.
+#: Never degrade a strategy on these: a blown budget or a cancel under
+#: ``emst`` would recur under ``original``.
 NEVER_DEGRADE = (ResourceExhaustedError, QueryCancelledError)
 
 
@@ -60,35 +61,20 @@ class QuarantineRegistry:
 
 @dataclass
 class FallbackReport:
-    """What the resilience layer observed while producing one outcome."""
+    """What the resilience layer observed while producing one answered
+    request: a walk that no rung answered has no report."""
 
     requested: str
-    #: The strategy that answered (None while no rung has).
-    executed: Optional[str]
-    #: (strategy, error repr) for every strategy that failed outright.
+    #: The strategy that answered.
+    executed: str
+    #: (strategy, error repr) for every rung that failed before it.
     attempts: List[Tuple[str, str]] = field(default_factory=list)
     #: rule name -> {"reason": ..., "phase": ...} for quarantined rules.
     quarantined: Dict[str, dict] = field(default_factory=dict)
-    #: Execution engine requested / actually used ("tuple" or "batch"):
-    #: a batch-executor error retries the same strategy on the tuple
-    #: engine before the strategy chain degrades.
-    requested_executor: str = "tuple"
-    executed_executor: str = "tuple"
-
-    @property
-    def strategy_failures(self):
-        """``(strategy, error)`` for each rung that failed outright: the
-        attempts minus the executor retry, which is always last."""
-        executor_retried = self.executed_executor != self.requested_executor
-        return self.attempts[: len(self.attempts) - executor_retried]
 
     @property
     def degraded(self):
-        return (
-            self.executed != self.requested
-            or self.executed_executor != self.requested_executor
-            or bool(self.quarantined)
-        )
+        return self.executed != self.requested or bool(self.quarantined)
 
     @property
     def fallback_strategy(self):
@@ -109,11 +95,6 @@ class FallbackReport:
         parts = ["requested=%s executed=%s" % (self.requested, self.executed)]
         if self.fallback_strategy != self.requested:
             parts.append("degraded to %s" % self.fallback_strategy)
-        if self.executed_executor != self.requested_executor:
-            parts.append(
-                "executor degraded %s -> %s"
-                % (self.requested_executor, self.executed_executor)
-            )
         for strategy, error in self.attempts:
             parts.append("%s failed: %s" % (strategy, error))
         for name, info in sorted(self.quarantined.items()):
@@ -174,51 +155,39 @@ class ResiliencePolicy:
         return self.fault_plan.wrap_rules(rules)
 
 
-def run_with_fallback(strategy, attempt, executor="tuple", quarantine=None,
-                      start=None):
+def run_with_fallback(strategy, attempt, quarantine=None, start=None):
     """Run ``attempt(strategy)`` down the degradation ladder; returns
     ``(value, FallbackReport)``.
 
-    ``attempt`` returns ``(value, run)``, ``run`` being the
-    :class:`~repro.api.PlanRun` that produced the value. A failing rung
-    is recorded and the next one tried; the last rung's error, or one in
-    :data:`NEVER_DEGRADE`, propagates. A strategy off the ladder
+    A failing rung is recorded and the next one tried. A strategy is
+    blamed (its failure lands in ``report.attempts``) only when a later
+    rung answered: a walk that no rung answered is the query's own error,
+    so the last rung's error propagates unchanged, with no report — as
+    does one in :data:`NEVER_DEGRADE`, at once. A strategy off the ladder
     (``correlated``, ``norewrite``) runs alone. ``start`` (default:
     ``strategy``) is the first rung tried — the server's breaker board
-    picks it. ``quarantine`` is copied into the report. An error that
-    ends the walk carries the report as ``exc.fallback_report``.
+    picks it. ``quarantine`` is copied into the report.
     """
     start = start or strategy
     chain = DEFAULT_FALLBACK_CHAIN
     rungs = chain[chain.index(start):] if start in chain else (start,)
-    report = FallbackReport(
-        requested=strategy, executed=None,
-        requested_executor=executor, executed_executor=executor,
-    )
-    try:
-        for candidate in rungs:
-            try:
-                value, run = attempt(candidate)
-            except NEVER_DEGRADE:
+    attempts = []
+    for candidate in rungs:
+        try:
+            value = attempt(candidate)
+        except NEVER_DEGRADE:
+            raise
+        except Exception as exc:
+            if candidate == rungs[-1]:
                 raise
-            except Exception as exc:
-                # Fail soft on *anything* a strategy threw: a corrupted
-                # graph can surface as an arbitrary exception far from
-                # the rule that broke it.
-                report.attempts.append((candidate, describe_error(exc)))
-                if candidate == rungs[-1]:
-                    raise
-                continue
-            report.executed = candidate
-            report.executed_executor = run.executor
-            if run.batch_error is not None:
-                report.attempts.append((
-                    "%s (%s executor)" % (candidate, executor),
-                    describe_error(run.batch_error),
-                ))
-            if quarantine is not None:
-                report.quarantined = dict(quarantine.reasons)
-            return value, report
-    except Exception as exc:
-        exc.fallback_report = report
-        raise
+            # Fail soft on *anything* a strategy threw: a corrupted graph
+            # can surface as an arbitrary exception far from the rule
+            # that broke it.
+            attempts.append((candidate, describe_error(exc)))
+            continue
+        return value, FallbackReport(
+            requested=strategy, executed=candidate, attempts=attempts,
+            quarantined=(
+                dict(quarantine.reasons) if quarantine is not None else {}
+            ),
+        )

@@ -163,13 +163,23 @@ def check_slow_client(harness, report):
 def check_mid_query_disconnect(harness, report):
     """Disconnecting mid-query trips the cancel token and frees the slot."""
     before = harness.server.handle_stats()["counters"]["cancellations"]
+    admission = harness.server.admission
+    admitted = admission.stats()["admitted"]
     victim = socket.create_connection(("127.0.0.1", harness.port), timeout=10)
     victim.sendall(
         protocol.encode_frame(
             {"op": "query", "sql": SLOW_QUERY, "id": 1, "deadline": 30}
         )
     )
-    time.sleep(0.2)  # let the query reach the executor
+    # Hang up as soon as the query is admitted: its disconnect watcher is
+    # armed from then on, and the query runs far longer than this poll
+    # (a fixed wait can outlast the query on a fast machine).
+    deadline = time.monotonic() + 15
+    while (
+        admission.stats()["admitted"] == admitted
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
     victim.close()
     deadline = time.monotonic() + 15
     cancelled = 0
@@ -283,6 +293,20 @@ def check_cache_poisoning(harness, rng, rounds, report):
     finally:
         stop.set()
         thread.join(timeout=10)
+    # The race is over: every department's cached emst answer must now
+    # match a fresh original oracle. This checks the post-race cache
+    # state, and gives a comparison even when every racing pair was
+    # skipped (a run slower than the mutator's cadence).
+    with harness.client() as client:
+        for name in deptnames:
+            answer = client.query(PARAM_QUERY, params=[name], strategy="emst")
+            oracle = client.query(
+                PARAM_QUERY, params=[name], strategy="original", fresh=True
+            )
+            assert canonical_rows(answer["rows"]) == canonical_rows(
+                oracle["rows"]
+            ), "WRONG ROWS for %r after concurrent DDL/DML" % name
+            checked += 1
     assert checked, "poisoning battery never got a quiesced comparison"
     report["poisoning_checked"] = checked
     report["poisoning_skipped"] = skipped

@@ -72,8 +72,7 @@ class ServerConfig:
     cache_capacity: int = 128
     default_strategy: str = "emst"
     #: Execution engine for requests that don't name one: "tuple" is the
-    #: classic row-at-a-time evaluator, "batch" the columnar executor
-    #: (which retries on the tuple engine if it fails).
+    #: classic row-at-a-time evaluator, "batch" the columnar executor.
     default_executor: str = "tuple"
     breaker_failure_threshold: int = 3
     breaker_cooldown_seconds: float = 5.0
@@ -208,7 +207,6 @@ class QueryServer:
         self.cancellations = 0
         self.deadline_trips = 0
         self.fallbacks = 0
-        self.executor_fallbacks = 0
         #: ``fingerprint -> {sql, strategy, executor}``: everything ever
         #: prepared on this server, the source of statement-cache
         #: persistence across restarts.
@@ -266,7 +264,9 @@ class QueryServer:
                        cancel_event=None, fresh=False):
         """Execute a prepared handle with bound values, in-process or on a
         pool worker. The only code that selects from and records to the
-        breaker board.
+        breaker board — and it records only answered requests: a request
+        that no rung answered is the query's own error and charges no
+        strategy.
 
         The whole span — result-cache lookup, dispatch/execution, store —
         runs under *one* read-lock acquisition (the lock is not
@@ -322,19 +322,12 @@ class QueryServer:
                         self.cache, self.connection, *request
                     )
             except Exception as exc:
-                # A request that failed on a rung, here or in a worker,
-                # still carries the walk's report.
-                report = getattr(exc, "fallback_report", None)
-                if report is not None:
-                    self.breakers.record(report)
                 self._note_failure(exc)
                 raise
             self.breakers.record(report)
             with self._stats_lock:
                 self.queries_ok += 1
-                self.fallbacks += len(report.strategy_failures)
-                if report.executed_executor != report.requested_executor:
-                    self.executor_fallbacks += 1
+                self.fallbacks += len(report.attempts)
             response["requested_strategy"] = report.requested
             response["executed_strategy"] = report.executed
             response["elapsed_seconds"] = round(
@@ -375,7 +368,6 @@ class QueryServer:
                 "cancellations": self.cancellations,
                 "deadline_trips": self.deadline_trips,
                 "fallbacks": self.fallbacks,
-                "executor_fallbacks": self.executor_fallbacks,
             }
         counters["statements_warmed"] = self.statements_warmed
         stats = {

@@ -282,13 +282,11 @@ def run_prepared(cache, connection, handle, values, start, deadline_seconds,
         # The cached graph is never touched: the values travel as the
         # execution's parameter vector, and every concurrent execution of
         # this entry shares its compiled program and nothing else.
-        run = run_plan(
+        result, _ = run_plan(
             entry, database, handle.executor,
             governor=governor,
             params=values if entry.param_count else None,
-            retry_on_tuple=True,
         )
-        result = run.result
         return {
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],
@@ -296,10 +294,8 @@ def run_prepared(cache, connection, handle, values, start, deadline_seconds,
             "cache": cache_state,
             "fingerprint": entry.fingerprint,
             "adornment": entry.adornment,
-            "executor": run.executor,
+            "executor": handle.executor,
             "stale_tables": entry.staleness(database.catalog),
-        }, run
+        }
 
-    return run_with_fallback(
-        handle.strategy, attempt, executor=handle.executor, start=start
-    )
+    return run_with_fallback(handle.strategy, attempt, start=start)

@@ -28,14 +28,14 @@ serving throughput scale with cores:
   "start": <strategy>, "deadline": <clamped seconds>, "max_rows": <row
   budget>, "registry": <sync registry>}`` and the worker replies
   ``{"ok": True, "response": ..., "report": <FallbackReport>, "pid":
-  ...}`` or ``{"ok": False, "error": <wire error>, "report":
-  <FallbackReport or None>}``. The parent has already made every
+  ...}`` or ``{"ok": False, "error": <wire error>}``. The parent has already made every
   per-request decision (parse, parameter check, deadline clamp, starting
   strategy from its breaker board); a worker holds only the forked
   database and its copy of the plan cache (warmed by inheriting the
   parent's at fork), applies the sync and walks the fallback chain from
   ``start`` (:func:`~repro.server.plan_cache.run_prepared`). The parent
-  feeds each reply's report to its counters and board.
+  feeds each answered reply's report to its counters and board; an
+  error reply carries none, as an in-process error does not.
 * **crash containment** — crash detection is sentinel-based (a forked
   sibling may inherit pipe fds, so EOF alone is not trustworthy): the
   dispatch loop waits on the worker's pipe *and* its process sentinel.
@@ -310,8 +310,7 @@ def _worker_main(child_conn, close_fds, database, plan_cache,
             reply = {"ok": True, "response": response,
                      "report": report, "pid": os.getpid()}
         except BaseException as exc:  # noqa: BLE001 — every error is a reply
-            reply = {"ok": False, "error": protocol.error_to_wire(exc),
-                     "report": getattr(exc, "fallback_report", None)}
+            reply = {"ok": False, "error": protocol.error_to_wire(exc)}
         try:
             child_conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -323,15 +322,12 @@ class RemoteQueryError(Exception):
     session with its original wire identity intact (type name,
     retryability, retry_after) — ``protocol.error_to_wire`` passes the
     ``wire`` attribute through untouched, so the client cannot tell
-    whether the error happened in-process or in a worker. The worker's
-    fallback report rides along as ``fallback_report``, as on an
-    in-process error."""
+    whether the error happened in-process or in a worker."""
 
-    def __init__(self, wire, fallback_report=None):
+    def __init__(self, wire):
         super().__init__(
             "%s: %s" % (wire.get("type"), wire.get("message"))
         )
-        self.fallback_report = fallback_report
         self.wire = dict(wire)
         self.error_type = wire.get("type")
         self.retryable = bool(wire.get("retryable"))
@@ -478,8 +474,8 @@ class WorkerPool:
         """Run one request on a worker; returns ``(response,
         FallbackReport)`` like :func:`~repro.server.plan_cache.run_prepared`.
 
-        A query error in the worker raises :class:`RemoteQueryError`
-        carrying the worker's report. Raises
+        A query error in the worker raises :class:`RemoteQueryError`.
+        Raises
         :class:`WorkerCrashedError` (retryable) when the worker
         dies mid-query, :class:`QueryCancelledError` when the cancel
         token trips while waiting (the worker is killed — cooperative
@@ -520,7 +516,7 @@ class WorkerPool:
                 worker.busy = False
                 self._idle.put(worker)
                 if not reply["ok"]:
-                    raise RemoteQueryError(reply["error"], reply["report"])
+                    raise RemoteQueryError(reply["error"])
                 reply["response"]["worker_pid"] = reply["pid"]
                 return reply["response"], reply["report"]
             if ready:  # sentinel fired without a reply: the worker died

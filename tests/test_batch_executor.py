@@ -213,26 +213,49 @@ def test_outcome_records_executor():
     assert outcome.executor == "batch"
 
 
-# -- batch -> tuple fallback ---------------------------------------------------
+# -- a batch failure is its rung's failure ------------------------------------
 
 
-def test_resilience_falls_back_batch_to_tuple(monkeypatch):
-    def boom(self):
-        raise RuntimeError("vectorized paths exploded")
+def _break_batch_runs(monkeypatch, failures):
+    """Make the first ``failures`` batch-engine runs raise; returns the
+    list of every engine run's class name, in order."""
+    runs = []
+    original_run = Evaluator.run
 
-    monkeypatch.setattr(BatchEvaluator, "run", boom)
+    def run(self):
+        runs.append(type(self).__name__)
+        if isinstance(self, BatchEvaluator) and len(runs) <= failures:
+            raise RuntimeError("vectorized paths exploded")
+        return original_run(self)
+
+    monkeypatch.setattr(Evaluator, "run", run)
+    return runs
+
+
+def test_resilience_degrades_a_batch_failure_along_the_ladder(monkeypatch):
+    """The ladder is the only retry: a batch-engine error fails its
+    strategy, and the next rung runs on the batch engine too."""
+    runs = _break_batch_runs(monkeypatch, failures=1)
     conn = Connection(_db(), resilience=ResiliencePolicy(), executor="batch")
-    outcome = conn.execute_query(
-        parse_statement("SELECT e.name FROM emp e WHERE e.sal > 60")
-    )
+    sql = parse_statement("SELECT e.name FROM emp e WHERE e.sal > 60")
+    outcome = conn.execute_query(sql)
     report = outcome.resilience
-    assert report.requested_executor == "batch"
-    assert report.executed_executor == "tuple"
-    assert report.executed == report.requested == "emst"
+    assert (report.requested, report.executed) == ("emst", "phase1")
     assert report.degraded
-    assert "executor degraded batch -> tuple" in report.describe()
-    assert any("vectorized paths exploded" in err for _, err in report.attempts)
+    assert report.attempts == [
+        ("emst", "RuntimeError: vectorized paths exploded")
+    ]
+    assert outcome.executor == "batch"
+    assert runs == ["BatchEvaluator", "BatchEvaluator"]
     assert sorted(outcome.rows) == [("ann",), ("bob",), ("cat",)]
+
+    # When every rung fails, the last rung's error is the query's: one
+    # batch run per rung, none on the tuple engine.
+    monkeypatch.undo()
+    runs = _break_batch_runs(monkeypatch, failures=3)
+    with pytest.raises(RuntimeError, match="vectorized paths exploded"):
+        conn.execute_query(sql)
+    assert runs == ["BatchEvaluator"] * 3
 
 
 def test_batch_error_without_resilience_propagates(monkeypatch):
@@ -254,17 +277,16 @@ def test_server_executor_switch_and_fallback(monkeypatch):
         assert response["executor"] == "batch"
         assert sorted(map(tuple, response["rows"])) == [("bob",), ("cat",)]
 
-        def boom(self):
-            raise RuntimeError("batch broke")
-
-        monkeypatch.setattr(BatchEvaluator, "run", boom)
+        _break_batch_runs(monkeypatch, failures=1)
         fallback = server.handle_query(
             "SELECT e.name FROM emp e WHERE e.sal > 250"
         )
-        assert fallback["executor"] == "tuple"
+        assert fallback["executor"] == "batch"
+        assert fallback["executed_strategy"] == "phase1"
         assert sorted(map(tuple, fallback["rows"])) == [("cat",)]
         stats = server.handle_stats()
-        assert stats["counters"]["executor_fallbacks"] == 1
+        assert stats["counters"]["fallbacks"] == 1
+        assert "executor_fallbacks" not in stats["counters"]
     finally:
         server.shutdown()
 

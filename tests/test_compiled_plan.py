@@ -239,11 +239,9 @@ def test_one_cached_plan_serves_every_binding(monkeypatch):
         def no_clone(*args, **kwargs):
             raise AssertionError("clone_graph called on the hot path")
 
-        import repro.api
         import repro.qgm.clone
 
         monkeypatch.setattr(repro.qgm.clone, "clone_graph", no_clone)
-        monkeypatch.setattr(repro.api, "clone_graph", no_clone)
 
         for name in ("Planning", "Dept0003", "Dept0011", "No such department"):
             response = server.handle_execute(handle, [name])
@@ -382,14 +380,20 @@ def test_row_budget_is_charged_per_compiled_box():
     assert caught.value.context["limit"] == "max_materialized_rows"
 
 
-def test_box_fault_fires_and_falls_back_to_the_tuple_engine():
+def test_box_fault_fires_and_propagates_from_a_prepared_query():
     plan = FaultPlan().fail_evaluation(on_evaluation=2)
     conn = empdept_connection(resilience=ResiliencePolicy(fault_plan=plan))
     prepared = conn.prepare_statement(
         VIEW_QUERY, strategy="emst", executor="batch"
     )
-    # The second box evaluation of the batch run raises; under a policy
-    # the prepared query retries on the tuple engine, like execute_query.
+    # The second box evaluation of the batch run raises. A prepared query
+    # has one plan and no ladder to walk, so the fault is its error: no
+    # other engine runs the plan again.
+    with pytest.raises(InjectedFault):
+        prepared.execute()
+    assert [kind for _, _, kind in plan.injected] == ["raise"]
+    # The next execution is a new query: its budgets restart, the fault
+    # (scheduled once) does not fire again, and the rows are right.
     rows, _ = prepared.execute()
     assert [kind for _, _, kind in plan.injected] == ["raise"]
     assert canonical(rows.rows) == oracle(conn, VIEW_QUERY)

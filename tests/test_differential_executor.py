@@ -125,6 +125,53 @@ def test_recursive_closure_differential(closure_conn, index):
     run_both_executors(closure_conn, CLOSURE_QUERIES[index])
 
 
+# -- error parity -------------------------------------------------------------
+#
+# A query that fails on its own data must fail the same way on both
+# engines: same exception type, same message. This is why a failed batch
+# run is never retried on the tuple engine — there is nothing to recover.
+
+
+@pytest.fixture(scope="module")
+def error_conn():
+    db = Database()
+    db.create_table(
+        "t", ["a", "b", "s"],
+        rows=[(1, 1, "x"), (2, 1, "y"), (3, 0, "z"), (4, 2, "w")],
+    )
+    conn = Connection(db)
+    conn.run_script("CREATE VIEW ones (a) AS SELECT a FROM t WHERE b = 1")
+    return conn
+
+
+ERROR_QUERIES = [
+    # A scalar subquery returning two rows: directly, through a view, and
+    # in the SELECT list.
+    ("SELECT a FROM t WHERE a = (SELECT a FROM t WHERE b = 1)",
+     "scalar subquery"),
+    ("SELECT a FROM t WHERE a = (SELECT a FROM ones)", "scalar subquery"),
+    ("SELECT a, (SELECT a FROM t WHERE b = 1) FROM t", "scalar subquery"),
+    # The division is not a conjunct of its own, so no rewrite can move
+    # it away from the row with b = 0.
+    ("SELECT a FROM t WHERE b = 0 OR a / b > 1", "division by zero"),
+    ("SELECT a FROM t WHERE MOD(a, b) = 1", "MOD by zero"),
+    ("SELECT a + s FROM t", "invalid operands"),
+    ("SELECT a FROM t WHERE s > 1", "cannot compare"),
+]
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize("sql, message", ERROR_QUERIES)
+def test_failing_query_fails_alike_on_both_engines(error_conn, sql, message,
+                                                   strategy):
+    raised = {}
+    for executor in ("tuple", "batch"):
+        with pytest.raises(Exception, match=message) as caught:
+            error_conn.execute(sql, strategy=strategy, executor=executor)
+        raised[executor] = (type(caught.value), str(caught.value))
+    assert raised["batch"] == raised["tuple"]
+
+
 # -- property-based differential testing ---------------------------------------
 
 

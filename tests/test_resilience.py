@@ -301,14 +301,15 @@ def test_box_fault_fires_on_every_engine(emp_conn, strategy, executor):
     plan = FaultPlan().fail_evaluation(on_evaluation=1)
     policy = ResiliencePolicy(fault_plan=plan)
     if strategy == "emst":
-        # The batch run raises; the same strategy retries on the tuple
-        # engine, whose evaluations come after the faulted one.
+        # The batch run raises: emst fails, and the ladder's next rung
+        # answers on the same engine, its evaluations after the faulted one.
         outcome = emp_conn.explain_execute(
             sql, strategy=strategy, resilience=policy, executor=executor
         )
         assert canonical(outcome.rows) == clean
-        assert outcome.resilience.executed == "emst"
-        assert outcome.executor == "tuple"
+        assert outcome.resilience.executed == "phase1"
+        assert [name for name, _ in outcome.resilience.attempts] == ["emst"]
+        assert outcome.executor == "batch"
     else:
         # ``original`` is the ladder's last rung; ``correlated`` is not on
         # the ladder at all: either way the fault reaches the caller.
@@ -539,6 +540,34 @@ def test_prepared_query_executes_under_policy(emp_conn):
     result, stats = prepared.execute()
     clean = canonical(emp_conn.explain_execute(sql, strategy="original").rows)
     assert canonical(result.rows) == clean
+
+
+def test_a_walk_no_rung_answers_raises_the_last_error_unchanged():
+    """A strategy is blamed only when a later rung answered: a walk that
+    no rung answered re-raises its last error as is, with no report."""
+    from repro.resilience.fallback import run_with_fallback
+
+    tried = []
+    last = ValueError("original broke too")
+
+    def attempt(strategy):
+        tried.append(strategy)
+        if strategy == "original":
+            raise last
+        raise RuntimeError("%s broke" % strategy)
+
+    with pytest.raises(ValueError) as caught:
+        run_with_fallback("emst", attempt)
+    assert caught.value is last
+    assert vars(last) == {}
+    assert tried == ["emst", "phase1", "original"]
+
+    value, report = run_with_fallback(
+        "emst", lambda strategy: attempt(strategy) if strategy == "emst" else 7
+    )
+    assert value == 7
+    assert (report.requested, report.executed) == ("emst", "phase1")
+    assert report.attempts == [("emst", "RuntimeError: emst broke")]
 
 
 # -- circuit breakers ------------------------------------------------------------

@@ -52,6 +52,12 @@ PARAM_QUERY = (
     "SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s "
     "WHERE d.deptno = s.workdept AND d.deptname = ?"
 )
+#: Fails on its own data under every strategy and both engines: the
+#: scalar subquery returns one row per employee.
+DATA_ERROR_QUERY = (
+    "SELECT d.deptname FROM department d WHERE d.deptno = "
+    "(SELECT e.workdept FROM employee e WHERE e.salary > 0)"
+)
 
 
 # -- protocol --------------------------------------------------------------------
@@ -499,6 +505,48 @@ def test_breaker_demotes_failing_strategy(empdept_server):
     assert snapshot["strategies"]["emst"]["state"] == "open"
     result = server.handle_query(PARAM_QUERY, params=["Dept0001"])
     assert result["executed_strategy"] == "phase1"
+
+
+def test_query_no_rung_answers_charges_no_strategy(empdept_server):
+    """A query that fails on its own data fails on every rung: that is
+    the query's error, not any strategy's. Sent past the breaker
+    threshold it opens no circuit, and the next good query runs emst."""
+    server = empdept_server
+    repeats = server.config.breaker_failure_threshold + 1
+    for _ in range(repeats):
+        with pytest.raises(ExecutionError, match="scalar subquery"):
+            server.handle_query(DATA_ERROR_QUERY)
+    stats = server.handle_stats()
+    for name, breaker in stats["breakers"]["strategies"].items():
+        assert breaker["state"] == "closed", name
+        assert breaker["total_failures"] == 0, name
+    assert stats["breakers"]["demotions"] == 0
+    assert stats["counters"]["fallbacks"] == 0
+    assert stats["counters"]["queries_failed"] == repeats
+    result = server.handle_query(PARAM_QUERY, params=["Planning"])
+    assert result["executed_strategy"] == "emst"
+
+
+@pytest.mark.parametrize(
+    "executor, engine", [("batch", "BatchEvaluator"), ("tuple", "Evaluator")]
+)
+def test_failing_request_runs_each_rung_once(empdept_server, monkeypatch,
+                                             executor, engine):
+    """One engine run per rung, on the requested executor: the ladder is
+    the only retry."""
+    from repro.engine import Evaluator
+
+    runs = []
+    original_run = Evaluator.run
+
+    def spy(self):
+        runs.append(type(self).__name__)
+        return original_run(self)
+
+    monkeypatch.setattr(Evaluator, "run", spy)
+    with pytest.raises(ExecutionError, match="scalar subquery"):
+        empdept_server.handle_query(DATA_ERROR_QUERY, executor=executor)
+    assert runs == [engine] * 3
 
 
 def test_server_clamps_deadline(empdept_server):

@@ -21,7 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Connection, Database
-from repro.errors import QueryCancelledError, WorkerCrashedError
+from repro.errors import (
+    ExecutionError,
+    QueryCancelledError,
+    WorkerCrashedError,
+)
 from repro.server.core import QueryServer, ServerConfig
 from repro.server.result_cache import ResultCache
 from repro.server.workers import SharedTableStore, apply_sync, fork_available
@@ -32,6 +36,7 @@ from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
 from tests.helpers import canonical
 from tests.test_differential_executor import CLOSURE_QUERIES
 from tests.test_integration_suite import DS_QUERIES, EMP_QUERIES
+from tests.test_server import DATA_ERROR_QUERY
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -159,8 +164,6 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
     """Degradation inside a worker reaches the parent's counters and
     breaker board exactly as it does when the ladder runs in-process, and
     that board picks where every request starts in both modes."""
-    from repro.engine import BatchEvaluator
-
     database = build_empdept_database(
         n_departments=10, employees_per_department=5
     )
@@ -172,12 +175,8 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
             raise RuntimeError("rewrite corrupted the graph")
         return original_prepare(self, query, strategy, resilience=resilience)
 
-    def boom(self):
-        raise RuntimeError("batch broke")
-
-    # Patched before the fork: every worker inherits both faults.
+    # Patched before the fork: every worker inherits the fault.
     monkeypatch.setattr(Connection, "prepare", sabotaged)
-    monkeypatch.setattr(BatchEvaluator, "run", boom)
     observed = {}
     for workers in (0, 2):
         server = QueryServer(database, ServerConfig(workers=workers))
@@ -188,20 +187,19 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
                 )
                 assert response["requested_strategy"] == "emst"
                 assert response["executed_strategy"] == "phase1"
-                assert response["executor"] == "tuple"
+                assert response["executor"] == "batch"
                 assert bool(response.get("worker_pid")) == bool(workers)
             stats = server.handle_stats()
         finally:
             server.shutdown()
         observed[workers] = (
             stats["counters"]["fallbacks"],
-            stats["counters"]["executor_fallbacks"],
             stats["breakers"]["strategies"]["emst"]["total_failures"],
             stats["breakers"]["demotions"],
         )
     # The default threshold opens the emst circuit after three failures,
     # so the fourth request starts at phase1 in both modes: one board.
-    assert observed[0] == observed[2] == (3, 4, 3, 2)
+    assert observed[0] == observed[2] == (3, 3, 2)
 
 
 @needs_fork
@@ -245,41 +243,57 @@ def test_worker_never_parses_sql(monkeypatch):
 
 
 @needs_fork
-def test_pool_mode_failed_request_feeds_parent_breakers(monkeypatch):
-    """A request failing on every rung still reaches the parent's board:
-    the worker's error reply carries the ladder's report."""
+def test_pool_mode_failed_request_charges_no_breaker(monkeypatch):
+    """A request that no rung answers is the query's own error, in a
+    worker as in-process: it charges no strategy, past the breaker
+    threshold, whether the rewrite or the data made it fail — and the
+    next good request still runs emst."""
     from repro.server.workers import RemoteQueryError
 
     database = build_empdept_database(
         n_departments=10, employees_per_department=5
     )
     Connection(database).run_script(PAPER_VIEWS_SQL)
+    original_prepare = Connection.prepare
 
     def sabotaged(self, query, strategy="emst", resilience=None):
-        raise RuntimeError("every rewrite broke")
+        if query.body.from_tables[0].name == "employee":
+            raise RuntimeError("every rewrite broke")
+        return original_prepare(self, query, strategy, resilience=resilience)
 
+    # Patched before the fork: every worker inherits the fault.
     monkeypatch.setattr(Connection, "prepare", sabotaged)
+    failing = [
+        ("SELECT e.empname FROM employee e WHERE e.workdept = ?",
+         ["D0000"], "every rewrite broke"),
+        (DATA_ERROR_QUERY, [], "scalar subquery"),
+    ]
     observed = {}
     for workers in (0, 2):
-        server = QueryServer(database, ServerConfig(
-            workers=workers, breaker_failure_threshold=100,
-        ))
+        config = ServerConfig(workers=workers)
+        server = QueryServer(database, config)
         try:
-            for _ in range(3):
-                with pytest.raises((RuntimeError, RemoteQueryError),
-                                   match="every rewrite broke"):
-                    server.handle_query(PARAM_QUERY, params=["Planning"])
+            for sql, params, message in failing:
+                for _ in range(config.breaker_failure_threshold + 1):
+                    with pytest.raises((RuntimeError, ExecutionError,
+                                        RemoteQueryError), match=message):
+                        server.handle_query(sql, params=params)
             stats = server.handle_stats()
+            good = server.handle_query(PARAM_QUERY, params=["Planning"])
         finally:
             server.shutdown()
         strategies = stats["breakers"]["strategies"]
         observed[workers] = (
             stats["counters"]["queries_failed"],
             stats["counters"]["fallbacks"],
-            tuple(strategies[name]["total_failures"]
+            stats["breakers"]["demotions"],
+            tuple((strategies[name]["state"], strategies[name]["total_failures"])
                   for name in ("emst", "phase1", "original")),
+            good["executed_strategy"],
         )
-    assert observed[0] == observed[2] == (3, 0, (3, 3, 3))
+    assert observed[0] == observed[2] == (
+        8, 0, 0, (("closed", 0),) * 3, "emst"
+    )
 
 
 @needs_fork
