@@ -63,6 +63,14 @@ def check_executor(executor):
         )
 
 
+def running_executor(strategy, executor):
+    """The executor that runs ``strategy`` when ``executor`` is asked for:
+    the ``correlated`` strategy is tuple-at-a-time by definition (its
+    whole point is per-binding evaluation), whatever the switch says.
+    Whatever reports or keys on an executor reports or keys on this."""
+    return "tuple" if strategy == "correlated" else executor
+
+
 def run_plan(planned, database, executor, governor=None, params=None):
     """Run one planned statement on one executor; returns ``(Result,
     EvaluatorStats)``.
@@ -73,9 +81,9 @@ def run_plan(planned, database, executor, governor=None, params=None):
     that maps ``(strategy, executor)`` to an engine — the prepared-query,
     connection and server paths all come through here:
 
-    * the ``correlated`` strategy is tuple-at-a-time by definition (its
-      whole point is per-binding evaluation), so it ignores the executor
-      switch;
+    * the ``correlated`` strategy runs on the tuple engine's
+      :class:`CorrelatedEvaluator` whatever the executor switch (see
+      :func:`running_executor`);
     * ``executor="batch"`` runs the compiled program with ``params`` as
       its parameter vector. The program is compiled on first use and kept
       on ``planned.program`` (two threads racing on the first use both
@@ -504,7 +512,7 @@ class Connection:
             heuristic=heuristic,
             elapsed_seconds=elapsed,
             rewrite_seconds=rewrite_seconds,
-            executor=executor,
+            executor=running_executor(strategy, executor),
             stats=stats,
         )
 
@@ -514,7 +522,10 @@ class Connection:
         script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             graph, plan, heuristic, _ = self.prepare(script.queries[0], strategy)
-        parts = ["strategy: %s" % strategy, "executor: %s" % executor]
+        parts = [
+            "strategy: %s" % strategy,
+            "executor: %s" % running_executor(strategy, executor),
+        ]
         if heuristic is not None:
             parts.append(
                 "emst used: %s (cost %.1f vs %.1f without)"

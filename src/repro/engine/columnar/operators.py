@@ -347,7 +347,7 @@ class SelectOp:
 
     __slots__ = (
         "box", "steps", "tail_predicates", "tail", "scalars", "deferred",
-        "filters", "projection",
+        "filters", "projection", "passthrough",
     )
 
     def __init__(self, box, steps, tail, scalars, deferred, filters):
@@ -361,6 +361,8 @@ class SelectOp:
         self.deferred = [compile_vector(p) for p in deferred]
         self.filters = filters
         self.projection = [compile_vector(c.expr) for c in box.columns]
+        #: The quantifier whose rows *are* the output rows, if any.
+        self.passthrough = _passthrough(box, steps)
 
     def run(self, state, env):
         return self.project(self.select(state, env))
@@ -396,10 +398,34 @@ class SelectOp:
         """The output rows of the box, one per position of ``batch``."""
         if batch.length == 0:
             return []
+        if self.passthrough is not None:
+            # A copy: no caller may alias a table's or a member's rows.
+            return list(batch.slots[self.passthrough])
         columns = [fn(batch) for fn in self.projection]
         if not columns:
             return [()] * batch.length
         return list(zip(*columns))
+
+
+def _passthrough(box, steps):
+    """The foreach quantifier whose columns ``box`` projects, all of them
+    and in order (its rows are then the box's rows), or None."""
+    refs = [column.expr for column in box.columns]
+    if not refs or not all(isinstance(ref, qe.QColRef) for ref in refs):
+        return None
+    quantifier = refs[0].quantifier
+    child = quantifier.input_box
+    if len(child.columns) != len(refs) or quantifier not in {
+        step.quantifier for step in steps
+    }:
+        return None
+    for ordinal, ref in enumerate(refs):
+        if (
+            ref.quantifier is not quantifier
+            or child.column_ordinal(ref.column) != ordinal
+        ):
+            return None
+    return quantifier
 
 
 class GroupByOp:

@@ -11,7 +11,8 @@ here, once:
   (stratification, semi-naive members, the proven-duplicate-free set);
 * per box, its *externals* — the correlation quantifiers bound outside its
   subtree;
-* per SELECT box a join pipeline in plan order: for every foreach
+* per SELECT box a join pipeline in plan order (a linear recursive
+  rule's delta quantifier first): for every foreach
   quantifier whether it attaches by hash probe (and with which key and
   probe extractors), by scan, cross product or per-binding loop, which
   predicates filter at that point, then the scalar-subquery bindings, the
@@ -71,16 +72,27 @@ class Program:
         boxes = [box for component in self.components for box in component]
         #: ``id(box) -> [quantifier, ...]`` bound outside the box's subtree.
         self.externals = correlation_externals(boxes)
-        #: ``id(box) -> operator`` (see :mod:`.operators`).
-        self.operators = {
-            id(box): _lower(box, join_orders.get(box.box_id), self.externals)
-            for box in boxes
-        }
         #: ``component index -> FixpointPlan`` for the recursive ones.
         self.fixpoints = {
             index: FixpointPlan(component)
             for index, component in enumerate(self.components)
             if len(component) > 1 or self_recursive(component[0])
+        }
+        # ``id(box) -> its delta quantifier``, per linear recursive rule.
+        deltas = {
+            box_id: quantifier
+            for fixpoint in self.fixpoints.values()
+            if fixpoint.violation is None
+            for box_id, quantifier in fixpoint.linear.items()
+            if quantifier is not None
+        }
+        #: ``id(box) -> operator`` (see :mod:`.operators`).
+        self.operators = {
+            id(box): _lower(
+                box, join_orders.get(box.box_id), self.externals,
+                deltas.get(id(box)),
+            )
+            for box in boxes
         }
 
 
@@ -91,11 +103,12 @@ def compile_program(graph, join_orders=None):
     return Program(graph, join_orders or {})
 
 
-def _lower(box, order_names, externals):
-    """The operator for one box."""
+def _lower(box, order_names, externals, delta):
+    """The operator for one box; ``delta`` is the quantifier a
+    semi-naive round binds to its member's new rows, if any."""
     try:
         if box.kind == BoxKind.SELECT:
-            return _lower_select(box, order_names, externals)
+            return _lower_select(box, order_names, externals, delta)
         if box.kind == BoxKind.GROUPBY:
             return GroupByOp(box)
     except ReproError as error:
@@ -103,14 +116,23 @@ def _lower(box, order_names, externals):
     return InheritedOp(box)
 
 
-def _lower_select(box, order_names, externals):
+def _lower_select(box, order_names, externals, delta):
     """Decide the join pipeline of a select box — the static counterpart
-    of the tuple engine's join phase, over the same :class:`SelectPlan`."""
+    of the tuple engine's join phase, over the same :class:`SelectPlan`.
+
+    A linear recursive rule's ``delta`` quantifier leads, ahead of magic
+    quantifiers too: each round then scans only the new rows and probes
+    the rest, instead of rescanning the plan's first input and indexing
+    the delta. The optimizer's order stays the rule's sip order (EMST
+    reads it), and the tuple engine keeps it."""
     plan = SelectPlan(box)
+    order = ordered_foreach(box, order_names)
+    if delta is not None:
+        order = [delta] + [q for q in order if q is not delta]
     steps = []
     bound = set()
     applied = set()
-    for quantifier in ordered_foreach(box, order_names):
+    for quantifier in order:
         applicable = plan.applicable(quantifier, bound, applied)
         pairs, residual = split_hashable(applicable, quantifier, plan.local, bound)
         if externals[id(quantifier.input_box)]:

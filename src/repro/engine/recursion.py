@@ -10,29 +10,39 @@ Semantics are those of stratified Datalog: set semantics within a recursive
 component (duplicates would make the fixpoint diverge), and negation or
 aggregation *through* the cycle is rejected as non-stratified.
 
-Evaluation is **semi-naive** where possible: a select box that references
-exactly one component member directly (a *linear* rule — by far the common
-case, and the only shape magic itself generates) is re-evaluated per round
-against that member's *delta* (the rows discovered in the previous round)
-instead of its full table, and a union box is *delta-batched* — after the
-first round it concatenates only its member branches' deltas, since a
-union is additive and its static branches cannot contribute anything new.
+Evaluation is **semi-naive** where possible, so a round costs what its
+delta costs:
+
+* a select box that references exactly one component member directly (a
+  *linear* rule — by far the common case, and the only shape magic itself
+  generates) is re-evaluated per round against that member's *delta* (the
+  rows discovered in the previous round) instead of its full table. In the
+  batch engine the delta drives the rule: the compiled program puts its
+  quantifier first, so a round scans the new rows and probes the other
+  inputs (a base table through its persistent index) instead of
+  rescanning them and indexing the delta. The tuple engine keeps the
+  optimizer's order, so the oracle checks the same fixpoint under a
+  second physical order;
+* a union box is *delta-batched* — after the first round it concatenates
+  only its member branches' deltas, since a union is additive and its
+  static branches cannot contribute anything new.
+
 Other non-linear boxes fall back to full re-evaluation — still correct,
 just more work.
 
-Each round's output then goes through delta-batch dedup: boxes still
-carrying DISTINCT enforcement collapse their own duplicates first (their
-contract holds regardless of consumer — the duplicate-freeness proof
-relaxes exactly the boxes where this pass is redundant), then one bulk
-``dict.fromkeys`` pass and a bulk diff against the accumulated set keep
-the fixpoint's set semantics.
+Each member keeps one insertion-ordered *seen* dict. A round's output
+goes into it in one bulk update, which hashes every produced row once;
+the keys that update appended are the round's new rows, duplicates
+collapsed (DISTINCT enforcement included) and first-seen order kept. A
+box proven duplicate-free on an additive path skips even that.
 """
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+
 from repro.errors import QgmError
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-from repro.engine.evaluator import dedupe
 
 
 def _stratification_violation(component):
@@ -104,10 +114,9 @@ class FixpointPlan:
         # The runtime payoff of the duplicate-freeness proof inside the
         # fixpoint: a box the key analysis proves duplicate-free *without*
         # relying on an explicit enforcement emits provably disjoint row
-        # sets each round on the additive (delta-driven) paths, so the
-        # per-round dedup and known-set filtering can be skipped for it
-        # outright. Boxes still carrying ENFORCE pay their own enforcement
-        # instead.
+        # sets each round on the additive (delta-driven) paths, so its
+        # seen-dict pass can be skipped outright. Boxes still carrying
+        # ENFORCE take that pass, which is their enforcement.
         from repro.qgm.keys import is_duplicate_free
 
         self.proven = {
@@ -153,7 +162,7 @@ def run_fixpoint(evaluator, component, governor=None):
     additive = plan.additive
     root_env = evaluator.root_env
 
-    seen = {id(box): set() for box in component}
+    seen = {id(box): {} for box in component}
     delta = {id(box): [] for box in component}
     for box in component:
         evaluator._materialized[id(box)] = []
@@ -204,36 +213,20 @@ def run_fixpoint(evaluator, component, governor=None):
                     clear_member_indexes()
             else:
                 produced = evaluator.evaluate_box(box, root_env)
-            # A box still carrying DISTINCT enforcement collapses its own
-            # duplicates every round: the enforcement *is* its dedup
-            # operator, and its contract holds regardless of consumer.
-            # The duplicate-freeness proof relaxes exactly the boxes
-            # where this pass is provably redundant — that removal is
-            # what the distinct_drop benchmark measures.
-            if box.distinct == DistinctMode.ENFORCE:
-                produced = dedupe(produced)
             if proven[id(box)] and additive[id(box)]:
                 # Disjoint by proof: the box's total output carries a key
                 # and its delta-driven rounds partition that output, so
-                # every produced row is new — no dedup, no known-set
-                # membership test, no bookkeeping.
+                # every produced row is new — no dedup, no bookkeeping.
                 fresh = produced
             else:
-                # Delta-batch dedup: collapse the round's duplicates in
-                # one pass (dict preserves first-seen order; skipped when
-                # the rows are already unique), then diff against the
-                # accumulated rows with bulk set operations instead of a
-                # per-row membership/append loop.
+                # The keys the update appends are the new rows, in
+                # first-seen order; read back from the end, they cost
+                # what the round produced, not what the member holds.
                 known = seen[id(box)]
-                if box.distinct == DistinctMode.ENFORCE or proven[id(box)]:
-                    fresh = [row for row in produced if row not in known]
-                else:
-                    fresh = [
-                        row
-                        for row in dict.fromkeys(produced)
-                        if row not in known
-                    ]
-                known.update(fresh)
+                before = len(known)
+                known.update(zip(produced, repeat(None)))
+                fresh = list(islice(reversed(known), len(known) - before))
+                fresh.reverse()
             if fresh:
                 new_delta[id(box)] = fresh
                 changed = True

@@ -11,7 +11,9 @@ EXPLAIN cannot disagree with execution. The tuple engine interprets the
 graph instead of compiling it, but decides hash key vs residual vs scan
 with the same function in the same order
 (:func:`repro.engine.evaluator.hashable_equality`), so the same pipeline
-describes it.
+describes it — except in a linear recursive rule, which the program
+starts from its delta quantifier and the tuple engine runs in the plan's
+``order=(...)``.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from repro.api import (
     check_executor,
     check_strategy,
     parse_single_query,
+    running_executor,
 )
 from repro.errors import ExecutionError
 from repro.resilience.breaker import StrategyBreakerBoard
@@ -447,6 +448,9 @@ class QueryServer:
         check_strategy(strategy)
         executor = executor or self.config.default_executor
         check_executor(executor)
+        # Keyed and reported as the engine that runs: correlated batch
+        # and tuple requests are one computation and share one entry.
+        executor = running_executor(strategy, executor)
         query = script.queries[0]
         extracted = parameterize_query(query)
         handle = PreparedHandle(

@@ -11,7 +11,9 @@ table data versions)``
   same as the plan cache,
 * **strategy / executor** — kept separate for observability (the row
   sets are differentially tested equal, but a hit must report the engine
-  that actually produced it),
+  that actually produced it); the executor is the one that runs
+  (:func:`~repro.api.running_executor`), so a correlated request keys on
+  ``tuple`` whichever engine it asked for,
 * **catalog version** — DDL makes every older entry unreachable,
 * **bindings** — the concrete parameter values (client-sent plus
   auto-extracted literals), the part the plan cache deliberately

@@ -213,6 +213,50 @@ def test_outcome_records_executor():
     assert outcome.executor == "batch"
 
 
+CORRELATED_SQL = (
+    "SELECT e.name FROM emp e WHERE e.sal > "
+    "(SELECT AVG(f.sal) FROM emp f WHERE f.dno = e.dno)"
+)
+
+
+def test_correlated_strategy_reports_the_tuple_engine():
+    """The correlated strategy runs tuple-at-a-time whatever executor is
+    asked for, and the outcome and EXPLAIN say so."""
+    conn = Connection(_db(), executor="batch")
+    outcome = conn.explain_execute(
+        CORRELATED_SQL, strategy="correlated", executor="batch"
+    )
+    assert outcome.executor == "tuple"
+    assert "batches" not in outcome.stats
+    assert sorted(outcome.rows) == [("bob",)]
+    assert "executor: tuple" in conn.explain(
+        CORRELATED_SQL, strategy="correlated"
+    )
+    assert conn.explain_execute(CORRELATED_SQL).executor == "batch"
+
+
+def test_server_correlated_requests_share_one_result_cache_entry():
+    server = QueryServer(_db(), ServerConfig(result_cache_capacity=8))
+    try:
+        first = server.handle_query(
+            CORRELATED_SQL, strategy="correlated", executor="batch"
+        )
+        assert first["executor"] == "tuple"
+        second = server.handle_query(
+            CORRELATED_SQL, strategy="correlated", executor="tuple"
+        )
+        assert second["cache"] == "result"
+        assert second["executor"] == "tuple"
+        assert second["rows"] == first["rows"]
+        assert (server.result_cache.hits, server.result_cache.misses) == (1, 1)
+        _, described = server.handle_prepare(
+            CORRELATED_SQL, strategy="correlated", executor="batch"
+        )
+        assert described["executor"] == "tuple"
+    finally:
+        server.shutdown()
+
+
 # -- a batch failure is its rung's failure ------------------------------------
 
 
