@@ -18,7 +18,8 @@ the cross-request result cache). On this box the win comes from the
 result cache — warm hits are served by the parent without re-executing —
 with the worker pool keeping the misses off the session threads.
 
-Writes ``benchmarks/results/server_throughput.json``.
+Writes ``server_throughput.json`` through ``benchmarks.conftest.write_result``
+(``benchmarks/results/``, or a temporary directory below the default scale).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.server.core import ServerConfig
 from repro.resilience.retry import RetryPolicy
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
 
-from benchmarks.conftest import RESULTS_DIR, bench_scale
+from benchmarks.conftest import bench_scale, write_result
 
 PARAM_QUERY = (
     "SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s "
@@ -288,10 +289,7 @@ def run_bench(scale=None, requests_per_client=12):
 
 def test_server_throughput():
     report = run_bench()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "server_throughput.json").write_text(
-        json.dumps(report, indent=2) + "\n"
-    )
+    write_result("server_throughput.json", json.dumps(report, indent=2))
     # Sanity: the cache must be doing its job under load, and shedding
     # must be the overflow valve, not the common case at 1x.
     assert report["levels"][0]["shed"] == 0 or (

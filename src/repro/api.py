@@ -518,13 +518,15 @@ class Connection:
 
     def explain(self, sql_text, strategy="emst", executor=None):
         """Return a textual explanation: the (rewritten) graph and plan."""
-        executor = executor if executor is not None else self.executor
+        executor = running_executor(
+            strategy, executor if executor is not None else self.executor
+        )
         script = parse_single_query(sql_text)
         with self.database.catalog.scoped_views(script.views):
             graph, plan, heuristic, _ = self.prepare(script.queries[0], strategy)
         parts = [
             "strategy: %s" % strategy,
-            "executor: %s" % running_executor(strategy, executor),
+            "executor: %s" % executor,
         ]
         if heuristic is not None:
             parts.append(
@@ -543,5 +545,7 @@ class Connection:
         from repro.optimizer.explain import physical_plan
 
         parts.append("physical plan:")
-        parts.append(physical_plan(graph, plan, self.database.catalog))
+        parts.append(
+            physical_plan(graph, plan, self.database.catalog, executor)
+        )
         return "\n".join(parts)

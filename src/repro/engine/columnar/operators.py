@@ -24,6 +24,7 @@ from repro.qgm.model import BoxKind
 from repro.engine.aggregates import GROUPED_KERNELS, accumulator_factory
 from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
 from repro.engine.expressions import compile_expr
+from repro.engine.storage import build_index, probe_index
 from repro.engine.columnar.columns import Batch
 from repro.engine.columnar.vector import compile_vector
 
@@ -47,13 +48,16 @@ class HashLookup:
 
     A base table indexed on plain columns uses the table's persistent
     index (warm across queries); anything else gets a transient index in
-    the execution state, built with vectorized key extraction. One-column
-    indexes are keyed on the bare value, wider ones on value tuples; NULL
-    keys never join.
+    the execution state, built with vectorized key extraction. Both are
+    built by :func:`~repro.engine.storage.build_index` (unique when the
+    keys are distinct, bucketed otherwise) and probed through
+    :func:`~repro.engine.storage.probe_index`. One-column indexes are
+    keyed on the bare value, wider ones on value tuples; NULL keys never
+    join.
     """
 
     __slots__ = (
-        "quantifier", "child", "single", "table_columns", "cache_key",
+        "quantifier", "child", "table_columns", "cache_key",
         "key_fns", "probe_fns",
     )
 
@@ -62,19 +66,19 @@ class HashLookup:
         self.quantifier = quantifier
         self.child = child = quantifier.input_box
         key_exprs = [key for key, _ in pairs]
-        self.single = len(pairs) == 1
+        single = len(pairs) == 1
         self.table_columns = None
         if child.kind == BoxKind.BASE and all(
             isinstance(key, qe.QColRef) for key in key_exprs
         ):
             names = tuple(key.column for key in key_exprs)
-            self.table_columns = names[0] if self.single else names
+            self.table_columns = names[0] if single else names
         # The first element lets the fixpoint drop a member's indexes by
         # box; the second is an int here and a tuple in the inherited
         # (tuple-keyed) `_hash_index`, so the two never share an entry.
         self.cache_key = (
             id(child),
-            id(key_exprs[0]) if self.single else tuple(map(id, key_exprs)),
+            id(key_exprs[0]) if single else tuple(map(id, key_exprs)),
         )
         self.key_fns = [compile_vector(key) for key in key_exprs]
         self.probe_fns = [compile_vector(probe) for _, probe in pairs]
@@ -97,28 +101,16 @@ class HashLookup:
             constants=state.root_env,
             column_sources=state.scan_sources(self.child, rows, quantifier),
         )
-        index = {}
-        if self.single:
-            for value, row in zip(self.key_fns[0](build), rows):
-                if value is not None:
-                    bucket = index.get(value)
-                    if bucket is None:
-                        index[value] = [row]
-                    else:
-                        bucket.append(row)
-        else:
-            columns = [fn(build) for fn in self.key_fns]
-            for key, row in zip(zip(*columns), rows):
-                if None not in key:
-                    index.setdefault(key, []).append(row)
-        return index
+        columns = [fn(build) for fn in self.key_fns]
+        keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+        return build_index(keys, rows)
 
     def keys(self, batch):
         """One probe key per batch position; None where a NULL operand
         rules a match out."""
-        if self.single:
-            return self.probe_fns[0](batch)
         columns = [fn(batch) for fn in self.probe_fns]
+        if len(columns) == 1:
+            return columns[0]
         return [None if None in key else key for key in zip(*columns)]
 
 
@@ -161,27 +153,44 @@ class HashStep(Step):
 
     def attach(self, state, batch):
         lookup = self.lookup
-        get = lookup.index(state).get
+        index = lookup.index(state)
         keys = lookup.keys(batch)
-        positions = []
-        rows = []
         total = len(keys)
         # Governed executions checkpoint between chunks of at most
         # CHECKPOINT_INTERVAL probes; ungoverned ones run in one chunk.
         span = CHECKPOINT_INTERVAL if state.governor is not None else total
-        for start in range(0, total, max(span, 1)):
-            chunk = keys if span >= total else keys[start:start + span]
-            for i, key in enumerate(chunk, start):
-                if key is not None:
-                    found = get(key)
-                    if found:
-                        positions.extend([i] * len(found))
-                        rows.extend(found)
-            state.bulk_checkpoint(self.box, len(chunk))
+        if span >= total:
+            positions, rows = probe_index(index, keys)
+            state.bulk_checkpoint(self.box, total)
+        else:
+            # ``positions`` stays None while every chunk so far matched
+            # one row per key.
+            positions = None
+            rows = []
+            for start in range(0, total, span):
+                chunk = keys[start:start + span]
+                found_at, found = probe_index(index, chunk, start)
+                if found_at is not None and positions is None:
+                    positions = list(range(start))
+                if positions is not None:
+                    positions.extend(
+                        range(start, start + len(chunk))
+                        if found_at is None else found_at
+                    )
+                rows.extend(found)
+                state.bulk_checkpoint(self.box, len(chunk))
         stats = state.stats
-        stats.batch_probes += total - keys.count(None)
+        # A NULL key matches nothing: with every key matched, none is NULL.
+        stats.batch_probes += (
+            total if positions is None else total - keys.count(None)
+        )
         stats.batch_probe_matches += len(rows)
         stats.join_probes += len(rows)
+        if positions is None:
+            # Every position matched one row: the batch keeps its slots
+            # and column sources as they are and gains the new one.
+            batch.add_slot(self.quantifier, rows)
+            return batch
         return batch.expand(positions, self.quantifier, rows)
 
 
@@ -277,17 +286,19 @@ class ScalarStep:
 
     def _probe(self, state, batch):
         lookup = self.lookup
-        get = lookup.index(state).get
-        null_row = self.null_row
-        rows = []
-        for key in lookup.keys(batch):
-            matches = None if key is None else get(key)
-            if not matches:
-                rows.append(null_row)
-            elif len(matches) == 1:
-                rows.append(matches[0])
-            else:
-                raise self._too_many(len(matches), " for one binding")
+        keys = lookup.keys(batch)
+        positions, matches = probe_index(lookup.index(state), keys)
+        if positions is None:
+            return matches
+        rows = [self.null_row] * len(keys)
+        previous = None
+        for position, row in zip(positions, matches):
+            if position == previous:
+                raise self._too_many(
+                    positions.count(position), " for one binding"
+                )
+            rows[position] = row
+            previous = position
         return rows
 
     def _bind(self, state, env):

@@ -108,8 +108,15 @@ def compile_vector(expr):
                     return [arithmetic(op, a, b) for a, b in zip(lv, rv)]
 
             return arith_fn
-        # '/', '%', '||' carry per-value semantics (zero checks, exact
-        # integer division, string coercion): always element-wise.
+        if op == "||":
+            # ``arithmetic``'s concatenation inline: str() takes any
+            # operand, so there is no TypeError to fall back on.
+            return lambda batch: [
+                None if (a is None or b is None) else str(a) + str(b)
+                for a, b in zip(left(batch), right(batch))
+            ]
+        # '/' and '%' carry per-value semantics (zero checks, exact
+        # integer division): always element-wise.
         return lambda batch: [
             arithmetic(op, a, b) for a, b in zip(left(batch), right(batch))
         ]

@@ -38,6 +38,7 @@ from repro.engine.evaluator import (
     self_recursive,
 )
 from repro.engine.expressions import evaluate, predicate_holds
+from repro.engine.storage import index_matches
 
 
 class CorrelatedEvaluator(Evaluator):
@@ -128,7 +129,7 @@ class CorrelatedEvaluator(Evaluator):
         # correlated execution depends on), then filter the rest.
         items = sorted(filters.items())
         first_col, first_value = items[0]
-        candidates = table.index_on(first_col).get(first_value, [])
+        candidates = index_matches(table.index_on(first_col), first_value)
         ordinals = [(table.schema.column_ordinal(c), v) for c, v in items[1:]]
         return [
             row

@@ -35,6 +35,7 @@ from repro.engine.expressions import (
     evaluate,
     predicate_holds,
 )
+from repro.engine.storage import index_matches
 
 #: Join-probe granularity of cooperative cancellation/deadline checks: the
 #: governor's clock read is cheap but not free, so the hot loops consult it
@@ -380,7 +381,7 @@ class Evaluator:
                 probe = tuple(fn(current) for fn in probes)
                 if any(v is None for v in probe):
                     continue  # NULL never equals anything
-                for row in index.get(probe, ()):
+                for row in index_matches(index, probe):
                     self.stats.join_probes += 1
                     self._checkpoint(box)
                     extended = dict(current)
@@ -450,7 +451,7 @@ class Evaluator:
                 probe = tuple(evaluate(k[1], env) for k in keyed)
                 if any(v is None for v in probe):
                     return null_row
-                matches = index.get(probe, [])
+                matches = index_matches(index, probe)
                 if len(matches) > 1:
                     raise ExecutionError(
                         "scalar subquery %r returned %d rows for one binding"
@@ -569,7 +570,8 @@ class Evaluator:
             if use_index:
                 probe = tuple(evaluate(k[1], base_env) for k in hash_keys)
                 candidates = (
-                    index.get(probe, ()) if all(v is not None for v in probe) else ()
+                    index_matches(index, probe)
+                    if all(v is not None for v in probe) else ()
                 )
             else:
                 candidates = right_rows

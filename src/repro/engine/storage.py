@@ -8,6 +8,11 @@ while the batch executor and ANALYZE read whole columns without per-row
 reconstruction. The :class:`Database` owns a
 :class:`~repro.catalog.Catalog` and the column storage, and is the object
 users hand to the session API.
+
+This module also defines the one hash-index format every engine reads
+(:func:`build_index`, :func:`index_matches`, :func:`probe_index`): the
+persistent indexes of :meth:`Table.index_on` and the batch executor's
+transient ones share it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,87 @@ from repro.catalog import (
 )
 from repro.catalog.schema import ColumnDef, ForeignKey, TableSchema
 from repro.errors import CatalogError, ExecutionError
+
+
+#: Keys read from the head of a build before it tries the unique shape:
+#: a repeat among them settles "bucketed" at once, so a build over a
+#: grouped column pays no pass for the attempt.
+UNIQUE_SAMPLE = 64
+
+
+class UniqueIndex(dict):
+    """The unique hash-index shape, ``key -> row``: every key holds
+    exactly one row. The bucketed shape is a plain ``dict`` of ``key ->
+    [row, ...]``. Consumers read either through :func:`index_matches` or
+    :func:`probe_index`, never by shape."""
+
+    __slots__ = ()
+
+
+def build_index(keys, rows):
+    """A hash index holding every row of ``rows`` under its key,
+    ``keys[i]`` being the key of ``rows[i]`` (a bare value or a value
+    tuple).
+
+    The index is a :class:`UniqueIndex` when the keys are all distinct
+    and none is a bare NULL, bucketed otherwise. Uniqueness is read from
+    the keys themselves: storage enforces no declared key, so a declared
+    key proves nothing about the data. A repeat among the first
+    :data:`UNIQUE_SAMPLE` keys goes straight to the bucketed build; only
+    keys whose head is distinct pay the C-level ``dict(zip(...))``
+    attempt.
+    """
+    head = keys[:UNIQUE_SAMPLE]
+    if None not in head and len(set(head)) == len(head):
+        index = UniqueIndex(zip(keys, rows))
+        if len(index) == len(keys) and None not in index:
+            return index
+    index = {}
+    for key, row in zip(keys, rows):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [row]
+        else:
+            bucket.append(row)
+    return index
+
+
+def index_matches(index, key):
+    """The rows ``index`` holds under ``key``, in build order: a sequence,
+    empty on a miss. A lookup by value; joins probe through
+    :func:`probe_index`, where NULL matches nothing."""
+    found = index.get(key)
+    if found is None:
+        return ()
+    return (found,) if type(index) is UniqueIndex else found
+
+
+def probe_index(index, keys, start=0):
+    """Join a whole probe-key column against ``index``: ``(positions,
+    rows)``, one entry per match in key order, ``positions[j]`` being
+    ``start`` plus the offset in ``keys`` of the key ``rows[j]`` matched.
+    A None key (a NULL in the probe) matches nothing. A unique index is
+    probed with one C-level ``map``; when every key matched, ``positions``
+    is None and ``rows`` aligns with ``keys`` one to one."""
+    get = index.get
+    if type(index) is UniqueIndex:
+        # A unique index holds no None key, so a None probe misses.
+        rows = list(map(get, keys))
+        if None not in rows:
+            return None, rows
+        return (
+            [i for i, row in enumerate(rows, start) if row is not None],
+            [row for row in rows if row is not None],
+        )
+    positions = []
+    rows = []
+    for i, key in enumerate(keys, start):
+        if key is not None:
+            found = get(key)
+            if found:
+                positions.extend([i] * len(found))
+                rows.extend(found)
+    return positions, rows
 
 
 class Table:
@@ -200,27 +286,31 @@ class Table:
         self._indexes.clear()
 
     def index_on(self, columns):
-        """A hash index ``key -> [row, ...]`` on one column (keys are bare
-        values) or a tuple of columns (keys are value tuples). Built lazily
-        and kept until the next mutation. This models the persistent index
+        """The persistent hash index of one column (keys are bare values)
+        or a tuple of columns (keys are value tuples), built lazily and
+        kept until the next mutation of the table. This models the index
         access paths both the correlated strategy and set-oriented magic
-        plans rely on."""
+        plans rely on.
+
+        Built by :func:`build_index`, so it takes one of two shapes:
+        unique (``key -> row``) when the keys are all distinct and none is
+        NULL, bucketed (``key -> [row, ...]``) otherwise. The shape is
+        read from the data at build time, never from a declared key:
+        storage enforces no key, and an INSERT or UPDATE that repeats a
+        key drops the index, so its rebuild comes out bucketed. Read
+        matches with :func:`index_matches` or :func:`probe_index`.
+        """
         if isinstance(columns, str):
-            ordinal = self.schema.column_ordinal(columns)
-            index = self._indexes.get(ordinal)
-            if index is None:
-                index = {}
-                for row in self.rows:
-                    index.setdefault(row[ordinal], []).append(row)
-                self._indexes[ordinal] = index
-            return index
-        ordinals = tuple(self.schema.column_ordinal(c) for c in columns)
-        index = self._indexes.get(ordinals)
+            cache_key = self.schema.column_ordinal(columns)
+        else:
+            cache_key = tuple(self.schema.column_ordinal(c) for c in columns)
+        index = self._indexes.get(cache_key)
         if index is None:
-            index = {}
-            for row in self.rows:
-                index.setdefault(tuple(row[o] for o in ordinals), []).append(row)
-            self._indexes[ordinals] = index
+            if isinstance(cache_key, int):
+                keys = self._columns[cache_key]
+            else:
+                keys = list(zip(*[self._columns[o] for o in cache_key]))
+            index = self._indexes[cache_key] = build_index(keys, self.rows)
         return index
 
     def __len__(self):

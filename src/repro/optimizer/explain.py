@@ -13,7 +13,8 @@ with the same function in the same order
 (:func:`repro.engine.evaluator.hashable_equality`), so the same pipeline
 describes it — except in a linear recursive rule, which the program
 starts from its delta quantifier and the tuple engine runs in the plan's
-``order=(...)``.
+``order=(...)``. Under any other executor such a rule shows only that
+order (``JOIN ... (plan order)``), not the program's pipeline.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.engine.columnar import compile_program
 from repro.engine.columnar.operators import FailedOp, HashStep, SelectOp
+from repro.engine.evaluator import ordered_foreach
 
 
 def _child_name(quantifier):
@@ -89,17 +91,16 @@ def _select_pipeline(operator, estimator):
     return lines
 
 
-def physical_plan(graph, plan=None, catalog=None):
-    """Render the evaluator's physical plan for ``graph``.
+def physical_plan(graph, plan=None, catalog=None, executor="batch"):
+    """Render the physical plan ``executor`` runs for ``graph``.
 
     ``plan`` is a :class:`~repro.optimizer.plan.GraphPlan` (for join
     orders); without one, declaration order is assumed.
     """
     catalog = catalog or graph.catalog
     estimator = CardinalityEstimator(catalog, root=graph.top_box)
-    program = compile_program(
-        graph, plan.join_orders if plan is not None else None
-    )
+    join_orders = plan.join_orders if plan is not None else {}
+    program = compile_program(graph, join_orders)
 
     lines = []
     for index, component in enumerate(program.components):
@@ -119,8 +120,18 @@ def physical_plan(graph, plan=None, catalog=None):
             if isinstance(operator, FailedOp):
                 lines.append("  cannot compile: %s" % operator.error)
             elif isinstance(operator, SelectOp):
-                for line in _select_pipeline(operator, estimator):
-                    lines.append("  " + line)
+                order = ordered_foreach(box, join_orders.get(box.box_id))
+                if executor != "batch" and order != [
+                    step.quantifier for step in operator.steps
+                ]:
+                    # A delta-first rule: this executor keeps plan order.
+                    lines.append(
+                        "  JOIN %s (plan order)"
+                        % " > ".join(q.name for q in order)
+                    )
+                else:
+                    for line in _select_pipeline(operator, estimator):
+                        lines.append("  " + line)
             elif box.kind == BoxKind.GROUPBY:
                 keys = ", ".join(str(k) for k in box.group_keys) or "()"
                 aggs = ", ".join(

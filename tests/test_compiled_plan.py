@@ -5,8 +5,9 @@ first ``execute`` and every later execution only does data-dependent work.
 These tests pin that down from outside: what a second execution may not
 call, that a program follows the data, that a recursive rule's round
 costs what its delta costs, that parameter values never touch the cached
-graph, that one program is re-entrant, and that budgets, cancel tokens and
-injected faults still reach the compiled operators.
+graph, that one program is re-entrant, that budgets, cancel tokens and
+injected faults still reach the compiled operators, and that a unique
+build side joins in one pass at the bucketed path's cost.
 """
 
 import sys
@@ -20,11 +21,14 @@ import repro.engine.columnar.operators as operators
 import repro.engine.columnar.program as program_module
 import repro.engine.columnar.vector as vector
 import repro.engine.evaluator as evaluator_module
+import repro.engine.storage as storage
 import repro.qgm.expr as qe
 import repro.qgm.stratum as stratum
 from repro import Connection, Database
 from repro.engine import BatchEvaluator
 from repro.engine.columnar import compile_program
+from repro.engine.evaluator import CHECKPOINT_INTERVAL
+from repro.engine.storage import UniqueIndex
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -528,3 +532,114 @@ def test_box_fault_fires_and_propagates_from_a_prepared_query():
             prepared.graph, bare.database,
             join_orders=prepared.plan.join_orders, governor=faulty.governor(),
         ).run()
+
+
+# -- (g) a unique build side joins in one pass -------------------------------------------
+
+MANAGERS = (
+    "SELECT d.deptname, e.empname FROM department d, employee e "
+    "WHERE e.empno = d.mgrno"
+)
+
+
+def test_a_fully_matched_unique_probe_joins_by_identity(monkeypatch):
+    conn = empdept_connection()
+    table = conn.database.table("department")
+    assert type(conn.database.table("employee").index_on("empno")) is UniqueIndex
+    prepared = conn.prepare_statement(
+        MANAGERS, strategy="original", executor="batch"
+    )
+    seen = []
+    attach = operators.HashStep.attach
+
+    def recording(step, state, batch):
+        slots = dict(batch.slots)
+        sources = dict(batch.column_sources)
+        out = attach(step, state, batch)
+        seen.append((step.quantifier, slots, sources, out))
+        return out
+
+    monkeypatch.setattr(operators.HashStep, "attach", recording)
+    result, _ = prepared.execute()
+    assert canonical(result.rows) == oracle(conn, MANAGERS)
+    [(joined, slots, sources, out)] = seen
+    assert joined.name == "e" and list(slots) != []
+    # The earlier slots' row lists and column sources are the same
+    # objects, and the scan's columns still come straight from the table.
+    for quantifier, rows in slots.items():
+        assert out.slots[quantifier] is rows
+        assert out.column_sources[quantifier] is sources[quantifier]
+        ordinal = table.schema.column_ordinal("deptname")
+        assert out.column(quantifier, ordinal) is table.column_data(ordinal)
+    assert len(out.slots[joined]) == out.length == len(table)
+
+
+def _bucketed(keys, rows):
+    index = {}
+    for key, row in zip(keys, rows):
+        index.setdefault(key, []).append(row)
+    return index
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize("sql", [
+    MANAGERS,
+    # One department's mgrno + 1 names no employee: a miss.
+    "SELECT d.deptname, e.empname FROM department d, employee e "
+    "WHERE e.empno = d.mgrno + 1",
+    ROLLUP,  # a derived build side, unique on its grouping column
+])
+def test_unique_probes_charge_what_bucketed_probes_charge(
+    monkeypatch, sql, strategy,
+):
+    def run():
+        conn = empdept_connection()
+        result, stats = conn.prepare_statement(
+            sql, strategy=strategy, executor="batch"
+        ).execute()
+        return canonical(result.rows), [
+            stats.join_probes, stats.batch_probes, stats.batch_probe_matches,
+            stats.batches, stats.rows_produced,
+        ]
+
+    unique = run()
+    monkeypatch.setattr(storage, "build_index", _bucketed)
+    monkeypatch.setattr(operators, "build_index", _bucketed)
+    assert run() == unique
+
+
+def test_a_governed_unique_probe_cancels_inside_its_loop(monkeypatch):
+    keys = 3 * CHECKPOINT_INTERVAL - 100
+    db = Database()
+    db.create_table("t", ["k"], rows=[(k,) for k in range(keys)])
+    db.create_table("u", ["k", "v"], rows=[(k, -k) for k in range(keys)])
+    sql = "SELECT t.k, u.v FROM t, u WHERE u.k = t.k"
+    prepared = Connection(db).prepare_statement(
+        sql, strategy="original", executor="batch"
+    )
+    probes = []
+    probe_index = operators.probe_index
+
+    def counting(index, keys, start=0):
+        probes.append((type(index), len(keys), start))
+        return probe_index(index, keys, start)
+
+    monkeypatch.setattr(operators, "probe_index", counting)
+    governor = ResourceGovernor()
+    token = threading.Event()
+    governor.attach_cancel_token(token, "test")
+    original = governor.checkpoint
+
+    def cancelling(where):
+        if probes:
+            token.set()
+        return original(where)
+
+    governor.checkpoint = cancelling
+    with pytest.raises(QueryCancelledError):
+        BatchEvaluator(
+            prepared.graph, db, join_orders=prepared.plan.join_orders,
+            governor=governor,
+        ).run()
+    # Cancelled after the first of three chunks, before the second.
+    assert probes == [(UniqueIndex, CHECKPOINT_INTERVAL, 0)]

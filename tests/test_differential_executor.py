@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import Connection, Database
 from repro.api import PreparedQuery
+from repro.engine.storage import UniqueIndex
 from repro.sql import parse_statement
 from repro.workloads.decision_support import build_decision_support_database
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
@@ -236,4 +237,121 @@ def test_random_fixpoint_agrees(edges):
         "  SELECT e.dst FROM edge e, reach r WHERE e.src = r.n"
         ") SELECT r.n FROM reach r",
         strategies=("original",),
+    )
+
+
+# -- unique and bucketed hash indexes ------------------------------------------
+#
+# A hash index whose keys are all distinct is probed in one pass and, when
+# every probe matches, joined in by identity; both engines must still see
+# the same rows and charge the same work.
+
+
+STAT_FIELDS = (
+    "box_evaluations", "rows_produced", "join_probes",
+    "correlated_evaluations",
+)
+
+
+def executions_agree(runs):
+    """``runs``: ``{executor: (Result, EvaluatorStats)}`` of one query."""
+    (tuple_result, tuple_stats) = runs["tuple"]
+    (batch_result, batch_stats) = runs["batch"]
+    assert canonical(batch_result.rows) == canonical(tuple_result.rows)
+    for field in STAT_FIELDS:
+        assert getattr(batch_stats, field) == getattr(tuple_stats, field), field
+
+
+def run_prepared_both(conn, sql, strategy):
+    """One prepared statement per executor; returns them after checking a
+    first execution of each agrees."""
+    prepared = {
+        executor: conn.prepare_statement(
+            sql, strategy=strategy, executor=executor
+        )
+        for executor in ("tuple", "batch")
+    }
+    executions_agree({e: p.execute() for e, p in prepared.items()})
+    return prepared
+
+
+def keyed_connection():
+    """``dept.dno`` and ``emp.eno`` hold distinct keys; ``dept.mgr``
+    names employees, a few that do not exist and one NULL; ``emp.dno``
+    misses ``dept`` for 20..24 and is NULL for every 11th employee."""
+    db = Database()
+    db.create_table(
+        "dept", ["dno", "dname", "mgr"],
+        rows=[
+            (d, "D%d" % d, None if d == 7 else 100 + 5 * d)
+            for d in range(20)
+        ],
+    )
+    db.create_table(
+        "emp", ["eno", "ename", "dno", "sal"],
+        rows=[
+            (100 + i, "E%d" % i, None if i % 11 == 0 else i % 25, 1000 + 7 * i)
+            for i in range(90)
+        ],
+    )
+    conn = Connection(db)
+    conn.run_script(
+        "CREATE VIEW deptPay (dno, total, n) AS "
+        "SELECT e.dno, SUM(e.sal), COUNT(*) FROM emp e "
+        "WHERE e.dno IS NOT NULL GROUP BY e.dno;"
+    )
+    return conn
+
+
+KEYED_QUERIES = [
+    # Unique build side (emp.eno), every probe matching.
+    "SELECT d.dname, m.ename FROM dept d, emp m "
+    "WHERE m.eno = d.mgr AND d.mgr < 150",
+    # ... with misses and a NULL probe key.
+    "SELECT d.dname, m.ename, m.sal FROM dept d, emp m WHERE m.eno = d.mgr",
+    # Composite keys with NULL components on the probe side.
+    "SELECT d.dname, m.ename FROM dept d, emp m "
+    "WHERE m.eno = d.mgr AND m.dno = d.dno",
+    # A derived (GROUPBY) build side, unique on its grouping column.
+    "SELECT d.dname, p.total, p.n FROM dept d, deptPay p WHERE p.dno = d.dno",
+    # A decorrelated scalar subquery probes a unique grouped table;
+    # NULL probe keys bind NULL.
+    "SELECT e.ename FROM emp e WHERE e.sal > "
+    "(SELECT AVG(f.sal) FROM emp f WHERE f.dno = e.dno)",
+    # A bucketed build side over a computed '||' key with NULL operands.
+    "SELECT e.ename, d.dno FROM emp e, dept d WHERE d.dname = 'D' || e.dno",
+    # '||' over NULL, int and str operands.
+    "SELECT e.ename || e.dno, e.eno || '-', e.dno || e.eno, 'x' || e.sal, "
+    "e.ename || e.ename FROM emp e",
+]
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize("index", range(len(KEYED_QUERIES)))
+def test_keyed_joins_agree(index, strategy):
+    conn = keyed_connection()
+    assert type(conn.database.table("emp").index_on("eno")) is UniqueIndex
+    run_prepared_both(conn, KEYED_QUERIES[index], strategy)
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "INSERT INTO emp VALUES (105, 'twin', 3, 50)",
+        "UPDATE emp SET eno = 110 WHERE eno = 115",
+    ],
+)
+def test_dml_that_repeats_a_key_between_executions(statement, strategy):
+    """One prepared statement per engine runs, a write makes its unique
+    build side bucketed, and it runs again: still the same rows and work."""
+    conn = keyed_connection()
+    sql = KEYED_QUERIES[1]
+    prepared = run_prepared_both(conn, sql, strategy)
+    conn.run_script(statement)
+    assert type(conn.database.table("emp").index_on("eno")) is dict
+    runs = {e: p.execute() for e, p in prepared.items()}
+    executions_agree(runs)
+    assert len(runs["batch"][0].rows) == len(
+        conn.execute(sql, executor="tuple").rows
     )

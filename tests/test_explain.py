@@ -147,3 +147,36 @@ def test_magic_quantifier_labelled(empdept_conn):
 def test_row_estimates_present(empdept_db):
     text = plan_text(empdept_db, "SELECT empno FROM employee")
     assert "~7 rows" in text
+
+
+def test_a_tuple_explain_shows_no_delta_first_rule_pipeline():
+    """The batch program starts a linear recursive rule from its delta;
+    the tuple engine joins in plan order, and its EXPLAIN says only that."""
+    db = Database()
+    db.create_table("bom", ["parent", "child"], rows=[(1, 2), (2, 3), (3, 4)])
+    sql = (
+        "WITH RECURSIVE uses (part, component) AS ("
+        " SELECT parent, child FROM bom UNION"
+        " SELECT u.part, b.child FROM uses u, bom b"
+        " WHERE b.parent = u.component) SELECT part, component FROM uses"
+    )
+    conn = Connection(db)
+    physical = {
+        executor: conn.explain(sql, strategy="emst", executor=executor)
+        .split("physical plan:\n")[1]
+        .splitlines()
+        for executor in ("batch", "tuple")
+    }
+    rule = physical["batch"].index("FIXPOINT SELECT Q_1 (~16 rows)")
+    assert physical["batch"][rule + 1:rule + 3] == [
+        "  SCAN u_1 (USES, ~32 rows)",
+        "  HASHJOIN b (bom, ~3 rows) ON (b.parent = u_1.component)",
+    ]
+    assert physical["tuple"][rule:rule + 3] == [
+        "FIXPOINT SELECT Q_1 (~16 rows)",
+        "  JOIN b > u_1 (plan order)",
+        "FIXPOINT UNION USES (~32 rows)",
+    ]
+    # Every other box runs the same pipeline on both executors.
+    assert physical["tuple"][:rule] == physical["batch"][:rule]
+    assert physical["tuple"][rule + 2:] == physical["batch"][rule + 3:]

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.engine import Database, Table
+from repro.engine.storage import (
+    UniqueIndex,
+    index_matches,
+    probe_index,
+)
 from repro.catalog import ColumnDef, TableSchema
 from repro.errors import CatalogError, ExecutionError
 
@@ -30,7 +35,7 @@ def test_single_column_index():
 def test_composite_index_uses_tuple_keys():
     table = make_table()
     index = table.index_on(("a", "b"))
-    assert index[(1, "x")] == [(1, "x")]
+    assert list(index_matches(index, (1, "x"))) == [(1, "x")]
     assert (9, "z") not in index
 
 
@@ -45,6 +50,86 @@ def test_index_includes_null_keys():
     table = make_table()
     table.insert_many([(5, None)])
     assert table.index_on("b")[None] == [(5, None)]
+
+
+def test_distinct_column_gives_a_unique_index():
+    table = make_table()
+    index = table.index_on("a")
+    assert type(index) is UniqueIndex
+    assert index_matches(index, 2) == ((2, "y"),)
+    assert index_matches(index, 9) == ()
+    assert type(table.index_on("b")) is dict
+    assert list(index_matches(table.index_on("b"), "x")) == [(1, "x"), (3, "x")]
+    # Storage enforces no declared key: a repeated primary-key value
+    # gives a bucketed index.
+    table.insert_many([(2, "z")])
+    assert type(table.index_on("a")) is dict
+    assert list(index_matches(table.index_on("a"), 2)) == [(2, "y"), (2, "z")]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["INSERT INTO t VALUES (1, 'w')", "UPDATE t SET a = 1 WHERE a = 2"],
+)
+def test_a_write_that_repeats_a_key_rebuilds_the_index_bucketed(statement):
+    from repro import Connection
+
+    db = Database()
+    db.create_table("t", ["a", "b"], rows=[(1, "x"), (2, "y"), (3, "z")])
+    table = db.table("t")
+    assert type(table.index_on("a")) is UniqueIndex
+    Connection(db).run_script(statement)
+    index = table.index_on("a")
+    assert type(index) is dict
+    assert len(index_matches(index, 1)) == 2
+    assert set(index_matches(index, 1)) == {
+        row for row in table.rows if row[0] == 1
+    }
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, "x"), (None, "y"), (2, "z")],  # one NULL key: bucketed
+    [(1, "x"), (None, "y"), (None, "z"), (1, "w")],
+])
+def test_null_keys_never_join(rows):
+    from repro import Connection
+
+    db = Database()
+    db.create_table("t", ["a", "b"], rows=rows)
+    db.create_table("u", ["k"], rows=[(None,), (1,)])
+    index = db.table("t").index_on("a")
+    assert type(index) is dict
+    # Every row is indexed under its key, NULL included, but a probe
+    # with a NULL key matches nothing.
+    assert len(index_matches(index, None)) == sum(r[0] is None for r in rows)
+    positions, matched = probe_index(index, [None, 1, None])
+    assert positions == [1] * len(matched)
+    assert matched == [row for row in rows if row[0] == 1]
+    for executor in ("batch", "tuple"):
+        result = Connection(db, executor=executor).execute(
+            "SELECT t.b FROM u, t WHERE u.k = t.a"
+        )
+        assert sorted(result.rows) == sorted(
+            (row[1],) for row in rows if row[0] == 1
+        )
+
+
+def test_composite_keys_take_both_shapes():
+    table = make_table()
+    unique = table.index_on(("a", "b"))
+    assert type(unique) is UniqueIndex
+    positions, matched = probe_index(unique, [(3, "x"), (1, "x")])
+    assert positions is None  # every key matched one row
+    assert matched == [(3, "x"), (1, "x")]
+    table.insert_many([(1, "x"), (4, None)])
+    bucketed = table.index_on(("a", "b"))
+    assert type(bucketed) is dict
+    assert list(index_matches(bucketed, (1, "x"))) == [(1, "x"), (1, "x")]
+    # A key with a NULL component is indexed as a tuple; a probe with a
+    # NULL component arrives as None and matches nothing.
+    assert list(index_matches(bucketed, (4, None))) == [(4, None)]
+    positions, matched = probe_index(bucketed, [None, (2, "y")], start=5)
+    assert (positions, matched) == ([6], [(2, "y")])
 
 
 def test_database_create_table_with_rows_analyzes():
