@@ -6,8 +6,8 @@ pipeline of passes over a query graph and collects structured
 severities, box-level locations, fix hints — instead of raising on the
 first problem. Shipped passes:
 
-* :class:`~repro.analysis.structural.StructuralPass` — every historical
-  ``validate_graph`` invariant (``QGM1xx``),
+* :class:`~repro.analysis.structural.StructuralPass` — every structural
+  invariant of :mod:`repro.qgm.validate` (``QGM1xx``),
 * :class:`~repro.analysis.typecheck.TypeCheckPass` — type inference from
   catalog schemas and expression checking (``QGM2xx``),
 * :class:`~repro.analysis.deadcode.DeadCodePass` — unreferenced boxes and
@@ -19,6 +19,11 @@ first problem. Shipped passes:
 reports across rewrite-rule firings and attributes every new diagnostic
 to the rule that introduced it (wired into paranoid resilience mode).
 ``python -m repro.analysis.lint`` is the command-line linter.
+
+The package only *checks* the compiler: the facts the compiler decides
+from live in :mod:`repro.qgm.facts` and :mod:`repro.qgm.validate`, and the
+compiler imports nothing from here except the paranoid-mode
+``SoundnessChecker``.
 """
 
 from repro.analysis.diagnostics import (

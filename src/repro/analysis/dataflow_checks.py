@@ -1,6 +1,7 @@
 """Dataflow-backed diagnostics (codes ``QGM5xx``).
 
-Runs the three interbox dataflow analyses (:mod:`repro.analysis.dataflow`)
+Runs the three interbox dataflow analyses (:mod:`repro.qgm.facts` and
+:mod:`repro.analysis.bindflow`)
 over the graph and audits what the rest of the system *claims* against
 what the fixpoint can *prove*:
 
@@ -25,11 +26,14 @@ from __future__ import annotations
 
 from typing import Set
 
+from repro.analysis.bindflow import solve_bindings
 from repro.analysis.diagnostics import Severity
 from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisReport
 from repro.magic.adornment import BOUND, CONDITIONED
 from repro.qgm import expr as qe
-from repro.qgm.model import DistinctMode
+from repro.qgm.facts.keyflow import solve_box_keys, solve_keys
+from repro.qgm.facts.nullflow import solve_nullability
+from repro.qgm.model import DistinctMode, QuantifierType
 
 
 class DataflowPass(AnalysisPass):
@@ -44,12 +48,6 @@ class DataflowPass(AnalysisPass):
         self.check_redundant_distinct = check_redundant_distinct
 
     def run(self, context: AnalysisContext, report: AnalysisReport) -> None:
-        from repro.analysis.dataflow import (
-            solve_bindings,
-            solve_keys,
-            solve_nullability,
-        )
-
         bindings = solve_bindings(context.graph.top_box)
         nullability = solve_nullability(context.graph.top_box)
         keys = solve_keys(context.graph.top_box)
@@ -127,8 +125,6 @@ class DataflowPass(AnalysisPass):
 
     @staticmethod
     def _has_condition_magic(box) -> bool:
-        from repro.qgm.model import QuantifierType
-
         return any(
             quantifier.is_magic
             and quantifier.qtype == QuantifierType.EXISTENTIAL
@@ -182,8 +178,6 @@ class DataflowPass(AnalysisPass):
     # -- QGM502: redundant DISTINCT -------------------------------------------
 
     def _check_redundant_distinct(self, box, report) -> None:
-        from repro.analysis.dataflow import solve_box_keys
-
         keys = solve_box_keys(box, ignore_enforce=True)
         if not keys:
             return

@@ -10,7 +10,7 @@ Two findings, both non-fatal:
   surfaces it so hand-built graphs and builders can trim themselves.
 * ``QGM604`` (warning) — a select box whose predicates are contradictory
   under the interpreted comparison domain
-  (:mod:`repro.analysis.equivalence.domains`): ``x < 3 AND x > 7`` and
+  (:mod:`repro.qgm.facts.domains`): ``x < 3 AND x > 7`` and
   friends. The box provably returns no rows, which is almost always a
   query-authoring bug; everything downstream of it is dead too.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from repro.analysis.diagnostics import Severity
 from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisReport
 from repro.qgm import expr as qe
+from repro.qgm.facts import domains
 from repro.qgm.model import BoxKind
 
 _POSITIONAL_KINDS = (BoxKind.UNION, BoxKind.INTERSECT, BoxKind.EXCEPT)
@@ -64,8 +65,6 @@ class DeadCodePass(AnalysisPass):
         self._check_contradictory_predicates(context, report, live)
 
     def _check_contradictory_predicates(self, context, report, live) -> None:
-        from repro.analysis.equivalence import domains
-
         for box in context.boxes:
             if box.kind != BoxKind.SELECT or id(box) not in live:
                 continue

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.equivalence import domains
 from repro.analysis.equivalence.tableau import (
     Atom,
     Const,
@@ -34,6 +33,7 @@ from repro.analysis.equivalence.tableau import (
     _Unifier,
     _Unsat,
 )
+from repro.qgm.facts import domains
 
 
 @dataclass

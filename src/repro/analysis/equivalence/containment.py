@@ -15,8 +15,8 @@ are not duplicate-free.
 
 from __future__ import annotations
 
-from repro.analysis.equivalence import domains
 from repro.analysis.equivalence.tableau import Builtin, Const
+from repro.qgm.facts import domains
 
 HOM_FOUND = "found"
 HOM_NONE = "none"

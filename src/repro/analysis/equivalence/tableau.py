@@ -12,7 +12,7 @@ Three fragments beyond plain conjunctive blocks canonicalize too:
 
 * **comparisons** — ``<,<=,>,>=,<>`` conjuncts (and the desugared forms
   of BETWEEN and IN) become structured
-  :class:`~repro.analysis.equivalence.domains.Cmp` facts in
+  :class:`~repro.qgm.facts.domains.Cmp` facts in
   ``Tableau.comparisons`` instead of opaque builtins, so containment can
   prove predicate *implication* and the chase can detect contradictory
   ranges (``unsatisfiable=True`` — a provably empty block);
@@ -57,10 +57,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.analysis.equivalence import domains
 from repro.analysis.equivalence.reasons import Reason
 from repro.qgm import expr as qe
-from repro.qgm.keys import box_keys, is_duplicate_free
+from repro.qgm.facts import domains
+from repro.qgm.facts.keyflow import is_duplicate_free
+from repro.qgm.facts.nullflow import null_rejecting_refs, strict_refs
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 
 
@@ -169,7 +170,7 @@ class Tableau:
     """One conjunctive block.
 
     ``comparisons`` holds the interpreted order/membership facts (sides
-    are :class:`Var` or :class:`~repro.analysis.equivalence.domains.Val`
+    are :class:`Var` or :class:`~repro.qgm.facts.domains.Val`
     after ``finish``); ``nonnull`` lists terms the block's own
     predicates force to be non-NULL (SQL comparisons never hold on
     NULL). ``schemas`` maps each atom relation to its
@@ -219,7 +220,7 @@ def _resolve_cmps(comparisons, find):
     """Resolve comparison sides through a unifier and normalize.
 
     Returns ``(kept, unsat)`` like
-    :func:`~repro.analysis.equivalence.domains.normalize_cmps`.
+    :func:`~repro.qgm.facts.domains.normalize_cmps`.
     """
     resolved = []
     for cmp in comparisons:
@@ -551,7 +552,7 @@ def _inline_select(quantifier, box, state, existential, skip_predicates):
     if box.distinct in (DistinctMode.ENFORCE, DistinctMode.PERMIT):
         # Inlining counts derivations: exact multiplicities survive only
         # when the child is provably duplicate-free without enforcement.
-        if not box_keys(box, ignore_enforce=True):
+        if not is_duplicate_free(box, ignore_enforce=True):
             state.bag_exact = False
     _inline_body(box, state, existential, skip_predicates)
     columns = {}
@@ -658,7 +659,7 @@ def _inline_groupby(quantifier, box, state, existential):
     state.atoms.append((symbol, terms, existential))
     state.derived[symbol] = spec
     if box.distinct in (DistinctMode.ENFORCE, DistinctMode.PERMIT):
-        if not box_keys(box, ignore_enforce=True):
+        if not is_duplicate_free(box, ignore_enforce=True):
             state.bag_exact = False
     state.bind(
         quantifier,
@@ -693,8 +694,6 @@ def _inner_convertible(parent_box, quantifier, skip_predicates=None):
     non-preserved side — NULL-padded rows cannot survive, so the join is
     semantically inner (the classical outer-to-inner simplification, fed
     by the nullflow lattice's strictness rules)."""
-    from repro.analysis.dataflow.nullflow import null_rejecting_refs, strict_refs
-
     box = quantifier.input_box
     try:
         _, right = _outerjoin_sides(box)
@@ -756,7 +755,7 @@ def _inline_outerjoin(quantifier, box, state, existential, mode):
             {name.lower(): Const(None) for name in right_q.output_column_names()},
         )
     if box.distinct in (DistinctMode.ENFORCE, DistinctMode.PERMIT):
-        if not box_keys(box, ignore_enforce=True):
+        if not is_duplicate_free(box, ignore_enforce=True):
             state.bag_exact = False
     if quantifier is not None:
         columns = {}
@@ -880,7 +879,7 @@ def _tableau_for_select(
     if head_extra:
         head.extend(state.term_for(ref) for ref in head_extra)
     if box.distinct in (DistinctMode.ENFORCE, DistinctMode.PERMIT):
-        if not box_keys(box, ignore_enforce=True):
+        if not is_duplicate_free(box, ignore_enforce=True):
             state.bag_exact = False
     return state.finish(head)
 
@@ -1008,7 +1007,7 @@ def canonicalize_box(box, max_disjuncts=8, allow_special=False):
         # UNION ALL sums multiplicities; with ENFORCE/PERMIT the exact bag
         # is only determined when duplicate-freeness needs no enforcement.
         if box.distinct in (DistinctMode.ENFORCE, DistinctMode.PERMIT):
-            bag_exact = bag_exact and bool(box_keys(box, ignore_enforce=True))
+            bag_exact = bag_exact and is_duplicate_free(box, ignore_enforce=True)
     arity = len(box.columns) if box.columns else (
         len(disjuncts[0].head) if disjuncts else 0
     )

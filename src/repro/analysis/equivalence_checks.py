@@ -6,10 +6,12 @@ chase-based equivalence machinery (:mod:`repro.analysis.equivalence`)
 over each plain select box:
 
 * ``QGM602`` — a join quantifier is semantically redundant: eliminating
-  it yields a box the chase proves equivalent to the original (the same
-  trial-elimination the generalized redundant-join rewrite rule
-  performs, reported here instead of applied). Warning: the optimizer
-  will remove it, but the query text carries a join that buys nothing.
+  it on a clone of the graph yields a box the chase proves equivalent to
+  the original. Candidates are self-joins through view-expansion boxes
+  (which no rewrite removes: only the chase proves them) and FK-covered
+  parent joins (which the redundant-join rule removes, deciding from
+  declared keys and NOT NULL alone — here the chase re-checks them).
+  Warning: the query text carries a join that buys nothing.
 * ``QGM603`` — an equality predicate is already implied by the box's
   other predicates plus the declared keys and foreign keys; the chase of
   the box *without* the predicate equates its two sides anyway. Info:
@@ -17,7 +19,7 @@ over each plain select box:
 * ``QGM605`` — a non-equality comparison (``<``, ``<=``, ``>``, ``>=``,
   ``<>``, or a desugared ``IN``) is already implied by the box's other
   interval facts under the interpreted comparison domain
-  (:mod:`repro.analysis.equivalence.domains`) — e.g. ``x > 10`` next to
+  (:mod:`repro.qgm.facts.domains`) — e.g. ``x > 10`` next to
   ``x >= 20``. Info: harmless, but redundant. Unlike the two above this
   needs no declared dependencies, so it fires even on a bare catalog.
 
@@ -30,9 +32,18 @@ re-runs its passes after every rule firing); there the pass still emits
 from __future__ import annotations
 
 from repro.analysis.diagnostics import Severity
+from repro.analysis.equivalence import VERIFIED, EquivalenceChecker
 from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisReport
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind
+from repro.qgm.clone import clone_graph
+from repro.qgm.facts import domains
+from repro.qgm.model import BoxKind, QuantifierType
+from repro.rewrite.redundant_join import (
+    columns_read_through,
+    eliminate_quantifier,
+    fk_parent_joins,
+    linked_by_equality,
+)
 
 #: Trial eliminations attempted per box (each clones the graph).
 MAX_TRIAL_PAIRS = 6
@@ -50,8 +61,6 @@ class EquivalencePass(AnalysisPass):
     def run(self, context: AnalysisContext, report: AnalysisReport) -> None:
         checker = None
         if context.catalog is not None:
-            from repro.analysis.equivalence import EquivalenceChecker
-
             checker = EquivalenceChecker(context.catalog)
             if checker.deps.is_empty():
                 checker = None
@@ -66,8 +75,6 @@ class EquivalencePass(AnalysisPass):
                 self._check_redundant_joins(box, context, checker, report)
 
     def _check_implied_comparisons(self, box, report) -> None:
-        from repro.analysis.equivalence import domains
-
         for conjunct in domains.implied_comparisons(box.predicates):
             self.emit(
                 report,
@@ -105,20 +112,20 @@ class EquivalencePass(AnalysisPass):
                 )
 
     def _check_redundant_joins(self, box, context, checker, report) -> None:
-        from repro.rewrite.redundant_join import RedundantJoinRule
-
         if len(box.foreach_quantifiers()) < 2:
             return
-        rule = RedundantJoinRule()
         reported = set()
         trials = 0
-        for keep, drop, mapping in rule._semantic_candidates(box, context):
+        for keep, drop, mapping in redundant_join_candidates(box, context.graph):
             if drop.name in reported:
                 continue
             if trials >= MAX_TRIAL_PAIRS:
                 break
             trials += 1
-            if rule._verify_elimination(box, context, checker, keep, drop, mapping):
+            trial_box = eliminated_on_clone(box, context.graph, keep, drop, mapping)
+            if trial_box is None:
+                continue
+            if checker.check_boxes(box, trial_box).status == VERIFIED:
                 reported.add(drop.name)
                 self.emit(
                     report,
@@ -129,8 +136,82 @@ class EquivalencePass(AnalysisPass):
                     "available through %r)" % (drop.name, keep.name),
                     box=box,
                     quantifier=drop.name,
-                    hint="the redundant-join rule will eliminate it",
+                    hint="the join can be dropped from the query",
                 )
 
 
-__all__ = ["EquivalencePass"]
+def _base_footprint(box, depth=0):
+    """Sorted multiset of base tables a box expands over; None = unknown."""
+    if depth > 6:
+        return None
+    if box.kind == BoxKind.BASE:
+        return (box.table_name.lower(),) if box.table_name else None
+    if box.kind != BoxKind.SELECT or box.is_special:
+        return None
+    tables = []
+    for quantifier in box.quantifiers:
+        if quantifier.qtype != QuantifierType.FOREACH:
+            return None
+        child = _base_footprint(quantifier.input_box, depth + 1)
+        if child is None:
+            return None
+        tables.extend(child)
+    return tuple(sorted(tables))
+
+
+def redundant_join_candidates(box, graph):
+    """Yield ``(keep, drop, column_mapping)`` worth a trial elimination.
+
+    First self-joins through view-expansion boxes: both inputs are SELECT
+    boxes over the same base tables with the same output columns, linked
+    by at least one equality (a shared box object lands here too when no
+    declared key equates the two). Then the FK-covered parent joins of
+    :func:`~repro.rewrite.redundant_join.fk_parent_joins`, whatever the
+    rule decides about them.
+    """
+    foreach = box.foreach_quantifiers()
+    for i, first in enumerate(foreach):
+        for second in foreach[i + 1:]:
+            if (
+                first.input_box.kind != BoxKind.SELECT
+                or second.input_box.kind != BoxKind.SELECT
+            ):
+                continue
+            if first.input_box is not second.input_box:
+                footprint = _base_footprint(first.input_box)
+                if footprint is None or footprint != _base_footprint(
+                    second.input_box
+                ):
+                    continue
+            if not linked_by_equality(box, first, second):
+                continue
+            for keep, drop in ((first, second), (second, first)):
+                keep_columns = {
+                    name.lower(): name for name in keep.input_box.column_names
+                }
+                if columns_read_through(graph, drop) <= set(keep_columns):
+                    yield keep, drop, keep_columns
+    for child, parent, _fk, column_mapping in fk_parent_joins(box, graph):
+        yield child, parent, column_mapping
+
+
+def eliminated_on_clone(box, graph, keep, drop, column_mapping):
+    """Eliminate ``drop`` (in favour of ``keep``) from the copy of ``box``
+    in a clone of ``graph``; returns the copy, or None when the clone has
+    no such box or quantifiers. The original graph is untouched."""
+    trial_graph = clone_graph(graph)
+    trial_box = next(
+        (b for b in trial_graph.boxes() if b.box_id == box.box_id), None
+    )
+    if trial_box is None:
+        return None
+    try:
+        trial_keep = trial_box.quantifier(keep.name)
+        trial_drop = trial_box.quantifier(drop.name)
+    except Exception:
+        return None
+    eliminate_quantifier(trial_box, trial_graph, trial_keep, trial_drop, column_mapping)
+    return trial_box
+
+
+__all__ = ["EquivalencePass", "eliminated_on_clone", "redundant_join_candidates"]

@@ -22,7 +22,7 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisReport
 from repro.magic.adornment import _VALID as _VALID_ADORNMENT_LETTERS
 from repro.magic.properties import has_operation, operation_properties
-from repro.qgm.keys import is_duplicate_free
+from repro.qgm.facts.keyflow import is_duplicate_free
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 
 

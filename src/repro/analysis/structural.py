@@ -1,27 +1,15 @@
 """Structural invariants as an analysis pass (codes ``QGM1xx``).
 
-This is the full port of the historical ``validate_graph`` checks onto the
-pass framework: the same invariants, the same message texts (callers and
-tests match on them), but *collected* instead of raised, so one run reports
-every violation in the graph. :func:`~repro.qgm.validate.validate_graph`
-is now a thin raise-on-first-error wrapper over this pass.
+The invariants themselves live next to the compiler, in
+:mod:`repro.qgm.validate`, whose ``validate_graph`` raises on the first
+one; this pass *collects* every violation in the graph into the report.
 """
 
 from __future__ import annotations
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.framework import AnalysisContext, AnalysisPass, AnalysisReport
-from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
-
-_VALID_DISTINCT = {DistinctMode.ENFORCE, DistinctMode.PRESERVE, DistinctMode.PERMIT}
-_VALID_QTYPES = (
-    QuantifierType.FOREACH,
-    QuantifierType.EXISTENTIAL,
-    QuantifierType.ANTI,
-    QuantifierType.SCALAR,
-)
-_SETOPS = (BoxKind.UNION, BoxKind.INTERSECT, BoxKind.EXCEPT)
+from repro.qgm.validate import box_errors, structural_errors
 
 
 class StructuralPass(AnalysisPass):
@@ -30,298 +18,22 @@ class StructuralPass(AnalysisPass):
     name = "structural"
 
     def run(self, context: AnalysisContext, report: AnalysisReport) -> None:
-        boxes = context.boxes
-        box_ids = {id(box) for box in boxes}
-        all_quantifiers = set()
-        for box in boxes:
-            for quantifier in box.quantifiers:
-                all_quantifiers.add(quantifier)
-        for box in boxes:
-            try:
-                self.check_box(box, box_ids, all_quantifiers, report)
-            except Exception as exc:  # a *malformed* graph must not stop the run
-                self.emit(
-                    report,
-                    "QGM199",
-                    Severity.ERROR,
-                    "structural check crashed on box %r: %s: %s"
-                    % (box.name, type(exc).__name__, exc),
-                    box=box,
-                    hint="the box is malformed beyond what the invariants model",
-                )
+        self._emit_all(structural_errors(context.boxes), report)
 
-    # The per-box body is public so the wrapper in repro.qgm.validate and
-    # the table-driven tests can drive it with a controlled environment.
+    # Public so the table-driven tests can drive one box with a controlled
+    # environment.
     def check_box(self, box, box_ids, all_quantifiers, report) -> None:
-        if box.distinct not in _VALID_DISTINCT:
+        self._emit_all(box_errors(box, box_ids, all_quantifiers), report)
+
+    def _emit_all(self, errors, report) -> None:
+        for error in errors:
             self.emit(
                 report,
-                "QGM101",
+                error.code,
                 Severity.ERROR,
-                "box %r has invalid distinct mode %r" % (box.name, box.distinct),
-                box=box,
-                hint="use DistinctMode.ENFORCE, PRESERVE or PERMIT",
+                error.message,
+                box=error.box,
+                quantifier=error.quantifier,
+                column=error.column,
+                hint=error.hint,
             )
-
-        for quantifier in box.quantifiers:
-            if quantifier.parent_box is not box:
-                self.emit(
-                    report,
-                    "QGM102",
-                    Severity.ERROR,
-                    "quantifier %r of box %r has wrong parent link"
-                    % (quantifier.name, box.name),
-                    box=box,
-                    quantifier=quantifier.name,
-                    hint="add quantifiers through Box.add_quantifier",
-                )
-            if id(quantifier.input_box) not in box_ids:
-                self.emit(
-                    report,
-                    "QGM103",
-                    Severity.ERROR,
-                    "quantifier %r of box %r ranges over an unreachable box"
-                    % (quantifier.name, box.name),
-                    box=box,
-                    quantifier=quantifier.name,
-                )
-            if quantifier.qtype not in _VALID_QTYPES:
-                self.emit(
-                    report,
-                    "QGM104",
-                    Severity.ERROR,
-                    "invalid quantifier type %r" % quantifier.qtype,
-                    box=box,
-                    quantifier=quantifier.name,
-                )
-
-        names = [q.name for q in box.quantifiers]
-        if len(names) != len(set(names)):
-            self.emit(
-                report,
-                "QGM105",
-                Severity.ERROR,
-                "box %r has duplicate quantifier names" % box.name,
-                box=box,
-                hint="use QueryGraph.fresh_name for generated quantifiers",
-            )
-
-        if box.kind == BoxKind.BASE:
-            if box.quantifiers:
-                self.emit(
-                    report,
-                    "QGM106",
-                    Severity.ERROR,
-                    "base box %r must not have quantifiers" % box.name,
-                    box=box,
-                )
-            if box.schema is None:
-                self.emit(
-                    report,
-                    "QGM107",
-                    Severity.ERROR,
-                    "base box %r lacks a schema" % box.name,
-                    box=box,
-                )
-            return
-
-        if box.kind == BoxKind.GROUPBY:
-            self._check_groupby(box, report)
-        elif box.kind in _SETOPS:
-            self._check_setop(box, report)
-        elif box.kind == BoxKind.OUTERJOIN:
-            self._check_outerjoin(box, report)
-        elif box.kind == BoxKind.SELECT:
-            for column in box.columns:
-                if column.expr is None:
-                    self.emit(
-                        report,
-                        "QGM120",
-                        Severity.ERROR,
-                        "select box %r column %r lacks an expression"
-                        % (box.name, column.name),
-                        box=box,
-                        column=column.name,
-                    )
-
-        self._check_expressions(box, all_quantifiers, report)
-
-    def _check_groupby(self, box, report) -> None:
-        foreach = box.foreach_quantifiers()
-        if len(foreach) != 1 or len(box.quantifiers) != 1:
-            self.emit(
-                report,
-                "QGM108",
-                Severity.ERROR,
-                "groupby box %r must have exactly one foreach quantifier" % box.name,
-                box=box,
-            )
-        if box.predicates:
-            self.emit(
-                report,
-                "QGM109",
-                Severity.ERROR,
-                "groupby box %r must not carry predicates" % box.name,
-                box=box,
-                hint="push the predicate into the input or a wrapping select box",
-            )
-        for column in box.columns:
-            if column.expr is None:
-                self.emit(
-                    report,
-                    "QGM110",
-                    Severity.ERROR,
-                    "groupby box %r column %r lacks an expression"
-                    % (box.name, column.name),
-                    box=box,
-                    column=column.name,
-                )
-            elif not isinstance(column.expr, qe.QAggregate):
-                if not _is_group_key(box, column.expr):
-                    self.emit(
-                        report,
-                        "QGM111",
-                        Severity.ERROR,
-                        "groupby box %r column %r is neither a group key nor "
-                        "an aggregate" % (box.name, column.name),
-                        box=box,
-                        column=column.name,
-                    )
-
-    def _check_setop(self, box, report) -> None:
-        if box.predicates:
-            self.emit(
-                report,
-                "QGM112",
-                Severity.ERROR,
-                "set-op box %r must not carry predicates" % box.name,
-                box=box,
-            )
-        arity = len(box.columns)
-        if box.kind in (BoxKind.INTERSECT, BoxKind.EXCEPT) and len(box.quantifiers) != 2:
-            self.emit(
-                report,
-                "QGM113",
-                Severity.ERROR,
-                "%s box %r must have two inputs" % (box.kind, box.name),
-                box=box,
-            )
-        if box.kind == BoxKind.UNION and len(box.quantifiers) < 1:
-            self.emit(
-                report,
-                "QGM113",
-                Severity.ERROR,
-                "union box %r must have at least one input" % box.name,
-                box=box,
-            )
-        for quantifier in box.quantifiers:
-            if quantifier.qtype != QuantifierType.FOREACH:
-                self.emit(
-                    report,
-                    "QGM114",
-                    Severity.ERROR,
-                    "set-op box %r may only have foreach quantifiers" % box.name,
-                    box=box,
-                    quantifier=quantifier.name,
-                )
-            # Every input is compared against the set-op box's *own* column
-            # list, so the offending branch is named even when the first
-            # input silently disagrees with a later-added one.
-            input_arity = len(quantifier.input_box.columns)
-            if input_arity != arity:
-                self.emit(
-                    report,
-                    "QGM115",
-                    Severity.ERROR,
-                    "set-op box %r input %r has mismatched arity "
-                    "(%d columns, box declares %d)"
-                    % (box.name, quantifier.name, input_arity, arity),
-                    box=box,
-                    quantifier=quantifier.name,
-                )
-        for column in box.columns:
-            if column.expr is not None:
-                self.emit(
-                    report,
-                    "QGM116",
-                    Severity.ERROR,
-                    "set-op box %r columns are positional (no expressions)"
-                    % box.name,
-                    box=box,
-                    column=column.name,
-                )
-
-    def _check_outerjoin(self, box, report) -> None:
-        if len(box.quantifiers) != 2:
-            self.emit(
-                report,
-                "QGM117",
-                Severity.ERROR,
-                "outer-join box %r must have two inputs" % box.name,
-                box=box,
-            )
-        for quantifier in box.quantifiers:
-            if quantifier.qtype != QuantifierType.FOREACH:
-                self.emit(
-                    report,
-                    "QGM118",
-                    Severity.ERROR,
-                    "outer-join box %r may only have foreach quantifiers" % box.name,
-                    box=box,
-                    quantifier=quantifier.name,
-                )
-        for column in box.columns:
-            if column.expr is None:
-                self.emit(
-                    report,
-                    "QGM119",
-                    Severity.ERROR,
-                    "outer-join box %r column %r lacks an expression"
-                    % (box.name, column.name),
-                    box=box,
-                    column=column.name,
-                )
-
-    def _check_expressions(self, box, all_quantifiers, report) -> None:
-        # Expression sanity: every referenced quantifier exists somewhere in
-        # the graph, references name existing columns (local *and*
-        # correlated), and aggregates only appear in groupby output columns.
-        for expression in box.all_expressions():
-            for node in qe.walk(expression):
-                if isinstance(node, qe.QColRef):
-                    if node.quantifier not in all_quantifiers:
-                        self.emit(
-                            report,
-                            "QGM121",
-                            Severity.ERROR,
-                            "box %r references a dangling quantifier %r"
-                            % (box.name, node.quantifier.name),
-                            box=box,
-                            quantifier=node.quantifier.name,
-                            column=node.column,
-                        )
-                        continue  # its input box cannot be trusted below
-                    if not node.quantifier.input_box.has_column(node.column):
-                        self.emit(
-                            report,
-                            "QGM122",
-                            Severity.ERROR,
-                            "box %r references missing column %s.%s"
-                            % (box.name, node.quantifier.name, node.column),
-                            box=box,
-                            quantifier=node.quantifier.name,
-                            column=node.column,
-                        )
-                if isinstance(node, qe.QAggregate) and box.kind != BoxKind.GROUPBY:
-                    self.emit(
-                        report,
-                        "QGM123",
-                        Severity.ERROR,
-                        "aggregate found outside a groupby box (in %r)" % box.name,
-                        box=box,
-                        hint="aggregates are only valid as groupby output columns",
-                    )
-
-
-def _is_group_key(box, expression) -> bool:
-    return any(qe.expr_equal(expression, key) for key in box.group_keys)

@@ -542,10 +542,18 @@ class Connection:
         if plan is not None:
             parts.append(plan.describe())
         parts.append(render_text(graph))
-        from repro.optimizer.explain import physical_plan
-
         parts.append("physical plan:")
-        parts.append(
-            physical_plan(graph, plan, self.database.catalog, executor)
-        )
+        if strategy == "correlated":
+            # CorrelatedEvaluator interprets the graph; no program is
+            # compiled for it, so there is no pipeline to show.
+            parts.append(
+                "CORRELATED: each derived quantifier is re-evaluated per "
+                "outer binding"
+            )
+        else:
+            from repro.optimizer.explain import physical_plan
+
+            parts.append(
+                physical_plan(graph, plan, self.database.catalog, executor)
+            )
         return "\n".join(parts)

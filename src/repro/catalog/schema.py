@@ -14,10 +14,11 @@ class ForeignKey:
     reference ``ref_columns`` of ``ref_table``.
 
     The engine does not *enforce* referential integrity on writes; the
-    declaration feeds the dependency-driven reasoning in
-    :mod:`repro.analysis.equivalence` (inclusion dependencies for the
-    chase) and the FK-covered join elimination in
-    :mod:`repro.rewrite.redundant_join`.
+    declaration is trusted. :mod:`repro.rewrite.redundant_join` drops a
+    join to the parent read only through ``ref_columns`` when those cover
+    a parent key and ``columns`` are NOT NULL; the chase in
+    :mod:`repro.analysis.equivalence` reads the same declaration as an
+    inclusion dependency to check such rewrites.
     """
 
     columns: Tuple[str, ...]

@@ -42,6 +42,7 @@ from __future__ import annotations
 from itertools import islice, repeat
 
 from repro.errors import QgmError
+from repro.qgm.facts.keyflow import is_duplicate_free
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 
 
@@ -117,11 +118,9 @@ class FixpointPlan:
         # sets each round on the additive (delta-driven) paths, so its
         # seen-dict pass can be skipped outright. Boxes still carrying
         # ENFORCE take that pass, which is their enforcement.
-        from repro.qgm.keys import is_duplicate_free
-
         self.proven = {
             id(box): box.distinct != DistinctMode.ENFORCE
-            and bool(is_duplicate_free(box, ignore_enforce=True))
+            and is_duplicate_free(box, ignore_enforce=True)
             for box in component
         }
         self.additive = {

@@ -13,6 +13,7 @@ acquires its recursive magic rules.
 from __future__ import annotations
 
 from repro.qgm import expr as qe
+from repro.qgm.facts.keyflow import is_duplicate_free
 from repro.qgm.model import (
     Box,
     BoxKind,
@@ -36,8 +37,6 @@ def relax_proven_duplicate_free(graph):
     cycles, which the historical key derivation bailed out on) still shed
     their enforcement and become mergeable. Returns the relaxed boxes.
     """
-    from repro.qgm.keys import is_duplicate_free
-
     relaxed = []
     for box in graph.boxes():
         if box.magic_role == MagicRole.REGULAR:

@@ -7,7 +7,7 @@ constant selects ``1/V`` of the rows, an equijoin selects
 ``1/max(V_left, V_right)``, a range predicate selects 1/3.
 
 The estimator also consults the interbox dataflow fixpoints
-(:mod:`repro.analysis.dataflow`), memoised per instance — an estimator
+(:mod:`repro.qgm.facts`), memoised per instance — an estimator
 given a ``root`` solves the key analysis once over the root's whole
 subgraph instead of once per box it is asked about:
 
@@ -18,7 +18,7 @@ subgraph instead of once per box it is asked about:
   the key analysis proves the output duplicate-free without it.
 
 Predicate lists the interpreted comparison domain
-(:mod:`repro.analysis.equivalence.domains`) proves contradictory — the
+(:mod:`repro.qgm.facts.domains`) proves contradictory — the
 ``QGM604`` condition — estimate to exactly 0.0 rows instead of a
 product of selectivities.
 
@@ -42,6 +42,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.qgm import expr as qe
+from repro.qgm.facts import domains
+from repro.qgm.facts.keyflow import is_duplicate_free, solve_keys
+from repro.qgm.facts.nullflow import solve_nullability
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 
 EQ_DEFAULT = 0.1
@@ -125,8 +128,6 @@ class CardinalityEstimator:
         lower-cased column names), memoised for the whole solved subgraph."""
         cached = self._key_facts.get(id(box))
         if cached is None:
-            from repro.analysis.dataflow import solve_keys
-
             roots = [box]
             if self.root is not None and not self._key_facts:
                 roots.insert(0, self.root)
@@ -146,8 +147,6 @@ class CardinalityEstimator:
         """Columns of ``box`` proven NOT NULL by the nullability fixpoint."""
         cached = self._null_facts.get(id(box))
         if cached is None:
-            from repro.analysis.dataflow import solve_nullability
-
             try:
                 solved = solve_nullability(box)
             except Exception:
@@ -162,10 +161,8 @@ class CardinalityEstimator:
         output is duplicate-free even ignoring the enforcement)."""
         cached = self._dupfree.get(id(box))
         if cached is None:
-            from repro.analysis.dataflow import solve_box_keys
-
             try:
-                cached = bool(solve_box_keys(box, ignore_enforce=True))
+                cached = is_duplicate_free(box, ignore_enforce=True)
             except Exception:
                 cached = False
             self._dupfree[id(box)] = cached
@@ -177,8 +174,6 @@ class CardinalityEstimator:
         key = tuple(id(p) for p in predicates)
         cached = self._contradictory.get(key)
         if cached is None:
-            from repro.analysis.equivalence import domains
-
             try:
                 cached = domains.predicates_unsatisfiable(predicates)
             except Exception:

@@ -14,7 +14,9 @@ with the same function in the same order
 describes it — except in a linear recursive rule, which the program
 starts from its delta quantifier and the tuple engine runs in the plan's
 ``order=(...)``. Under any other executor such a rule shows only that
-order (``JOIN ... (plan order)``), not the program's pipeline.
+order (``JOIN ... (plan order)``), not the program's pipeline. The
+``correlated`` strategy compiles no program at all, so
+:meth:`repro.api.Connection.explain` renders none for it.
 """
 
 from __future__ import annotations

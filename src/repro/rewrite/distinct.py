@@ -8,10 +8,9 @@ fold them away in phase 3 ("This merge was possible only because we
 inferred, in phase 2, that duplicates were guaranteed to be absent from the
 magic tables").
 
-Duplicate-freeness is decided by :func:`repro.qgm.keys.is_duplicate_free`
-(asked through the rule index, which remembers the verdict until the graph
-next changes), which since the dataflow subsystem landed is a façade over
-the fixpoint key analysis (:mod:`repro.analysis.dataflow.keyflow`) — so the
+Duplicate-freeness is decided by the fixpoint key analysis
+(:func:`repro.qgm.facts.keyflow.is_duplicate_free`, asked through the rule
+index, which remembers the verdict until the graph next changes) — so the
 proof also works through recursive cycles, and :func:`repro.magic.magic_boxes.
 relax_proven_duplicate_free` applies the same proof graph-wide between
 phases 2 and 3.

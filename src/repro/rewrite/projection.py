@@ -8,6 +8,7 @@ elimination key) and on the positional children of set operations.
 
 from __future__ import annotations
 
+from repro.magic.adornment import Adornment
 from repro.qgm.model import BoxKind, DistinctMode
 from repro.rewrite.rule import RewriteRule
 
@@ -41,5 +42,13 @@ class ProjectionPruneRule(RewriteRule):
             keep = box.columns[:1]  # a box must output something
         if len(keep) == len(box.columns):
             return False
+        if box.adornment is not None:
+            # One letter per output column: pruned columns take theirs along.
+            kept = {id(column) for column in keep}
+            box.adornment = Adornment("".join(
+                letter
+                for letter, column in zip(box.adornment, box.columns)
+                if id(column) in kept
+            ))
         box.columns = keep
         return True

@@ -1,34 +1,35 @@
 """Redundant join elimination.
 
-Three tiers, cheapest first:
+Two tiers, cheapest first, both decided from facts the compiler derives
+itself:
 
 1. **Syntactic**: a select box joins two quantifiers over the same box —
    or over two distinct BASE boxes of the *same table* — on a full key of
-   that source; the second quantifier denotes the same row and is removed
-   (the pattern view expansion leaves behind, e.g. query D referencing
-   ``department`` both directly and through ``mgrSal``).
-2. **Chase-verified self-joins**: two quantifiers over *distinct*
-   view-expansion boxes with the same base-table footprint. The rule
-   eliminates one on a cloned graph and keeps the change only when the
-   chase-based equivalence checker returns ``VERIFIED`` — so the rule
-   needs no bespoke soundness argument for each shape.
-3. **FK-covered parent joins**: a join of a child table to its FOREIGN
-   KEY parent on the full FK, where the parent contributes nothing beyond
-   the referenced key columns. The inclusion dependency makes the join a
-   multiplicity-one lookup; again the chase verdict, not syntax, decides.
+   that source (the key fixpoint, :mod:`repro.qgm.facts.keyflow`); the
+   second quantifier denotes the same row and is removed (the pattern view
+   expansion leaves behind, e.g. query D referencing ``department`` both
+   directly and through ``mgrSal``).
+2. **FK-covered parent joins**: a join of a child table to its FOREIGN
+   KEY parent on the full FK, where the parent is read only through the
+   referenced columns. When those columns cover a declared key of the
+   parent and every FK column is NOT NULL — exactly when the catalog's
+   inclusion dependency ``child[fk] ⊆ parent[ref]`` is unconditional —
+   every child row matches exactly one parent row, so the join neither
+   filters nor multiplies and the parent quantifier goes.
+
+The chase (:mod:`repro.analysis.equivalence`) decides nothing here; it
+checks these firings afterwards (paranoid mode, translation validation),
+and the ``QGM602`` diagnostic reports the joins only the chase can prove
+redundant.
 """
 
 from __future__ import annotations
 
 from repro.qgm import expr as qe
-from repro.qgm.keys import box_keys
-from repro.qgm.model import BoxKind, QuantifierType
+from repro.qgm.facts.keyflow import solve_box_keys
+from repro.qgm.model import BoxKind
 from repro.rewrite.rule import RewriteRule
 from repro.rewrite.common import substitute_everywhere
-
-#: Trial eliminations attempted per apply() call (each costs one graph
-#: clone plus one chase-based check).
-_MAX_TRIALS = 8
 
 
 def _is_trivial_self_equality(predicate):
@@ -52,7 +53,7 @@ def _same_source(first_box, second_box):
     )
 
 
-def _references_to(graph, quantifier):
+def columns_read_through(graph, quantifier):
     """Lower-cased column names referenced from ``quantifier`` anywhere."""
     columns = set()
     for box in graph.boxes():
@@ -61,6 +62,19 @@ def _references_to(graph, quantifier):
                 if ref.quantifier is quantifier:
                     columns.add(ref.column.lower())
     return columns
+
+
+def linked_by_equality(box, first, second):
+    """True when some predicate of ``box`` equates a column of ``first``
+    with a column of ``second``."""
+    for predicate in box.predicates:
+        sides = qe.equality_sides(predicate)
+        if sides is None:
+            continue
+        quantifiers = {sides[0].quantifier, sides[1].quantifier}
+        if quantifiers == {first, second}:
+            return True
+    return False
 
 
 def eliminate_quantifier(box, graph, keep, drop, column_mapping, join_orders=None):
@@ -79,8 +93,8 @@ def eliminate_quantifier(box, graph, keep, drop, column_mapping, join_orders=Non
     substitute_everywhere(graph, mapping)
     # Join predicates became trivial self-equalities; remove them (they
     # would only re-filter NULL keys, and the equivalence argument — a
-    # declared key or a verified chase — guarantees the column is non-null
-    # exactly where the join matched).
+    # declared key or a NOT NULL foreign key — guarantees the column is
+    # non-null exactly where the join matched).
     box.predicates = [
         p for p in box.predicates if not _is_trivial_self_equality(p)
     ]
@@ -90,34 +104,65 @@ def eliminate_quantifier(box, graph, keep, drop, column_mapping, join_orders=Non
             join_orders[box.box_id] = [n for n in order if n != drop.name]
 
 
-def _base_footprint(box, depth=0):
-    """Sorted multiset of base tables a box expands over; None = unknown."""
-    if depth > 6:
-        return None
-    if box.kind == BoxKind.BASE:
-        return (box.table_name.lower(),) if box.table_name else None
-    if box.kind != BoxKind.SELECT or box.is_special:
-        return None
-    tables = []
-    for quantifier in box.quantifiers:
-        if quantifier.qtype != QuantifierType.FOREACH:
-            return None
-        child = _base_footprint(quantifier.input_box, depth + 1)
-        if child is None:
-            return None
-        tables.extend(child)
-    return tuple(sorted(tables))
+def fk_parent_joins(box, graph):
+    """Yield ``(child, parent, fk, column_mapping)`` for every join of
+    ``box`` from a BASE child to a BASE parent over the child's foreign
+    key ``fk`` that equates the full FK, where the parent is read (in any
+    box) only through the referenced columns. ``column_mapping`` maps
+    each referenced column to its FK column."""
+    foreach = box.foreach_quantifiers()
+    for child in foreach:
+        child_box = child.input_box
+        if child_box.kind != BoxKind.BASE or child_box.schema is None:
+            continue
+        for fk in child_box.schema.foreign_keys:
+            for parent in foreach:
+                if parent is child:
+                    continue
+                parent_box = parent.input_box
+                if (
+                    parent_box.kind != BoxKind.BASE
+                    or parent_box.table_name is None
+                    or parent_box.table_name.lower() != fk.ref_table.lower()
+                ):
+                    continue
+                if not _fk_fully_equated(box, child, parent, fk):
+                    continue
+                column_mapping = {
+                    ref.lower(): child_col
+                    for ref, child_col in zip(fk.ref_columns, fk.columns)
+                }
+                if not columns_read_through(graph, parent) <= set(column_mapping):
+                    continue
+                yield child, parent, fk, column_mapping
 
 
-def _linked_by_equality(box, first, second):
+def _fk_fully_equated(box, child, parent, fk):
+    equated = set()
     for predicate in box.predicates:
         sides = qe.equality_sides(predicate)
         if sides is None:
             continue
-        quantifiers = {sides[0].quantifier, sides[1].quantifier}
-        if quantifiers == {first, second}:
-            return True
-    return False
+        left, right = sides
+        if left.quantifier is parent and right.quantifier is child:
+            left, right = right, left
+        if left.quantifier is child and right.quantifier is parent:
+            equated.add((left.column.lower(), right.column.lower()))
+    return all(
+        (child_col.lower(), ref_col.lower()) in equated
+        for child_col, ref_col in zip(fk.columns, fk.ref_columns)
+    )
+
+
+def fk_matches_one_parent(child, parent, fk):
+    """True when every row of ``child`` joins exactly one row of
+    ``parent`` on ``fk``: the referenced columns cover a declared key of
+    the parent (at most one match) and every FK column is NOT NULL (the
+    declared inclusion holds for every child row, so at least one)."""
+    not_null = child.input_box.schema.not_null_columns()
+    return parent.input_box.schema.is_unique_on(fk.ref_columns) and all(
+        column.lower() in not_null for column in fk.columns
+    )
 
 
 class RedundantJoinRule(RewriteRule):
@@ -137,14 +182,14 @@ class RedundantJoinRule(RewriteRule):
             for second in foreach[i + 1:]:
                 if _same_source(first.input_box, second.input_box):
                     return True
-                if _linked_by_equality(box, first, second):
+                if linked_by_equality(box, first, second):
                     return True
         return False
 
     def apply(self, box, context):
-        if self._apply_syntactic(box, context):
-            return True
-        return self._apply_semantic(box, context)
+        return self._apply_syntactic(box, context) or self._apply_fk_parent(
+            box, context
+        )
 
     # -- tier 1: key-equated same-source joins -------------------------------
 
@@ -186,152 +231,21 @@ class RedundantJoinRule(RewriteRule):
             if pair and pair[0] == pair[1]:
                 pairs[pair[0]] = True
                 predicates_by_column[pair[0]] = predicate
-        for key in box_keys(first.input_box):
+        for key in solve_box_keys(first.input_box):
             if key and all(column in pairs for column in key):
                 return [predicates_by_column[column] for column in key]
         return None
 
-    # -- tiers 2+3: chase-verified trial eliminations ------------------------
+    # -- tier 2: FK-covered parent joins -------------------------------------
 
-    def _apply_semantic(self, box, context):
-        checker = self._equivalence_checker(context)
-        if checker is None:
-            return False
-        attempted = getattr(context, "_redundant_join_attempts", None)
-        if attempted is None:
-            attempted = set()
-            context._redundant_join_attempts = attempted
-        trials = 0
-        for keep, drop, column_mapping in self._semantic_candidates(box, context):
-            key = (box.box_id, keep.name, drop.name)
-            if key in attempted:
-                continue
-            attempted.add(key)
-            trials += 1
-            if trials > _MAX_TRIALS:
-                return False
-            if self._verify_elimination(box, context, checker, keep, drop,
-                                        column_mapping):
+    def _apply_fk_parent(self, box, context):
+        for child, parent, fk, column_mapping in fk_parent_joins(
+            box, context.graph
+        ):
+            if fk_matches_one_parent(child, parent, fk):
                 eliminate_quantifier(
-                    box, context.graph, keep, drop, column_mapping,
+                    box, context.graph, child, parent, column_mapping,
                     context.join_orders,
                 )
                 return True
         return False
-
-    def _equivalence_checker(self, context):
-        checker = getattr(context, "_equivalence_checker", None)
-        if checker is None:
-            catalog = getattr(context.graph, "catalog", None)
-            if catalog is None:
-                return None
-            from repro.analysis.equivalence import EquivalenceChecker
-
-            checker = EquivalenceChecker(catalog)
-            context._equivalence_checker = checker
-        return checker
-
-    def _semantic_candidates(self, box, context):
-        """Yield (keep, drop, column_mapping) worth a trial elimination."""
-        graph = context.graph
-        foreach = box.foreach_quantifiers()
-
-        # Self-joins through view-expansion boxes: both inputs are SELECT
-        # boxes over the same base tables with the same output columns,
-        # linked by at least one equality. A shared box object (two
-        # quantifiers ranging over one expansion) lands here too when
-        # tier 1 found no declared key to equate on.
-        for i, first in enumerate(foreach):
-            for second in foreach[i + 1:]:
-                if (
-                    first.input_box.kind != BoxKind.SELECT
-                    or second.input_box.kind != BoxKind.SELECT
-                ):
-                    continue
-                if first.input_box is not second.input_box:
-                    footprint = _base_footprint(first.input_box)
-                    if footprint is None or footprint != _base_footprint(
-                        second.input_box
-                    ):
-                        continue
-                if not _linked_by_equality(box, first, second):
-                    continue
-                for keep, drop in ((first, second), (second, first)):
-                    keep_columns = {
-                        name.lower(): name
-                        for name in keep.input_box.column_names
-                    }
-                    if not set(_references_to(graph, drop)) <= set(keep_columns):
-                        continue
-                    yield keep, drop, keep_columns
-
-        # FK-covered parent joins: child joined to its FOREIGN KEY parent
-        # on the full FK, parent contributing only the referenced columns.
-        for child in foreach:
-            child_box = child.input_box
-            if child_box.kind != BoxKind.BASE or child_box.schema is None:
-                continue
-            for fk in getattr(child_box.schema, "foreign_keys", ()):
-                for parent in foreach:
-                    if parent is child:
-                        continue
-                    parent_box = parent.input_box
-                    if (
-                        parent_box.kind != BoxKind.BASE
-                        or parent_box.table_name is None
-                        or parent_box.table_name.lower() != fk.ref_table.lower()
-                    ):
-                        continue
-                    if not self._fk_fully_equated(box, child, parent, fk):
-                        continue
-                    column_mapping = {
-                        ref.lower(): child_col
-                        for ref, child_col in zip(fk.ref_columns, fk.columns)
-                    }
-                    if not set(_references_to(graph, parent)) <= set(
-                        column_mapping
-                    ):
-                        continue
-                    yield child, parent, column_mapping
-
-    @staticmethod
-    def _fk_fully_equated(box, child, parent, fk):
-        equated = set()
-        for predicate in box.predicates:
-            sides = qe.equality_sides(predicate)
-            if sides is None:
-                continue
-            left, right = sides
-            if left.quantifier is parent and right.quantifier is child:
-                left, right = right, left
-            if left.quantifier is child and right.quantifier is parent:
-                equated.add((left.column.lower(), right.column.lower()))
-        return all(
-            (child_col.lower(), ref_col.lower()) in equated
-            for child_col, ref_col in zip(fk.columns, fk.ref_columns)
-        )
-
-    def _verify_elimination(self, box, context, checker, keep, drop,
-                            column_mapping):
-        """Perform the elimination on a cloned graph and ask the chase
-        whether the rewritten box is equivalent to the original."""
-        from repro.qgm.clone import clone_graph
-
-        trial_graph = clone_graph(context.graph)
-        trial_box = None
-        for candidate in trial_graph.boxes():
-            if candidate.box_id == box.box_id:
-                trial_box = candidate
-                break
-        if trial_box is None:
-            return False
-        try:
-            trial_keep = trial_box.quantifier(keep.name)
-            trial_drop = trial_box.quantifier(drop.name)
-        except Exception:
-            return False
-        eliminate_quantifier(
-            trial_box, trial_graph, trial_keep, trial_drop, column_mapping
-        )
-        verdict = checker.check_boxes(box, trial_box)
-        return verdict.status == "VERIFIED"

@@ -4,7 +4,7 @@ the current graph state."""
 from __future__ import annotations
 
 from repro.qgm import expr as qe
-from repro.qgm.keys import is_duplicate_free
+from repro.qgm.facts.keyflow import is_duplicate_free
 from repro.qgm.model import BoxKind
 
 _POSITIONAL_KINDS = (BoxKind.UNION, BoxKind.INTERSECT, BoxKind.EXCEPT)

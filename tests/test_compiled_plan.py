@@ -16,13 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.analysis.dataflow.keyflow as keyflow
 import repro.engine.columnar.operators as operators
 import repro.engine.columnar.program as program_module
 import repro.engine.columnar.vector as vector
 import repro.engine.evaluator as evaluator_module
 import repro.engine.storage as storage
+import repro.optimizer.cardinality as cardinality
 import repro.qgm.expr as qe
+import repro.qgm.facts.keyflow as keyflow
 import repro.qgm.stratum as stratum
 from repro import Connection, Database
 from repro.engine import BatchEvaluator
@@ -96,7 +97,7 @@ class CallCounts:
             (evaluator_module, "reduced_dependency_graph"),
             (program_module, "reduced_dependency_graph"),
         ],
-        "solve_keys": [(keyflow, "solve_keys")],
+        "solve_keys": [(keyflow, "solve_keys"), (cardinality, "solve_keys")],
         "compile_vector": [
             (vector, "compile_vector"),
             (operators, "compile_vector"),

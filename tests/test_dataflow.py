@@ -1,24 +1,20 @@
 """The interbox dataflow engine: fixpoint solving, the three analyses
-(keys, nullability, bindings), the `qgm.keys` façade over the key
-backend, the optimizer/magic consumers of the facts, and the end-to-end
+(keys, nullability, bindings), the key fixpoint's one-box entry points,
+the optimizer/magic consumers of the facts, and the end-to-end
 acceptance on recursive magic workloads."""
 
 import pytest
 
 from repro import Connection, Database
-from repro.analysis.dataflow import (
-    solve_bindings,
-    solve_box_keys,
-    solve_keys,
-    solve_nullability,
-)
+from repro.analysis.bindflow import solve_bindings
 from repro.catalog import ColumnDef
 from repro.engine import Evaluator
 from repro.optimizer import CardinalityEstimator
 from repro.optimizer.heuristic import optimize_with_heuristic
 from repro.qgm import BoxKind, build_query_graph
 from repro.qgm import expr as qe
-from repro.qgm.keys import box_keys, is_duplicate_free
+from repro.qgm.facts.keyflow import is_duplicate_free, solve_box_keys, solve_keys
+from repro.qgm.facts.nullflow import solve_nullability
 from repro.qgm.model import (
     Box,
     DistinctMode,
@@ -76,7 +72,7 @@ def build(sql, db):
 
 def test_primary_key_survives_select(db):
     graph = build("SELECT e.empno, e.empname FROM emp e", db)
-    assert frozenset({"empno"}) in box_keys(graph.top_box)
+    assert frozenset({"empno"}) in solve_box_keys(graph.top_box)
 
 
 def test_zero_foreach_select_yields_at_most_one_row():
@@ -113,7 +109,7 @@ def test_mutually_determined_quantifiers_claim_no_key():
     graph = build(
         "SELECT t.x FROM s s1, s s2, t t WHERE s1.a = s2.a", db
     )
-    keys = box_keys(graph.top_box)
+    keys = solve_box_keys(graph.top_box)
     assert frozenset({"x"}) not in keys
     # And empirically: x really does repeat in the output.
     rows = Evaluator(graph, db).run().rows
@@ -125,7 +121,7 @@ def test_determined_quantifier_with_free_support_is_eliminated():
     db.create_table("s", ["a"], primary_key=["a"], rows=[(1,), (2,)])
     db.create_table("t", ["x"], primary_key=["x"], rows=[(1,), (5,)])
     graph = build("SELECT t.x FROM s s, t t WHERE s.a = t.x", db)
-    assert frozenset({"x"}) in box_keys(graph.top_box)
+    assert frozenset({"x"}) in solve_box_keys(graph.top_box)
 
 
 def test_keys_derive_through_recursive_cycle(db):
@@ -147,17 +143,17 @@ def test_keys_derive_through_recursive_cycle(db):
     union = next(b for b in boxes if b.kind == BoxKind.UNION)
     # UNION (distinct) enforces: the full column set is a key, and the
     # single-column select above it inherits it.
-    assert frozenset({"n"}) in box_keys(union)
-    assert frozenset({"n"}) in box_keys(graph.top_box)
+    assert frozenset({"n"}) in solve_box_keys(union)
+    assert frozenset({"n"}) in solve_box_keys(graph.top_box)
     assert is_duplicate_free(union)
 
 
 def test_ignore_enforce_separates_structural_from_enforced(db):
     graph = build("SELECT DISTINCT e.empname FROM emp e", db)
-    assert box_keys(graph.top_box)  # the enforcement is a key
-    assert not box_keys(graph.top_box, ignore_enforce=True)
+    assert solve_box_keys(graph.top_box)  # the enforcement is a key
+    assert not solve_box_keys(graph.top_box, ignore_enforce=True)
     graph = build("SELECT DISTINCT e.empno FROM emp e", db)
-    assert box_keys(graph.top_box, ignore_enforce=True)  # PK: structural
+    assert solve_box_keys(graph.top_box, ignore_enforce=True)  # PK: structural
 
 
 # ---------------------------------------------------------------------------

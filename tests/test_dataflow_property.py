@@ -14,10 +14,10 @@ against the rows the evaluator actually produced:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dataflow import solve_box_keys, solve_nullability
 from repro.engine import Evaluator
 from repro.qgm import build_query_graph
-from repro.qgm.keys import box_keys
+from repro.qgm.facts.keyflow import solve_box_keys
+from repro.qgm.facts.nullflow import solve_nullability
 from repro.qgm.model import DistinctMode
 from repro.sql import parse_statement
 from repro.workloads.decision_support import build_decision_support_database
@@ -33,7 +33,7 @@ def _check_facts(graph, db):
     result = Evaluator(graph, db).run()
     ordinal = {name.lower(): i for i, name in enumerate(result.columns)}
 
-    for key in box_keys(graph.top_box):
+    for key in solve_box_keys(graph.top_box):
         positions = [ordinal[part] for part in sorted(key)]
         projected = [tuple(row[i] for i in positions) for row in result.rows]
         assert len(projected) == len(set(projected)), (

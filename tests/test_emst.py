@@ -160,7 +160,7 @@ def test_magic_box_distinct_enforced_when_unprovable(numbers_db):
     # DISTINCT; boxes *derived* from an enforcing magic box may legally
     # relax theirs (their input is already duplicate-free).
     assert any(b.distinct == DistinctMode.ENFORCE for b in magic)
-    from repro.qgm.keys import is_duplicate_free
+    from repro.qgm.facts.keyflow import is_duplicate_free
 
     for box in magic:
         if box.distinct != DistinctMode.ENFORCE:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Connection, Database, ResiliencePolicy
+from repro.analysis import analyze_graph
 from repro.analysis.equivalence import (
     REFUTED,
     UNKNOWN,
@@ -726,22 +727,30 @@ def test_same_table_distinct_base_boxes_eliminated(empdept):
     assert canonical(rows_of(graph, empdept)) == canonical(before)
 
 
+def _qgm602_quantifiers(graph, db):
+    report = analyze_graph(graph, catalog=db.catalog)
+    return {
+        d.quantifier
+        for d in report
+        if d.code == "QGM602" and d.box == graph.top_box.name
+    }
+
+
 def test_view_self_join_eliminated_by_chase(empdept):
     # Query-D shape: the same view referenced twice, joined on a key of
     # the underlying table. The builder shares one expansion box between
-    # the two quantifiers; only the chase can prove the elimination sound
-    # (a view box declares no key of its own).
+    # the two quantifiers. The key fixpoint derives no key for the mgrSal
+    # expansion, so the rewrite keeps both quantifiers; only the chase
+    # proves the join redundant, and QGM602 reports it.
     sql = (
         "SELECT m1.empname, m2.salary FROM mgrSal m1, mgrSal m2 "
         "WHERE m1.empno = m2.empno"
     )
-    before = rows_of(build(sql, empdept), empdept)
     graph = build(sql, empdept)
-    assert len(graph.top_box.foreach_quantifiers()) == 2
     context = run_redundant_join(graph)
-    assert len(graph.top_box.foreach_quantifiers()) == 1
-    assert context.firing_counts.get("redundant-join") == 1
-    assert canonical(rows_of(graph, empdept)) == canonical(before)
+    assert len(graph.top_box.foreach_quantifiers()) == 2
+    assert "redundant-join" not in context.firing_counts
+    assert _qgm602_quantifiers(graph, empdept) == {"m1", "m2"}
 
 
 def test_view_self_join_with_distinct_expansion_boxes(empdept):
@@ -754,14 +763,13 @@ def test_view_self_join_with_distinct_expansion_boxes(empdept):
         "SELECT m1.empname, m2.salary FROM mgrSal m1, mgrSal m2 "
         "WHERE m1.empno = m2.empno"
     )
-    before = rows_of(build(sql, empdept), empdept)
     graph = build(sql, empdept)
     first, second = graph.top_box.foreach_quantifiers()
     assert first.input_box is second.input_box  # builder shares the box
     second.input_box = copy.deepcopy(second.input_box)
     run_redundant_join(graph)
-    assert len(graph.top_box.foreach_quantifiers()) == 1
-    assert canonical(rows_of(graph, empdept)) == canonical(before)
+    assert len(graph.top_box.foreach_quantifiers()) == 2
+    assert _qgm602_quantifiers(graph, empdept) == {"m1", "m2"}
 
 
 def test_fk_covered_parent_join_eliminated(ds):

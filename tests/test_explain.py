@@ -144,6 +144,20 @@ def test_magic_quantifier_labelled(empdept_conn):
     assert "MATERIALIZE" in text
 
 
+def test_correlated_explain_prints_no_compiled_program(empdept_conn):
+    # CorrelatedEvaluator never runs the batch program: under this
+    # strategy EXPLAIN must not show one (no MATERIALIZE, no HASHJOIN).
+    text = empdept_conn.explain(
+        "SELECT d.deptname, s.avgsalary FROM department d, avgMgrSal s "
+        "WHERE d.deptno = s.workdept AND d.deptname = 'Planning'",
+        strategy="correlated",
+    )
+    physical = text.split("physical plan:\n")[1]
+    assert physical.splitlines() == [
+        "CORRELATED: each derived quantifier is re-evaluated per outer binding"
+    ]
+
+
 def test_row_estimates_present(empdept_db):
     text = plan_text(empdept_db, "SELECT empno FROM employee")
     assert "~7 rows" in text

@@ -262,13 +262,13 @@ def test_derived_keys_are_sound(s_rows):
     db = Database()
     db.create_table("s", ["a", "d"], primary_key=["a"], rows=unique_rows)
     from repro.qgm import build_query_graph
-    from repro.qgm.keys import box_keys
+    from repro.qgm.facts.keyflow import solve_box_keys
     from repro.engine import Evaluator
 
     graph = build_query_graph(
         parse_statement("SELECT a, d FROM s WHERE d >= 0"), db.catalog
     )
-    keys = box_keys(graph.top_box)
+    keys = solve_box_keys(graph.top_box)
     result = Evaluator(graph, db).run()
     for key in keys:
         ordinals = [

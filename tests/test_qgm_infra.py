@@ -14,7 +14,7 @@ from repro.qgm import (
     validate_graph,
 )
 from repro.qgm.clone import clone_box
-from repro.qgm.keys import box_keys, is_duplicate_free
+from repro.qgm.facts.keyflow import is_duplicate_free, solve_box_keys
 from repro.qgm.stratum import assign_strata, is_recursive, reduced_dependency_graph
 
 
@@ -72,12 +72,12 @@ def test_nonrecursive_graph_reported(empdept_db):
 def test_base_table_key_derived(empdept_db):
     graph = build("SELECT deptno, deptname FROM department", empdept_db)
     base = graph.top_box.quantifiers[0].input_box
-    assert frozenset({"deptno"}) in box_keys(base)
+    assert frozenset({"deptno"}) in solve_box_keys(base)
 
 
 def test_select_box_key_through_projection(empdept_db):
     graph = build("SELECT deptno, deptname FROM department", empdept_db)
-    assert frozenset({"deptno"}) in box_keys(graph.top_box)
+    assert frozenset({"deptno"}) in solve_box_keys(graph.top_box)
     assert is_duplicate_free(graph.top_box)
 
 
@@ -98,7 +98,7 @@ def test_groupby_keys(empdept_db):
         empdept_db,
     )
     groupby = graph.top_box.quantifiers[0].input_box
-    assert frozenset({"gk0"}) in box_keys(groupby)
+    assert frozenset({"gk0"}) in solve_box_keys(groupby)
 
 
 def test_join_on_full_key_preserves_other_side_key(empdept_db):
@@ -109,7 +109,7 @@ def test_join_on_full_key_preserves_other_side_key(empdept_db):
         "WHERE d.deptno = e.workdept",
         empdept_db,
     )
-    keys = box_keys(graph.top_box)
+    keys = solve_box_keys(graph.top_box)
     assert frozenset({"empno"}) in keys
 
 
@@ -118,7 +118,7 @@ def test_join_without_key_equation_has_composite_key(empdept_db):
         "SELECT e.empno, d.deptno FROM employee e, department d",
         empdept_db,
     )
-    keys = box_keys(graph.top_box)
+    keys = solve_box_keys(graph.top_box)
     assert frozenset({"empno", "deptno"}) in keys
 
 

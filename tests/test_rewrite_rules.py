@@ -224,6 +224,24 @@ def test_projection_prunes_unused_view_columns(empdept_db):
     assert child.column_names == ["empno"]
 
 
+def test_projection_prune_keeps_the_adornment_one_letter_per_column(empdept_db):
+    # An adorned box pruned in phase 3 keeps the letters of the columns it
+    # keeps, in order (QGM401 checks the arity under paranoid mode).
+    from repro.magic.adornment import Adornment
+
+    empdept_db.catalog.add_view(
+        parse_statement(
+            "CREATE VIEW wide AS SELECT empno, empname, workdept, salary FROM employee"
+        )
+    )
+    graph = build("SELECT empno, salary FROM wide", empdept_db)
+    child = graph.top_box.quantifiers[0].input_box
+    child.adornment = Adornment("bfcf")
+    rewrite_with(graph, [ProjectionPruneRule()], phase=3)
+    assert child.column_names == ["empno", "salary"]
+    assert child.adornment == "bf"
+
+
 def test_projection_keeps_columns_under_distinct(numbers_db):
     numbers_db.catalog.add_view(
         parse_statement("CREATE VIEW dv AS SELECT DISTINCT a, c FROM t")
