@@ -59,7 +59,9 @@ def _empdept_connection(scale):
         employees_per_department=6,
         seed=61,
     )
-    connection = Connection(db)
+    # Tuple engine, so the paranoid overhead is measured against the
+    # execution time the tracked results were taken on.
+    connection = Connection(db, executor="tuple")
     connection.run_script(PAPER_VIEWS_SQL)
     return connection
 

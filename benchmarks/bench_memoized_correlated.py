@@ -24,7 +24,9 @@ from benchmarks.conftest import bench_scale, write_result
 
 def _measure_all(key):
     db, views_sql, query_sql = EXPERIMENTS[key].build(bench_scale())
-    connection = Connection(db)
+    # Tuple engine: the correlated columns have no other, and the table
+    # compares strategies on one engine.
+    connection = Connection(db, executor="tuple")
     if views_sql:
         connection.run_script(views_sql)
 
@@ -99,7 +101,9 @@ def _duplicate_binding_db():
 
 def _measure_duplicates():
     db, sql = _duplicate_binding_db()
-    connection = Connection(db)
+    # Tuple engine: the correlated columns have no other, and the table
+    # compares strategies on one engine.
+    connection = Connection(db, executor="tuple")
     timings = {}
     rows = {}
     for strategy in ("original", "emst"):

@@ -45,8 +45,9 @@ def scale():
 
 @pytest.fixture(scope="session")
 def paper_connection(scale):
-    """A Connection over the paper's schema at benchmark scale, with the
-    Example 1.1 views registered."""
+    """A tuple-engine Connection over the paper's schema at benchmark
+    scale, with the Example 1.1 views registered. The figure benchmarks
+    time strategies against each other on the paper's one engine."""
     from repro.api import Connection
     from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
 
@@ -55,6 +56,6 @@ def paper_connection(scale):
         employees_per_department=5,
         seed=107,
     )
-    connection = Connection(db)
+    connection = Connection(db, executor="tuple")
     connection.run_script(PAPER_VIEWS_SQL)
     return connection

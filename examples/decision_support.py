@@ -32,7 +32,9 @@ QUERY = (
 
 def main():
     db = build_decision_support_database(scale=6.0)
-    conn = Connection(db)
+    # The tuple engine, the one correlated execution runs on, so the
+    # strategy comparison below times every strategy on the same engine.
+    conn = Connection(db, executor="tuple")
     conn.run_script(VIEWS)
 
     print("Revenue roll-up for one region, through two view levels:")

@@ -21,7 +21,9 @@ from repro.workloads.empdept import (
 def main():
     # A mid-sized instance: 3000 departments x 5 employees.
     db = build_empdept_database(n_departments=3000, employees_per_department=5)
-    conn = Connection(db)
+    # Table 1 compares the strategies on one engine; correlated execution
+    # exists only on the tuple engine, so every strategy runs there.
+    conn = Connection(db, executor="tuple")
     conn.run_script(PAPER_VIEWS_SQL)
 
     print("Query D:")

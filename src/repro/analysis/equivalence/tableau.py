@@ -193,11 +193,6 @@ class Tableau:
     def has_builtins(self):
         return bool(self.builtins)
 
-    def interpreted_only(self):
-        """No uninterpreted builtins and no derived atoms — every
-        constraint is either structural or an interpreted comparison."""
-        return not self.builtins and not self.derived
-
 
 @dataclass
 class CanonicalQuery:

@@ -42,8 +42,9 @@ from repro.optimizer.heuristic import optimize_with_heuristic
 
 STRATEGIES = ("original", "correlated", "emst", "phase1", "norewrite")
 
-#: Execution engines: ``"batch"`` is the columnar vectorized executor,
-#: ``"tuple"`` the classic row-at-a-time engine (and differential oracle).
+#: Execution engines: ``"batch"`` is the columnar vectorized executor and
+#: the default everywhere; ``"tuple"`` the classic row-at-a-time engine,
+#: kept as the differential oracle that tests and Table 1 name.
 EXECUTORS = ("tuple", "batch")
 
 
@@ -67,7 +68,7 @@ def running_executor(strategy, executor):
     """The executor that runs ``strategy`` when ``executor`` is asked for:
     the ``correlated`` strategy is tuple-at-a-time by definition (its
     whole point is per-binding evaluation), whatever the switch says.
-    Whatever reports or keys on an executor reports or keys on this."""
+    Whatever reports an executor reports this."""
     return "tuple" if strategy == "correlated" else executor
 
 
@@ -192,7 +193,7 @@ class ExecutionOutcome:
     elapsed_seconds: float = 0.0
     rewrite_seconds: float = 0.0
     #: Which execution engine produced the result ("tuple" or "batch").
-    executor: str = "tuple"
+    executor: str = "batch"
     stats: Dict[str, int] = field(default_factory=dict)
     #: A FallbackReport when the query ran under a ResiliencePolicy.
     resilience: Optional[object] = None
@@ -234,7 +235,7 @@ class PreparedQuery:
     heuristic: Optional[object]
     strategy: str
     resilience: Optional[object] = None
-    executor: str = "tuple"
+    executor: str = "batch"
     #: The batch executor's compiled program: built by the first
     #: ``execute`` that needs it, reused by every later one. It depends on
     #: ``graph`` and ``plan`` only, never on data.
@@ -266,11 +267,12 @@ class Connection:
     ``explain_execute``.
 
     ``executor`` selects the execution engine for every query on the
-    connection: ``"tuple"`` (default) is the classic row-at-a-time
-    evaluator, ``"batch"`` the columnar vectorized one.
+    connection: ``"batch"`` (default) is the columnar vectorized one,
+    ``"tuple"`` the classic row-at-a-time evaluator, the oracle the
+    differential tests compare against.
     """
 
-    def __init__(self, database, resilience=None, executor="tuple"):
+    def __init__(self, database, resilience=None, executor="batch"):
         check_executor(executor)
         self.database = database
         self.resilience = resilience

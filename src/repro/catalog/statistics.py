@@ -19,10 +19,6 @@ class ColumnStatistics:
     min_value: Optional[object] = None
     max_value: Optional[object] = None
 
-    def selectivity_equals_constant(self):
-        """Estimated fraction of rows matching ``col = constant``."""
-        return 1.0 / max(self.distinct_count, 1)
-
 
 @dataclass
 class TableStatistics:

@@ -16,8 +16,8 @@ The bottom-up strategies come in two executors: the classic
 tuple-at-a-time :class:`Evaluator` and the columnar
 :class:`BatchEvaluator` (:mod:`repro.engine.columnar`), which evaluates
 boxes over column batches with vectorized predicates and batch
-hash joins. The tuple engine doubles as the differential-testing oracle
-for the batch engine.
+hash joins. The batch engine serves by default; the tuple engine is the
+differential-testing oracle for it.
 """
 
 from repro.engine.storage import Database, Table

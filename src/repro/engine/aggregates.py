@@ -285,6 +285,16 @@ _FACTORIES = {
 }
 
 
+class _Registered(_Accumulator):
+    """A custom accumulator given :class:`_Accumulator`'s looping
+    ``add_many``, which the batch group-by feeds."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.add = inner.add
+        self.result = inner.result
+
+
 def register_aggregate(name, factory):
     """Register a custom aggregate (extensibility hook, §5 style).
 
@@ -295,7 +305,7 @@ def register_aggregate(name, factory):
     from repro.sql import ast
 
     upper = name.upper()
-    _FACTORIES[upper] = factory
+    _FACTORIES[upper] = lambda: _Registered(factory())
     ast.AGGREGATE_FUNCTIONS.add(upper)
     return factory
 

@@ -65,10 +65,6 @@ class MagicError(RewriteError):
     """Raised by the EMST machinery (adornment mismatch, bad sips, ...)."""
 
 
-class PlanError(ReproError):
-    """Raised by the plan optimizer."""
-
-
 class ExecutionError(ReproError):
     """Raised by the execution engine (cardinality violations etc.)."""
 

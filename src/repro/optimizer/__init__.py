@@ -9,6 +9,11 @@ two-pass cost-based heuristic of §3.2 lives in
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.joinorder import optimize_select_box
 from repro.optimizer.plan import GraphPlan, BoxPlan, optimize_graph
+from repro.optimizer.heuristic import (
+    HeuristicResult,
+    optimize_exhaustive_emst,
+    optimize_with_heuristic,
+)
 
 __all__ = [
     "CardinalityEstimator",
@@ -21,12 +26,3 @@ __all__ = [
     "optimize_exhaustive_emst",
 ]
 
-
-def __getattr__(name):
-    # The heuristic pulls in the magic package; import it lazily to keep
-    # `repro.optimizer` importable from within `repro.magic` itself.
-    if name in ("HeuristicResult", "optimize_with_heuristic", "optimize_exhaustive_emst"):
-        from repro.optimizer import heuristic
-
-        return getattr(heuristic, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -301,11 +301,6 @@ def solve_nullability(root_box) -> Dict[int, NullFact]:
     return solve(NullabilityAnalysis(), [root_box])
 
 
-def null_rejected_refs(box) -> Set[Tuple[int, str]]:
-    """``(id(quantifier), column)`` pairs grounded by ``box``'s predicates."""
-    return NullabilityAnalysis()._null_rejected_refs(box)
-
-
 def null_rejecting_refs(predicates) -> Set[Tuple[int, str]]:
     """References a row surviving all of ``predicates`` cannot hold NULL in."""
     analysis = NullabilityAnalysis()

@@ -335,9 +335,6 @@ class QueryGraph:
                 return box
         return None
 
-    def select_boxes(self):
-        return [b for b in self.boxes() if b.kind == BoxKind.SELECT]
-
     def summary_counts(self):
         """(boxes, quantifiers, join-predicates) — used by the figure
         benchmarks to report graph complexity like the paper's Figure 1."""

@@ -113,10 +113,10 @@ class ResiliencePolicy:
     translation-validated by the chase
     (:class:`~repro.analysis.equivalence.EquivalenceChecker`); either
     finding rolls the firing back and quarantines the rule (a chase
-    *refutation* under code ``QGM601``). ``protect_rules=False``
-    disables the per-firing snapshot (faster, but a raising rule then
-    fails the whole strategy and only the chain fallback applies; the
-    paranoid checks need the snapshot and are skipped with it).
+    *refutation* under code ``QGM601``). Every rule firing under a
+    policy runs against a snapshot; without a policy (the server's
+    prepare) a raising rule fails the whole strategy and only the
+    degradation ladder applies.
 
     ``fault_plan`` (test harness, a
     :class:`~repro.resilience.faults.FaultPlan`) wraps the rewrite rules;
@@ -125,8 +125,7 @@ class ResiliencePolicy:
     other governor.
     """
 
-    def __init__(self, governor=None, paranoid=False, protect_rules=True,
-                 fault_plan=None):
+    def __init__(self, governor=None, paranoid=False, fault_plan=None):
         if governor is None:
             governor = (
                 fault_plan.governor() if fault_plan is not None
@@ -139,7 +138,6 @@ class ResiliencePolicy:
             )
         self.governor = governor
         self.paranoid = paranoid
-        self.protect_rules = protect_rules
         self.fault_plan = fault_plan
         self.quarantine = QuarantineRegistry()
 

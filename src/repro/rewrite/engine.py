@@ -7,13 +7,12 @@ including the EMST rule, at each query block."
 Resilience: ``run_phase`` accepts a :class:`~repro.resilience.governor.
 ResourceGovernor` (sweep budget + deadline; a default one enforces the
 historical 200-sweep cap) and an optional
-:class:`~repro.resilience.fallback.ResiliencePolicy`. With a policy whose
-``protect_rules`` is set, every rule firing runs against a snapshot of
-the graph: a rule that raises — or, in paranoid mode, introduces a new
-error diagnostic or a firing the chase refutes (see
-:class:`~repro.analysis.soundness.SoundnessChecker`) — is rolled back and
-quarantined for the rest of the query, and the phase continues without
-it.
+:class:`~repro.resilience.fallback.ResiliencePolicy`. With a policy, every
+rule firing runs against a snapshot of the graph: a rule that raises — or,
+in paranoid mode, introduces a new error diagnostic or a firing the chase
+refutes (see :class:`~repro.analysis.soundness.SoundnessChecker`) — is
+rolled back and quarantined for the rest of the query, and the phase
+continues without it.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ class RewriteEngine:
                 else ResourceGovernor()
             )
         quarantine = resilience.quarantine if resilience is not None else None
-        protect = resilience is not None and resilience.protect_rules
         checker = None
-        if protect and resilience.paranoid:
+        if resilience is not None and resilience.paranoid:
             # Paranoid mode runs the rewrite-soundness checker: the phase's
             # incoming diagnostics are the baseline, and every new *error*
             # after a firing is attributed to the rule and quarantines it.
@@ -85,7 +83,7 @@ class RewriteEngine:
                     if not rule.applies_to(box, context):
                         continue
                     fired = self._fire(
-                        rule, box, graph, context, protect, quarantine, checker
+                        rule, box, graph, context, quarantine, checker
                     )
                     if fired is not False:
                         # A firing or a rollback changed the graph.
@@ -105,10 +103,11 @@ class RewriteEngine:
                 changed = True
         return context
 
-    def _fire(self, rule, box, graph, context, protect, quarantine, checker):
+    def _fire(self, rule, box, graph, context, quarantine, checker):
         """Apply ``rule`` at ``box``; returns True/False from the rule, or
-        None when the firing failed and the graph was rolled back."""
-        if not protect:
+        None when the firing failed and the graph was rolled back. Only a
+        policy (``quarantine`` set) snapshots the graph to roll back to."""
+        if quarantine is None:
             started = time.perf_counter()
             try:
                 return rule.apply(box, context)
@@ -134,8 +133,7 @@ class RewriteEngine:
             reason = "%s: %s" % (type(exc).__name__, exc)
             context.record_rollback(rule.name)
             context.record_quarantine(rule.name, reason)
-            if quarantine is not None:
-                quarantine.add(rule.name, reason, phase=context.phase)
+            quarantine.add(rule.name, reason, phase=context.phase)
             return None
         finally:
             context.record_time(rule.name, time.perf_counter() - started)

@@ -10,7 +10,7 @@ rule has proven their DISTINCT unnecessary.
 
 from __future__ import annotations
 
-from repro.qgm import expr as qe
+from repro.magic.adornment import all_free, is_all_free
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.rewrite.rule import RewriteRule
 from repro.rewrite.common import in_own_subtree, substitute_everywhere
@@ -88,6 +88,21 @@ class MergeRule(RewriteRule):
         parent.remove_quantifier(quantifier)
         substitute_everywhere(graph, mapping)
         parent.predicates.extend(child.predicates)
+
+        # A merged binding set (magic or supplementary box) is now plain
+        # joins, which later rules may drop (a vacuous restriction, an
+        # FK-covered parent). Once the parent ranges over no binding set,
+        # its adornment letters describe no restriction: reset them, as
+        # projection prune drops the letters of pruned columns.
+        if (
+            child.is_special
+            and not is_all_free(parent.adornment)
+            and not any(
+                q.is_magic or q.input_box.is_special
+                for q in parent.quantifiers
+            )
+        ):
+            parent.adornment = all_free(len(parent.columns))
 
         # Keep the join-order oracle coherent: splice the child's foreach
         # order in at the merged quantifier's position.

@@ -22,8 +22,8 @@ server speaking a length-prefixed JSON protocol, with
   shared-memory column blocks, with crash respawn and a crash breaker
   (:mod:`repro.server.workers`, ``ServerConfig(workers=N)``),
 * a cross-request result cache keyed on ``(fingerprint, strategy,
-  executor, catalog version, bindings, table versions)`` so a cached
-  result can never be stale (:mod:`repro.server.result_cache`).
+  catalog version, bindings, table versions)`` so a cached result can
+  never be stale (:mod:`repro.server.result_cache`).
 
 Run ``python -m repro.server --workload`` for a demo server.
 """

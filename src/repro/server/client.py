@@ -132,7 +132,7 @@ class SyncQueryClient:
     # -- convenience ops ---------------------------------------------------------
 
     def query(self, sql, params=None, strategy=None, deadline=None,
-              executor=None, fresh=False):
+              fresh=False):
         message = {"op": "query", "sql": sql}
         if params is not None:
             message["params"] = list(params)
@@ -140,20 +140,16 @@ class SyncQueryClient:
             message["strategy"] = strategy
         if deadline is not None:
             message["deadline"] = deadline
-        if executor is not None:
-            message["executor"] = executor
         if fresh:
             # Bypass the server's cross-request result cache: the reply
             # must come from a real execution (oracle/chaos comparisons).
             message["fresh"] = True
         return self.request(message)
 
-    def prepare(self, sql, strategy=None, executor=None):
+    def prepare(self, sql, strategy=None):
         message = {"op": "prepare", "sql": sql}
         if strategy is not None:
             message["strategy"] = strategy
-        if executor is not None:
-            message["executor"] = executor
         return self.request(message)
 
     def execute(self, statement, params=None, deadline=None, fresh=False):

@@ -72,9 +72,10 @@ class ServerConfig:
     max_deadline_seconds: float = 60.0
     cache_capacity: int = 128
     default_strategy: str = "emst"
-    #: Execution engine for requests that don't name one: "tuple" is the
-    #: classic row-at-a-time evaluator, "batch" the columnar executor.
-    default_executor: str = "tuple"
+    #: The server's one execution engine: "batch" is the columnar
+    #: executor, "tuple" the classic row-at-a-time evaluator. Requests
+    #: cannot pick another; ``correlated`` always runs on "tuple".
+    default_executor: str = "batch"
     breaker_failure_threshold: int = 3
     breaker_cooldown_seconds: float = 5.0
     #: Per-query row budget (None = unlimited) forwarded to the governor.
@@ -87,7 +88,7 @@ class ServerConfig:
     worker_crash_threshold: int = 3
     worker_cooldown_seconds: float = 5.0
     #: Cross-request result cache: entries keyed on ``(fingerprint,
-    #: strategy, executor, catalog version, bindings, table versions)``.
+    #: strategy, catalog version, bindings, table versions)``.
     #: 0 disables it (default: correctness-first opt-in).
     result_cache_capacity: int = 0
     result_cache_max_rows: int = 10000
@@ -154,7 +155,8 @@ class PreparedHandle:
     #: Values auto-extracted from literals; explicit ``?`` bindings from
     #: the client are prepended at execute time.
     extracted_values: list = field(default_factory=list)
-    executor: str = "tuple"
+    #: The engine that runs it, derived from the server's config.
+    executor: str = "batch"
 
     def bind(self, params):
         """The execution's parameter vector: the client's ``?`` values,
@@ -182,6 +184,7 @@ class QueryServer:
     def __init__(self, database, config=None):
         self.database = database
         self.config = config or ServerConfig()
+        check_executor(self.config.default_executor)
         self.connection = Connection(database)
         self.cache = AdornmentPlanCache(capacity=self.config.cache_capacity)
         self.result_cache = ResultCache(
@@ -208,7 +211,7 @@ class QueryServer:
         self.cancellations = 0
         self.deadline_trips = 0
         self.fallbacks = 0
-        #: ``fingerprint -> {sql, strategy, executor}``: everything ever
+        #: ``fingerprint -> {sql, strategy}``: everything ever
         #: prepared on this server, the source of statement-cache
         #: persistence across restarts.
         self._registry_lock = threading.Lock()
@@ -230,7 +233,7 @@ class QueryServer:
     # -- request entry points (called on executor threads) -----------------------
 
     def handle_query(self, sql, params=None, strategy=None, deadline=None,
-                     cancel_event=None, executor=None, fresh=False):
+                     cancel_event=None, fresh=False):
         """One-shot: parse, cache-or-prepare, bind, execute."""
         script = parse_single_query(
             sql,
@@ -240,11 +243,11 @@ class QueryServer:
             ),
         )
         return self.handle_execute(
-            self._make_handle(sql, script, strategy, executor), params,
+            self._make_handle(sql, script, strategy), params,
             deadline=deadline, cancel_event=cancel_event, fresh=fresh,
         )
 
-    def handle_prepare(self, sql, strategy=None, executor=None):
+    def handle_prepare(self, sql, strategy=None):
         """Parse + parameterize once; returns a :class:`PreparedHandle`
         plus its wire description. Plans land in the shared cache on first
         execute."""
@@ -252,12 +255,11 @@ class QueryServer:
         script = parse_single_query(
             sql, other_statements=refusal, wrong_count=refusal
         )
-        handle = self._make_handle(sql, script, strategy, executor)
+        handle = self._make_handle(sql, script, strategy)
         explicit = handle.param_count - len(handle.extracted_values)
         return handle, {
             "fingerprint": handle.fingerprint,
             "strategy": handle.strategy,
-            "executor": handle.executor,
             "param_count": max(explicit, 0),
         }
 
@@ -284,7 +286,6 @@ class QueryServer:
                 key = ResultCache.make_key(
                     handle.fingerprint,
                     handle.strategy,
-                    handle.executor,
                     self.database.schema_version(),
                     values,
                     self.database.table_versions(),
@@ -428,9 +429,7 @@ class QueryServer:
             try:
                 sql = spec["sql"]
                 script = parse_script(sql)
-                handle = self._make_handle(
-                    sql, script, spec.get("strategy"), spec.get("executor")
-                )
+                handle = self._make_handle(sql, script, spec.get("strategy"))
                 with self.lock.read():
                     self.cache.entry_for(
                         handle, handle.strategy, self.connection
@@ -443,14 +442,9 @@ class QueryServer:
 
     # -- internals ---------------------------------------------------------------
 
-    def _make_handle(self, sql, script, strategy, executor=None):
+    def _make_handle(self, sql, script, strategy):
         strategy = strategy or self.config.default_strategy
         check_strategy(strategy)
-        executor = executor or self.config.default_executor
-        check_executor(executor)
-        # Keyed and reported as the engine that runs: correlated batch
-        # and tuple requests are one computation and share one entry.
-        executor = running_executor(strategy, executor)
         query = script.queries[0]
         extracted = parameterize_query(query)
         handle = PreparedHandle(
@@ -460,13 +454,12 @@ class QueryServer:
             strategy=strategy,
             param_count=parameter_slots(query),
             extracted_values=extracted,
-            executor=executor,
+            executor=running_executor(strategy, self.config.default_executor),
         )
         with self._registry_lock:
             self._statement_registry[handle.fingerprint] = {
                 "sql": sql,
                 "strategy": strategy,
-                "executor": executor,
             }
         return handle
 

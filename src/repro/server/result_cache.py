@@ -4,16 +4,15 @@ A prepared plan makes repeated executions cheap; a *result* cache makes
 them free — but only when it can prove the cached rows are the rows the
 query would produce right now. The key carries that proof:
 
-``(fingerprint, strategy, executor, catalog version, bindings,
-table data versions)``
+``(fingerprint, strategy, catalog version, bindings, table data
+versions)``
 
 * **fingerprint** — the parameterized statement (constants collapsed),
   same as the plan cache,
-* **strategy / executor** — kept separate for observability (the row
-  sets are differentially tested equal, but a hit must report the engine
-  that actually produced it); the executor is the one that runs
-  (:func:`~repro.api.running_executor`), so a correlated request keys on
-  ``tuple`` whichever engine it asked for,
+* **strategy** — kept separate for observability (the row sets are
+  differentially tested equal, but a hit must report the strategy that
+  produced it); the server has one engine per strategy, so the strategy
+  also fixes the engine a hit reports,
 * **catalog version** — DDL makes every older entry unreachable,
 * **bindings** — the concrete parameter values (client-sent plus
   auto-extracted literals), the part the plan cache deliberately
@@ -60,14 +59,13 @@ class ResultCache:
         self.bypassed = 0
 
     @staticmethod
-    def make_key(fingerprint, strategy, executor, catalog_version, values,
+    def make_key(fingerprint, strategy, catalog_version, values,
                  table_versions):
         """Build (and hash-check) a cache key; None if any binding value
         is unhashable (such a request simply bypasses the cache)."""
         key = (
             fingerprint,
             strategy,
-            executor,
             catalog_version,
             tuple(values),
             tuple(sorted(table_versions.items())),

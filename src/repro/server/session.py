@@ -115,7 +115,6 @@ class Session:
                         request["sql"],
                         params=request.get("params"),
                         strategy=request.get("strategy"),
-                        executor=request.get("executor"),
                         deadline=request.get("deadline"),
                         cancel_event=cancel,
                         fresh=bool(request.get("fresh")),
@@ -125,7 +124,6 @@ class Session:
                 handle, description = self.server.handle_prepare(
                     request["sql"],
                     strategy=request.get("strategy"),
-                    executor=request.get("executor"),
                 )
                 statement_id = self._next_statement
                 self._next_statement += 1

@@ -124,5 +124,9 @@ def test_register_custom_aggregate():
     register_aggregate("MEDIAN", Median)
     db = Database()
     db.create_table("t", ["v"], rows=[(1,), (9,), (5,)])
-    rows = Connection(db).execute("SELECT MEDIAN(v) FROM t").rows
-    assert rows == [(5,)]
+    # The batch group-by feeds accumulators through ``add_many``, which a
+    # custom one need not define.
+    for executor in ("tuple", "batch"):
+        connection = Connection(db, executor=executor)
+        rows = connection.execute("SELECT MEDIAN(v) FROM t").rows
+        assert rows == [(5,)], executor

@@ -197,10 +197,10 @@ def test_prepared_query_runs_batch():
 
 
 def test_explain_mentions_executor():
-    conn = Connection(_db(), executor="batch")
+    conn = Connection(_db())
     text = conn.explain("SELECT e.eno FROM emp e")
     assert "executor: batch" in text
-    assert "executor: tuple" in Connection(_db()).explain(
+    assert "executor: tuple" in Connection(_db(), executor="tuple").explain(
         "SELECT e.eno FROM emp e"
     )
 
@@ -236,23 +236,18 @@ def test_correlated_strategy_reports_the_tuple_engine():
 
 
 def test_server_correlated_requests_share_one_result_cache_entry():
+    """A batch server runs ``correlated`` on the tuple engine, and its
+    cached answer reports that engine too."""
     server = QueryServer(_db(), ServerConfig(result_cache_capacity=8))
     try:
-        first = server.handle_query(
-            CORRELATED_SQL, strategy="correlated", executor="batch"
-        )
+        first = server.handle_query(CORRELATED_SQL, strategy="correlated")
         assert first["executor"] == "tuple"
-        second = server.handle_query(
-            CORRELATED_SQL, strategy="correlated", executor="tuple"
-        )
+        second = server.handle_query(CORRELATED_SQL, strategy="correlated")
         assert second["cache"] == "result"
         assert second["executor"] == "tuple"
         assert second["rows"] == first["rows"]
         assert (server.result_cache.hits, server.result_cache.misses) == (1, 1)
-        _, described = server.handle_prepare(
-            CORRELATED_SQL, strategy="correlated", executor="batch"
-        )
-        assert described["executor"] == "tuple"
+        assert server.handle_query(CORRELATED_SQL)["executor"] == "batch"
     finally:
         server.shutdown()
 
@@ -336,12 +331,8 @@ def test_server_executor_switch_and_fallback(monkeypatch):
 
 
 def test_server_rejects_unknown_executor():
-    server = QueryServer(_db(), ServerConfig())
-    try:
-        with pytest.raises(ReproError):
-            server.handle_query("SELECT e.eno FROM emp e", executor="gpu")
-    finally:
-        server.shutdown()
+    with pytest.raises(ReproError):
+        QueryServer(_db(), ServerConfig(default_executor="gpu"))
 
 
 # -- engine-level differential spot checks -------------------------------------

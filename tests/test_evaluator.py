@@ -1,5 +1,6 @@
 """Bottom-up evaluator tests: SQL semantics end to end (bag semantics,
-NULLs, subqueries, set operations, grouping, ordering)."""
+NULLs, subqueries, set operations, grouping, ordering), checked by hand on
+the tuple engine, the oracle every other path is compared with."""
 
 import pytest
 
@@ -10,7 +11,9 @@ from tests.helpers import run_all_strategies
 
 
 def execute(db, sql, strategy="norewrite"):
-    return Connection(db).explain_execute(sql, strategy=strategy).rows
+    return Connection(db, executor="tuple").explain_execute(
+        sql, strategy=strategy
+    ).rows
 
 
 def test_projection_and_filter(numbers_db):
@@ -257,6 +260,8 @@ def test_all_strategies_agree_on_mixed_query(numbers_db):
 
 
 def test_evaluator_stats_populated(numbers_db):
-    outcome = Connection(numbers_db).explain_execute("SELECT a FROM t")
+    outcome = Connection(numbers_db, executor="tuple").explain_execute(
+        "SELECT a FROM t"
+    )
     assert outcome.stats["box_evaluations"] >= 1
     assert outcome.stats["rows_produced"] >= 5

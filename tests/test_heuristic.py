@@ -83,7 +83,7 @@ def test_exhaustive_strawman_counts_invocations(chain_db):
     assert invocations == 1 + 6
     validate_graph(result.graph)
     rows = Evaluator(result.graph, chain_db, join_orders=result.join_orders).run()
-    conn = Connection(chain_db)
+    conn = Connection(chain_db, executor="tuple")
     reference = conn.explain_execute(QUERY, strategy="original").rows
     assert canonical(rows.rows) == canonical(reference)
 

@@ -1,4 +1,6 @@
-"""Recursive query evaluation: fixpoint semantics and stratification."""
+"""Recursive query evaluation: fixpoint semantics and stratification,
+checked on the tuple engine, the oracle the batch fixpoint is compared
+with."""
 
 import pytest
 
@@ -25,7 +27,9 @@ def cyclic_db():
 
 
 def execute(db, sql, strategy="norewrite"):
-    return Connection(db).explain_execute(sql, strategy=strategy).rows
+    return Connection(db, executor="tuple").explain_execute(
+        sql, strategy=strategy
+    ).rows
 
 
 TRANSITIVE_CLOSURE = (

@@ -71,6 +71,35 @@ def test_paranoid_mode_loads_the_checker():
     assert "repro.analysis.equivalence" in modules
 
 
+def test_connection_and_server_answer_on_batch():
+    """Batch is the default engine of a Connection and of a server; the
+    correlated strategy has only the tuple engine and says so."""
+    from repro import Connection
+    from repro.server import QueryServer
+    from repro.workloads.empdept import (
+        PAPER_QUERY_SQL, PAPER_VIEWS_SQL, build_empdept_database,
+    )
+
+    database = build_empdept_database(
+        n_departments=8, employees_per_department=3, seed=1
+    )
+    connection = Connection(database)
+    connection.run_script(PAPER_VIEWS_SQL)
+    assert connection.explain_execute(PAPER_QUERY_SQL).executor == "batch"
+    assert connection.prepare_statement(PAPER_QUERY_SQL).executor == "batch"
+    correlated = connection.explain_execute(
+        PAPER_QUERY_SQL, strategy="correlated"
+    )
+    assert correlated.executor == "tuple"
+    server = QueryServer(database)
+    try:
+        assert server.handle_query(PAPER_QUERY_SQL)["executor"] == "batch"
+        response = server.handle_query(PAPER_QUERY_SQL, strategy="correlated")
+        assert response["executor"] == "tuple"
+    finally:
+        server.shutdown()
+
+
 def _analysis_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):

@@ -262,20 +262,33 @@ def test_paranoid_mode_catches_silent_corruption(emp_conn):
     assert "QgmError" in outcome.resilience.quarantined["merge"]["reason"]
 
 
-def test_unprotected_rules_fall_back_along_strategy_chain(emp_conn):
-    # With per-firing protection off, the raising rule fails the whole emst
-    # strategy and the declared chain must degrade to phase1.
+def test_unprotected_rules_fall_back_along_strategy_chain(
+    emp_conn, monkeypatch
+):
+    # Only a policy snapshots rule firings. The server prepares with none,
+    # so a raising rule fails the whole emst strategy there and the
+    # declared chain must degrade to phase1.
+    from repro.magic.emst import EmstRule
+    from repro.server import QueryServer
+
     sql = EMP_QUERIES[0]
     clean = canonical(emp_conn.explain_execute(sql, strategy="original").rows)
-    policy = ResiliencePolicy(
-        fault_plan=FaultPlan().fail_rule("emst", on_firing=None),
-        protect_rules=False,
-    )
-    outcome = emp_conn.explain_execute(sql, strategy="emst", resilience=policy)
-    assert canonical(outcome.rows) == clean
-    assert outcome.resilience.executed == "phase1"
-    assert outcome.resilience.attempts[0][0] == "emst"
-    assert "InjectedFault" in outcome.resilience.attempts[0][1]
+
+    def failing(self, box, context):
+        raise InjectedFault("injected failure in rule 'emst'")
+
+    monkeypatch.setattr(EmstRule, "apply", failing)
+    server = QueryServer(emp_conn.database)
+    try:
+        response = server.handle_query(sql, strategy="emst")
+        stats = server.handle_stats()
+    finally:
+        server.shutdown()
+    assert canonical(map(tuple, response["rows"])) == clean
+    assert response["requested_strategy"] == "emst"
+    assert response["executed_strategy"] == "phase1"
+    assert stats["counters"]["fallbacks"] == 1
+    assert stats["breakers"]["strategies"]["emst"]["total_failures"] == 1
 
 
 def test_box_faults_never_silently_skip_a_foreign_governor():

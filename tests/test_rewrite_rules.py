@@ -119,6 +119,39 @@ def test_merge_carries_subquery_quantifiers(empdept_db):
     assert graph.top_box.subquery_quantifiers()
 
 
+def test_merging_away_the_binding_set_resets_the_adornment():
+    # Phase 3 folds the magic boxes of a division-wide AVG over avgMgrSal
+    # into T1; the restriction is then a join with every department, which
+    # redundant-join drops. T1's letters go with the binding set, so
+    # paranoid mode records no QGM501, and the rows stay the oracle's.
+    from repro import ResiliencePolicy
+    from repro.analysis import analyze_graph
+    from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
+
+    from tests.test_integration_suite import EMP_QUERIES
+
+    conn = Connection(
+        build_empdept_database(
+            n_departments=60, employees_per_department=7, seed=78
+        )
+    )
+    conn.run_script(PAPER_VIEWS_SQL)
+    sql = EMP_QUERIES[1]
+    outcome = conn.explain_execute(
+        sql, resilience=ResiliencePolicy(paranoid=True)
+    )
+    assert outcome.fallback_strategy == "emst"
+    assert not outcome.stats.get("soundness_violations")
+    assert outcome.stats["rule_firings"]["redundant-join"] == 1
+    diagnostics = analyze_graph(outcome.graph, conn.database.catalog)
+    assert "QGM501" not in {d.code for d in diagnostics}
+    adornments = {box.name: box.adornment for box in outcome.graph.boxes()}
+    assert adornments["T1"] == "ff"
+    assert adornments["T2"] == "bf"  # still bound by its consumer's join
+    oracle = conn.explain_execute(sql, strategy="norewrite", executor="tuple")
+    assert canonical(outcome.rows) == canonical(oracle.rows)
+
+
 # -- predicate pushdown ------------------------------------------------------------
 
 

@@ -368,7 +368,7 @@ def test_query_caches_across_bindings(empdept_server):
 
 def test_cached_results_match_original_strategy_oracle(empdept_server):
     server = empdept_server
-    oracle = Connection(server.database)
+    oracle = Connection(server.database, executor="tuple")
     for name in ("Planning", "Dept0002", "Dept0007", "NoSuchDept"):
         server.handle_query(PARAM_QUERY, params=[name])  # warm
         answer = server.handle_query(PARAM_QUERY, params=[name])
@@ -532,9 +532,13 @@ def test_query_no_rung_answers_charges_no_strategy(empdept_server):
 )
 def test_failing_request_runs_each_rung_once(empdept_server, monkeypatch,
                                              executor, engine):
-    """One engine run per rung, on the requested executor: the ladder is
+    """One engine run per rung, on the server's executor: the ladder is
     the only retry."""
     from repro.engine import Evaluator
+
+    server = QueryServer(
+        empdept_server.database, ServerConfig(default_executor=executor)
+    )
 
     runs = []
     original_run = Evaluator.run
@@ -544,8 +548,11 @@ def test_failing_request_runs_each_rung_once(empdept_server, monkeypatch,
         return original_run(self)
 
     monkeypatch.setattr(Evaluator, "run", spy)
-    with pytest.raises(ExecutionError, match="scalar subquery"):
-        empdept_server.handle_query(DATA_ERROR_QUERY, executor=executor)
+    try:
+        with pytest.raises(ExecutionError, match="scalar subquery"):
+            server.handle_query(DATA_ERROR_QUERY)
+    finally:
+        server.shutdown()
     assert runs == [engine] * 3
 
 
@@ -686,7 +693,9 @@ def test_cancelled_then_retried_equals_clean(trip_after, src):
     except QueryCancelledError:
         first = None  # cancelled cleanly; nothing to compare yet
     retried = conn.explain_execute(sql, strategy="norewrite").rows
-    oracle = conn.explain_execute(sql, strategy="original").rows
+    oracle = conn.explain_execute(
+        sql, strategy="original", executor="tuple"
+    ).rows
     assert sorted(retried) == sorted(oracle)
     if first is not None:
         assert sorted(first) == sorted(oracle)

@@ -5,7 +5,7 @@ interleavings), statement-cache warming, and worker-crash chaos.
 
 The differential discipline mirrors ``tests/test_differential_executor``:
 every workload query (decision support, empdept, recursive closure) runs
-through a forked-worker server under both executors and both rewrite
+through one forked-worker server per executor under both rewrite
 strategies, and each answer must equal the same statement executed on an
 in-process :class:`~repro.api.Connection` over the same database.
 """
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Connection, Database
+from repro.api import EXECUTORS
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -74,13 +75,27 @@ def _mp_server(database, **overrides):
     return server
 
 
+def _mp_servers(database):
+    """One forked-worker server per engine: a server's engine is its
+    config, so covering both engines takes two servers."""
+    return {
+        executor: _mp_server(database, default_executor=executor)
+        for executor in EXECUTORS
+    }
+
+
+def _shutdown(servers):
+    for server in servers.values():
+        server.shutdown()
+
+
 @pytest.fixture(scope="module")
 def ds_mp():
     database = build_decision_support_database(scale=0.4, seed=77)
     Connection(database).run_script(DS_VIEWS_SQL)
-    server = _mp_server(database)
-    yield server, Connection(database)
-    server.shutdown()
+    servers = _mp_servers(database)
+    yield servers, Connection(database)
+    _shutdown(servers)
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +104,9 @@ def emp_mp():
         n_departments=30, employees_per_department=6, seed=78
     )
     Connection(database).run_script(PAPER_VIEWS_SQL)
-    server = _mp_server(database)
-    yield server, Connection(database)
-    server.shutdown()
+    servers = _mp_servers(database)
+    yield servers, Connection(database)
+    _shutdown(servers)
 
 
 @pytest.fixture(scope="module")
@@ -103,21 +118,20 @@ def closure_mp():
         edges.append((base + 5, base + 17))
     database = Database()
     database.create_table("edge", ["src", "dst"], rows=edges)
-    server = _mp_server(database)
-    yield server, Connection(database)
-    server.shutdown()
+    servers = _mp_servers(database)
+    yield servers, Connection(database)
+    _shutdown(servers)
 
 
-def assert_differential(server, oracle, sql):
-    """The MP server must agree with the in-process connection for every
+def assert_differential(servers, oracle, sql):
+    """The MP servers must agree with the in-process connection for every
     (strategy, executor) combination, with no silent strategy fallback,
     and every server answer must have come from a worker process."""
     query = parse_statement(sql)
     for strategy in ("original", "emst"):
-        for executor in ("tuple", "batch"):
-            response = server.handle_query(
-                sql, strategy=strategy, executor=executor
-            )
+        for executor, server in servers.items():
+            response = server.handle_query(sql, strategy=strategy)
+            assert response["executor"] == executor
             assert response.get("worker_pid"), (
                 "query did not run on a worker (%s/%s): %r"
                 % (strategy, executor, sql)
@@ -138,22 +152,22 @@ def assert_differential(server, oracle, sql):
 @needs_fork
 @pytest.mark.parametrize("index", range(len(DS_QUERIES)))
 def test_decision_support_differential_mp(ds_mp, index):
-    server, oracle = ds_mp
-    assert_differential(server, oracle, DS_QUERIES[index])
+    servers, oracle = ds_mp
+    assert_differential(servers, oracle, DS_QUERIES[index])
 
 
 @needs_fork
 @pytest.mark.parametrize("index", range(len(EMP_QUERIES)))
 def test_empdept_differential_mp(emp_mp, index):
-    server, oracle = emp_mp
-    assert_differential(server, oracle, EMP_QUERIES[index])
+    servers, oracle = emp_mp
+    assert_differential(servers, oracle, EMP_QUERIES[index])
 
 
 @needs_fork
 @pytest.mark.parametrize("index", range(len(CLOSURE_QUERIES)))
 def test_closure_differential_mp(closure_mp, index):
-    server, oracle = closure_mp
-    assert_differential(server, oracle, CLOSURE_QUERIES[index])
+    servers, oracle = closure_mp
+    assert_differential(servers, oracle, CLOSURE_QUERIES[index])
 
 
 # -- shared-memory table sync ----------------------------------------------------
@@ -182,9 +196,7 @@ def test_pool_mode_fallback_stats_match_inprocess(monkeypatch):
         server = QueryServer(database, ServerConfig(workers=workers))
         try:
             for name in ("Planning", "Dept0001", "Dept0002", "Dept0003"):
-                response = server.handle_query(
-                    PARAM_QUERY, params=[name], executor="batch"
-                )
+                response = server.handle_query(PARAM_QUERY, params=[name])
                 assert response["requested_strategy"] == "emst"
                 assert response["executed_strategy"] == "phase1"
                 assert response["executor"] == "batch"
@@ -316,7 +328,7 @@ def test_dml_is_visible_to_workers():
         after = server.handle_query(PARAM_QUERY, params=["Planning"])
         assert after.get("worker_pid")
         assert after["rows"] != before["rows"], "worker served pre-DML data"
-        oracle = Connection(server.database).execute(
+        oracle = Connection(server.database, executor="tuple").execute(
             PARAM_QUERY.replace("?", "'Planning'")
         )
         assert canonical(map(tuple, after["rows"])) == canonical(oracle.rows)
@@ -489,32 +501,21 @@ def test_result_cache_hit_skips_dispatch():
 
 
 def test_result_cache_key_separates_bindings_and_versions():
-    key_a = ResultCache.make_key("f", "emst", "tuple", 1, ["x"], {"t": 1})
-    assert key_a == ResultCache.make_key(
-        "f", "emst", "tuple", 1, ["x"], {"t": 1}
-    )
-    assert key_a != ResultCache.make_key(
-        "f", "emst", "tuple", 1, ["y"], {"t": 1}
-    )
-    assert key_a != ResultCache.make_key(
-        "f", "emst", "tuple", 1, ["x"], {"t": 2}
-    )
-    assert key_a != ResultCache.make_key(
-        "f", "emst", "tuple", 2, ["x"], {"t": 1}
-    )
-    assert key_a != ResultCache.make_key(
-        "f", "phase1", "tuple", 1, ["x"], {"t": 1}
-    )
+    key_a = ResultCache.make_key("f", "emst", 1, ["x"], {"t": 1})
+    assert key_a == ResultCache.make_key("f", "emst", 1, ["x"], {"t": 1})
+    assert key_a != ResultCache.make_key("f", "emst", 1, ["y"], {"t": 1})
+    assert key_a != ResultCache.make_key("f", "emst", 1, ["x"], {"t": 2})
+    assert key_a != ResultCache.make_key("f", "emst", 2, ["x"], {"t": 1})
+    assert key_a != ResultCache.make_key("f", "phase1", 1, ["x"], {"t": 1})
     assert (
-        ResultCache.make_key("f", "emst", "tuple", 1, [["un", "hashable"]],
-                             {"t": 1})
+        ResultCache.make_key("f", "emst", 1, [["un", "hashable"]], {"t": 1})
         is None
     )
 
 
 def test_result_cache_entries_are_isolated_from_annotation():
     cache = ResultCache(capacity=4)
-    key = ResultCache.make_key("f", "emst", "tuple", 1, [], {})
+    key = ResultCache.make_key("f", "emst", 1, [], {})
     cache.store(key, {"columns": ["n"], "rows": [[1]], "row_count": 1,
                       "cache": "miss"})
     served = cache.lookup(key)
@@ -704,7 +705,7 @@ def test_sigkill_mid_query_is_retryable_and_respawns():
         retried = server.handle_query(PARAM_QUERY, params=["Planning"])
         assert retried.get("worker_pid")
         assert retried["worker_pid"] != victim
-        oracle = Connection(server.database).execute(
+        oracle = Connection(server.database, executor="tuple").execute(
             PARAM_QUERY.replace("?", "'Planning'")
         )
         assert canonical(map(tuple, retried["rows"])) == canonical(
@@ -781,7 +782,7 @@ def test_crash_breaker_demotes_to_inprocess():
         # correctly.
         degraded = server.handle_query(PARAM_QUERY, params=["Planning"])
         assert degraded.get("worker_pid") is None
-        oracle = Connection(server.database).execute(
+        oracle = Connection(server.database, executor="tuple").execute(
             PARAM_QUERY.replace("?", "'Planning'")
         )
         assert canonical(map(tuple, degraded["rows"])) == canonical(
