@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.framework import analyze_graph

@@ -18,13 +18,20 @@ for the projection, ``join_probes`` per hash match / nested-loop pairing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from repro.errors import ExecutionError
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind
 from repro.engine.aggregates import GROUPED_KERNELS, accumulator_factory
 from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
 from repro.engine.expressions import compile_expr
-from repro.engine.storage import build_index, probe_index
+from repro.engine.storage import (
+    NUMBER_TYPES,
+    STRING_TYPES,
+    build_index,
+    probe_index,
+)
 from repro.engine.columnar.columns import Batch
 from repro.engine.columnar.vector import compile_vector
 
@@ -230,6 +237,123 @@ class CrossStep(Step):
         state.bulk_checkpoint(self.box, batch.length * count)
         positions = [i for i in range(batch.length) for _ in range(count)]
         return batch.expand(positions, self.quantifier, rows * batch.length)
+
+
+#: Per ``column OP bound`` comparison: which end of the range a bisect of
+#: ``bound`` moves, and with which bisect.
+_RANGE_ENDS = {
+    "<": ("hi", bisect_left),
+    "<=": ("hi", bisect_right),
+    ">": ("lo", bisect_right),
+    ">=": ("lo", bisect_left),
+}
+
+
+class RangeStep(CrossStep):
+    """A later quantifier over a base table whose leading applicable
+    predicates compare one of its columns with values already bound
+    (``column OP bound``, OP one of ``< <= > >=``; a second such predicate
+    narrows the same range): each outer position bisects the table's
+    sorted access path (:meth:`~repro.engine.storage.Table.sorted_on`) and
+    joins the rows in range in table order. That is the cross product's
+    output, row for row and in order, without comparing every pair; the
+    other applicable predicates filter afterwards.
+
+    Where bisecting cannot answer exactly as the cross product does — a
+    column mixing numbers and strings or holding no value to bisect, a
+    bound of the other family (the comparison raises), a bound that fails
+    to evaluate, input rows that are not the table's row view — the whole
+    attach is the cross product, filtered by the range predicates: it
+    raises, or not, as the tuple engine's nested loop does.
+
+    ``join_probes`` is charged for every pair, as the tuple engine's
+    nested loop charges it; ``batch_probes`` counts the bisects and
+    ``batch_probe_matches`` the rows they joined.
+    """
+
+    label = "RANGEJOIN"
+    __slots__ = ("ordinal", "ends", "range_filters")
+
+    def __init__(self, box, quantifier, ordinal, bounds, predicates):
+        """``bounds``: ``(op, bound expr)`` per leading predicate of
+        ``predicates``, read as ``column OP bound``."""
+        ranged = len(bounds)
+        super().__init__(box, quantifier, predicates, predicates[ranged:])
+        self.ordinal = ordinal
+        self.ends = [
+            _RANGE_ENDS[op] + (compile_vector(bound),) for op, bound in bounds
+        ]
+        self.range_filters = [compile_vector(p) for p in predicates[:ranged]]
+
+    def attach(self, state, batch):
+        child = self.quantifier.input_box
+        rows = state.rows_for(child, state.root_env)
+        table = state.database.table(child.table_name)
+        if rows is table.rows:
+            path = table.sorted_on(self.ordinal)
+            joined = self._bisect(state, batch, rows, path)
+            if joined is not None:
+                return joined
+        batch = super().attach(state, batch)
+        for predicate in self.range_filters:
+            batch = keep_true(batch, predicate)
+        return batch
+
+    def _bisect(self, state, batch, rows, path):
+        """The joined batch, or None where the cross product must answer."""
+        if path is None or not path[0]:
+            # Unsortable, or no value whose family the bounds could be
+            # checked against.
+            return None
+        values, positions = path
+        try:
+            bounds = [fn(batch) for _, _, fn in self.ends]
+        except Exception:
+            # Any exception a scalar function raises (ABS of a string is a
+            # TypeError): the cross product decides whether a pair reaches
+            # the failing bound, and raises it if one does.
+            return None
+        family = {type(None)} | (
+            NUMBER_TYPES if type(values[0]) in NUMBER_TYPES else STRING_TYPES
+        )
+        if any(not set(map(type, column)) <= family for column in bounds):
+            return None
+        box = self.box
+        row_at = rows.__getitem__
+        governed = state.governor is not None
+        size = len(values)
+        out_positions = []
+        out_rows = []
+        bisects = pending = 0
+        for i, outer in enumerate(zip(*bounds)):
+            lo, hi = 0, size
+            for (end, bisect, _), value in zip(self.ends, outer):
+                # No comparison with NULL or NaN is TRUE.
+                if value is None or value != value:
+                    hi = lo
+                    break
+                bisects += 1
+                if end == "hi":
+                    hi = bisect(values, value, lo, hi)
+                else:
+                    lo = bisect(values, value, lo, hi)
+            if lo < hi:
+                matched = positions[lo:hi]
+                matched.sort()
+                out_positions.extend([i] * len(matched))
+                out_rows.extend(map(row_at, matched))
+            if governed:
+                # A bisect is work too: a run of misses still checkpoints.
+                pending += 1 + hi - lo
+                if pending >= CHECKPOINT_INTERVAL:
+                    state.bulk_checkpoint(box, pending)
+                    pending = 0
+        state.bulk_checkpoint(box, pending)
+        stats = state.stats
+        stats.join_probes += batch.length * len(rows)
+        stats.batch_probes += bisects
+        stats.batch_probe_matches += len(out_rows)
+        return batch.expand(out_positions, self.quantifier, out_rows)
 
 
 class CorrelatedStep(Step):

@@ -14,7 +14,8 @@ here, once:
 * per SELECT box a join pipeline in plan order (a linear recursive
   rule's delta quantifier first): for every foreach
   quantifier whether it attaches by hash probe (and with which key and
-  probe extractors), by scan, cross product or per-binding loop, which
+  probe extractors), by bisecting a base table's sorted column, by scan,
+  cross product or per-binding loop, which
   predicates filter at that point, then the scalar-subquery bindings, the
   predicates that waited for them, the E/A filters and the projection;
 * per GROUPBY box the key/argument extractors, accumulator factories,
@@ -50,6 +51,7 @@ from repro.engine.columnar.operators import (
     GroupByOp,
     HashStep,
     InheritedOp,
+    RangeStep,
     ScalarStep,
     ScanStep,
     SelectOp,
@@ -142,7 +144,11 @@ def _lower_select(box, order_names, externals, delta):
         elif not steps:
             step = ScanStep(box, quantifier, applicable)
         else:
-            step = CrossStep(box, quantifier, applicable)
+            ranged = _range_bounds(applicable, quantifier, plan.local, bound)
+            if ranged is not None:
+                step = RangeStep(box, quantifier, *ranged, applicable)
+            else:
+                step = CrossStep(box, quantifier, applicable)
         steps.append(step)
         applied.update(id(p) for p in applicable)
         bound.add(quantifier)
@@ -159,6 +165,53 @@ def _lower_select(box, order_names, externals, delta):
             FilterQuantifierStep(q, attached) for q, attached in plan.filters
         ],
     )
+
+
+#: ``a OP b`` read from ``b``'s side: ``b FLIPPED[OP] a``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _range_bounds(applicable, quantifier, local, bound):
+    """``(ordinal, [(op, bound expr), ...])`` when the leading applicable
+    predicates compare one column of ``quantifier``'s base table with an
+    expression over what is already ``bound`` (each read as ``column OP
+    bound``), else None.
+
+    Only a leading run: the tuple engine tests a pair's predicates in
+    order and stops at the first that is not TRUE, so a predicate ahead
+    of a range comparison sees every pair, and may raise on one the range
+    would have skipped."""
+    child = quantifier.input_box
+    if child.kind != BoxKind.BASE:
+        return None
+    ordinal = None
+    bounds = []
+    for predicate in applicable:
+        found = _range_bound(predicate, quantifier, local, bound)
+        if found is None:
+            break
+        column = child.column_ordinal(found[0])
+        if ordinal is not None and column != ordinal:
+            break
+        ordinal = column
+        bounds.append(found[1:])
+    return (ordinal, bounds) if bounds else None
+
+
+def _range_bound(predicate, quantifier, local, bound):
+    """``(column, op, bound expr)`` when ``predicate`` compares a column
+    of ``quantifier`` with an expression over bound quantifiers only."""
+    if not (isinstance(predicate, qe.QBinary) and predicate.op in _FLIPPED):
+        return None
+    for side, other, op in (
+        (predicate.left, predicate.right, predicate.op),
+        (predicate.right, predicate.left, _FLIPPED[predicate.op]),
+    ):
+        if isinstance(side, qe.QColRef) and side.quantifier is quantifier:
+            refs = {ref.quantifier for ref in qe.column_refs(other)}
+            if quantifier not in refs and refs & local <= bound:
+                return side.column, op, other
+    return None
 
 
 def _selector_pairs(quantifier, externals):

@@ -9,10 +9,14 @@ reconstruction. The :class:`Database` owns a
 :class:`~repro.catalog.Catalog` and the column storage, and is the object
 users hand to the session API.
 
-This module also defines the one hash-index format every engine reads
-(:func:`build_index`, :func:`index_matches`, :func:`probe_index`): the
-persistent indexes of :meth:`Table.index_on` and the batch executor's
-transient ones share it.
+This module also defines the access paths the engines read. The one
+hash-index format (:func:`build_index`, :func:`index_matches`,
+:func:`probe_index`) is shared by the persistent indexes of
+:meth:`Table.index_on` and the batch executor's transient ones. The
+sorted path of :meth:`Table.sorted_on` (:func:`sorted_path`: a column's
+values in ascending order beside their row positions) is what the batch
+executor's range joins bisect. Both kinds live in one per-table cache that
+every mutation drops.
 """
 
 from __future__ import annotations
@@ -108,8 +112,32 @@ def probe_index(index, keys, start=0):
     return positions, rows
 
 
+#: The Python types of one orderable family: values of one family compare
+#: with each other, and with no value of the other.
+NUMBER_TYPES = frozenset((int, float, bool))
+STRING_TYPES = frozenset((str,))
+
+
+def sorted_path(column):
+    """The sorted access path of one column's values: ``(values,
+    positions)``, the values ascending with NULL and NaN left out (no
+    comparison with them is TRUE), and beside each the offset in
+    ``column`` it came from, equal values in column order. None when the
+    non-NULL values are not all numbers or all strings: such a column has
+    no order to bisect."""
+    types = set(map(type, column))
+    types.discard(type(None))
+    if not (types <= NUMBER_TYPES or types <= STRING_TYPES):
+        return None
+    # ``v == v`` is False only for NaN.
+    positions = [i for i, v in enumerate(column) if v is not None and v == v]
+    positions.sort(key=column.__getitem__)
+    return [column[i] for i in positions], positions
+
+
 class Table:
-    """A stored base table: schema + columnar data + lazy hash indexes.
+    """A stored base table: schema + columnar data + lazy access paths
+    (hash indexes and sorted columns).
 
     Data lives in ``_columns`` (one list per schema column); ``rows`` is a
     cached row-tuple view rebuilt on demand after mutations. Every
@@ -272,14 +300,15 @@ class Table:
         self._changed(ordinals)
 
     def invalidate_indexes(self):
-        """Drop the lazily built hash indexes and record a mutation of
-        every column; the next ``index_on`` call rebuilds them."""
+        """Drop the lazily built access paths and record a mutation of
+        every column; the next ``index_on`` or ``sorted_on`` call rebuilds
+        them."""
         self._changed(range(self._ncols))
 
     def _changed(self, ordinals):
         """Record one mutation of the ``ordinals`` columns: bump the data
-        version, stamp it on those columns, drop the indexes (they hold
-        row tuples)."""
+        version, stamp it on those columns, drop the access paths (they
+        hold row tuples and row positions)."""
         self.version += 1
         for ordinal in ordinals:
             self.column_versions[ordinal] = self.version
@@ -312,6 +341,22 @@ class Table:
                 keys = list(zip(*[self._columns[o] for o in cache_key]))
             index = self._indexes[cache_key] = build_index(keys, self.rows)
         return index
+
+    def sorted_on(self, column):
+        """The sorted access path of one column (by name or ordinal): a
+        :func:`sorted_path` ``(values, positions)`` whose positions index
+        :attr:`rows`, or None when the column holds values of more than
+        one family (numbers, strings). Built lazily and kept, like the
+        hash indexes of :meth:`index_on` and in the same cache, until the
+        next mutation of the table."""
+        if not isinstance(column, int):
+            column = self.schema.column_ordinal(column)
+        cache_key = ("sorted", column)
+        try:
+            return self._indexes[cache_key]
+        except KeyError:
+            path = self._indexes[cache_key] = sorted_path(self._columns[column])
+            return path
 
     def __len__(self):
         return self._nrows

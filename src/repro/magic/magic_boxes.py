@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.qgm import expr as qe
 from repro.qgm.facts.keyflow import is_duplicate_free
 from repro.qgm.model import (
-    Box,
     BoxKind,
     DistinctMode,
     MagicRole,
@@ -23,7 +22,6 @@ from repro.qgm.model import (
     Quantifier,
     QuantifierType,
 )
-from repro.rewrite.common import substitute_everywhere
 
 
 def relax_proven_duplicate_free(graph):

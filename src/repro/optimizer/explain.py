@@ -11,9 +11,11 @@ EXPLAIN cannot disagree with execution. The tuple engine interprets the
 graph instead of compiling it, but decides hash key vs residual vs scan
 with the same function in the same order
 (:func:`repro.engine.evaluator.hashable_equality`), so the same pipeline
-describes it — except in a linear recursive rule, which the program
-starts from its delta quantifier and the tuple engine runs in the plan's
-``order=(...)``. Under any other executor such a rule shows only that
+describes it, with two exceptions. A range join (``RANGEJOIN``, a base
+table's sorted column bisected per outer row) is a nested loop there, and
+shows as ``NLJOIN``. A linear recursive rule the program starts from
+its delta quantifier, while the tuple engine runs it in the plan's
+``order=(...)``; under any other executor such a rule shows only that
 order (``JOIN ... (plan order)``), not the program's pipeline. The
 ``correlated`` strategy compiles no program at all, so
 :meth:`repro.api.Connection.explain` renders none for it.
@@ -25,7 +27,13 @@ from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.engine.columnar import compile_program
-from repro.engine.columnar.operators import FailedOp, HashStep, SelectOp
+from repro.engine.columnar.operators import (
+    CrossStep,
+    FailedOp,
+    HashStep,
+    RangeStep,
+    SelectOp,
+)
 from repro.engine.evaluator import ordered_foreach
 
 
@@ -36,8 +44,9 @@ def _child_name(quantifier):
     return child.name
 
 
-def _select_pipeline(operator, estimator):
-    """Describe the compiled join pipeline of one select box."""
+def _select_pipeline(operator, estimator, executor):
+    """Describe the compiled join pipeline of one select box as
+    ``executor`` runs it."""
     box = operator.box
     lines = []
     for index, step in enumerate(operator.steps):
@@ -47,6 +56,8 @@ def _select_pipeline(operator, estimator):
             # A hash step with nothing bound before it probes with
             # constants or outer bindings: an index lookup, not a join.
             label = "INDEXSCAN"
+        elif executor != "batch" and isinstance(step, RangeStep):
+            label = CrossStep.label
         detail = ""
         if step.predicates:
             detail = " ON " + " AND ".join(str(p) for p in step.predicates)
@@ -132,7 +143,7 @@ def physical_plan(graph, plan=None, catalog=None, executor="batch"):
                         % " > ".join(q.name for q in order)
                     )
                 else:
-                    for line in _select_pipeline(operator, estimator):
+                    for line in _select_pipeline(operator, estimator, executor):
                         lines.append("  " + line)
             elif box.kind == BoxKind.GROUPBY:
                 keys = ", ".join(str(k) for k in box.group_keys) or "()"

@@ -20,7 +20,6 @@ from repro.errors import BindError, NotSupportedError, QgmError
 from repro.sql import ast
 from repro.qgm import expr as qe
 from repro.qgm.model import (
-    Box,
     BoxKind,
     DistinctMode,
     OutputColumn,

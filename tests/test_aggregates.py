@@ -77,8 +77,6 @@ def test_count_of_empty_is_zero():
 
 
 def test_variance_and_stddev():
-    import math
-
     values = [2, 4, 4, 4, 5, 5, 7, 9]
     variance = feed(make_accumulator("VARIANCE"), values)
     stddev = feed(make_accumulator("STDDEV"), values)

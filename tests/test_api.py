@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Connection, Database, ReproError
-from repro.errors import CatalogError, NotSupportedError
+from repro import Connection, ReproError
+from repro.errors import CatalogError
 
 
 def test_run_script_defines_views_and_returns_last_outcome(empdept_db):

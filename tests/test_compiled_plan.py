@@ -6,8 +6,9 @@ These tests pin that down from outside: what a second execution may not
 call, that a program follows the data, that a recursive rule's round
 costs what its delta costs, that parameter values never touch the cached
 graph, that one program is re-entrant, that budgets, cancel tokens and
-injected faults still reach the compiled operators, and that a unique
-build side joins in one pass at the bucketed path's cost.
+injected faults still reach the compiled operators, that a unique
+build side joins in one pass at the bucketed path's cost, and that an
+inequality join over a base table bisects its sorted column.
 """
 
 import sys
@@ -644,3 +645,138 @@ def test_a_governed_unique_probe_cancels_inside_its_loop(monkeypatch):
         ).run()
     # Cancelled after the first of three chunks, before the second.
     assert probes == [(UniqueIndex, CHECKPOINT_INTERVAL, 0)]
+
+
+# -- (h) an inequality join bisects a sorted column --------------------------------------
+
+SALARY_RANK = (
+    "SELECT COUNT(*) FROM employee e1, employee e2 "
+    "WHERE e1.salary < e2.salary AND e1.workdept = ?"
+)
+
+
+def select_steps(prepared):
+    """``{box name: [step, ...]}`` of the select boxes of a prepared
+    query's program."""
+    program = compile_program(prepared.graph, prepared.plan.join_orders)
+    return {
+        operator.box.name: operator.steps
+        for operator in program.operators.values()
+        if isinstance(operator, operators.SelectOp)
+    }
+
+
+def test_a_base_table_inequality_lowers_to_a_range_join():
+    conn = empdept_connection()
+    prepared = conn.prepare_statement(SALARY_RANK, strategy="emst")
+    [steps] = [s for s in select_steps(prepared).values() if len(s) == 2]
+    first, second = steps
+    assert type(first) is operators.HashStep
+    assert type(second) is operators.RangeStep
+    assert second.quantifier.name == "e2"
+    employee = conn.database.table("employee")
+    assert second.ordinal == employee.schema.column_ordinal("salary")
+    # e1.salary < e2.salary reads as e2.salary > e1.salary; nothing is
+    # left to filter afterwards.
+    assert [end for end, _, _ in second.ends] == ["lo"]
+    assert second.filters == []
+    result, stats = prepared.execute(["D0001"])
+    oracle_rows, _ = conn.prepare_statement(
+        SALARY_RANK, strategy="norewrite", executor="tuple"
+    ).execute(["D0001"])
+    assert result.rows == oracle_rows.rows
+    # One probe of e1's index, one bisect per employee of the department.
+    assert stats.batch_probes == 1 + 6
+
+
+def test_rows_that_are_not_the_row_view_take_the_cross_product():
+    conn = empdept_connection()
+    prepared = conn.prepare_statement(SALARY_RANK, strategy="emst")
+
+    class CopiedBaseRows(BatchEvaluator):
+        def rows_for(self, box, env):
+            rows = super().rows_for(box, env)
+            return list(rows) if box.kind == BoxKind.BASE else rows
+
+    state = CopiedBaseRows(
+        prepared.graph, conn.database, join_orders=prepared.plan.join_orders,
+        params=["D0001"], program=prepared.program,
+    )
+    result = state.run()
+    expected, stats = prepared.execute(["D0001"])
+    assert result.rows == expected.rows
+    # The index probe of e1 only: no bisect, every pair compared.
+    assert state.stats.batch_probes == 1
+    assert state.stats.join_probes == stats.join_probes
+
+
+@pytest.mark.parametrize("sql", [
+    # A predicate ahead of the comparison would see pairs the range skips.
+    "SELECT e1.empno, e2.empno FROM employee e1, employee e2 "
+    "WHERE e1.job <> e2.job AND e1.salary < e2.salary",
+    # Only a base table has a sorted column.
+    "SELECT d.deptno, s.workdept FROM department d, avgMgrSal s "
+    "WHERE d.mgrno < s.avgsalary",
+    # Both sides of the comparison on the inner quantifier.
+    "SELECT e1.empno FROM employee e1, employee e2 "
+    "WHERE e2.salary < e2.empno + e1.empno",
+])
+def test_other_inequality_joins_stay_cross_products(sql):
+    conn = empdept_connection()
+    prepared = conn.prepare_statement(sql, strategy="original")
+    kinds = {
+        type(step) for steps in select_steps(prepared).values() for step in steps
+    }
+    assert operators.CrossStep in kinds
+    assert operators.RangeStep not in kinds
+    result, _ = prepared.execute()
+    assert canonical(result.rows) == oracle(conn, sql)
+
+
+def test_explain_names_the_range_join_the_batch_engine_runs():
+    conn = empdept_connection()
+    line = "RANGEJOIN e2 (employee, ~180 rows) ON (e1.salary < e2.salary)"
+    assert line in conn.explain(SALARY_RANK)
+    # The tuple engine runs the same pipeline with a nested loop there.
+    tuple_text = conn.explain(SALARY_RANK, executor="tuple")
+    assert "RANGEJOIN" not in tuple_text
+    assert line.replace("RANGEJOIN", "NLJOIN") in tuple_text
+
+
+def test_a_governed_range_join_cancels_inside_its_loop(monkeypatch):
+    # Every outer row matches more than a chunk's worth of inner rows.
+    inner = 3 * CHECKPOINT_INTERVAL
+    db = Database()
+    db.create_table("t", ["k"], rows=[(k,) for k in range(3)])
+    db.create_table("u", ["v"], rows=[(v,) for v in range(inner)])
+    sql = "SELECT t.k, u.v FROM t, u WHERE u.v > t.k"
+    prepared = Connection(db).prepare_statement(sql, strategy="original")
+    bisects = []
+    bisect_right = operators.bisect_right
+
+    def counting(values, value, lo, hi):
+        bisects.append(value)
+        return bisect_right(values, value, lo, hi)
+
+    monkeypatch.setitem(
+        operators._RANGE_ENDS, ">", (operators._RANGE_ENDS[">"][0], counting)
+    )
+    governor = ResourceGovernor()
+    token = threading.Event()
+    governor.attach_cancel_token(token, "test")
+    original = governor.checkpoint
+
+    def cancelling(where):
+        if bisects:
+            token.set()
+        return original(where)
+
+    governor.checkpoint = cancelling
+    with pytest.raises(QueryCancelledError):
+        BatchEvaluator(
+            prepared.graph, db, join_orders=prepared.plan.join_orders,
+            governor=governor,
+        ).run()
+    # Cancelled after the first outer row's matches, before the second
+    # bisect.
+    assert bisects == [0]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro import Connection, Database
 from repro.api import PreparedQuery
 from repro.engine.storage import UniqueIndex
+from repro.errors import ExecutionError
 from repro.sql import parse_statement
 from repro.workloads.decision_support import build_decision_support_database
 from repro.workloads.empdept import PAPER_VIEWS_SQL, build_empdept_database
@@ -355,3 +356,125 @@ def test_dml_that_repeats_a_key_between_executions(statement, strategy):
     assert len(runs["batch"][0].rows) == len(
         conn.execute(sql, executor="tuple").rows
     )
+
+
+# -- range joins ----------------------------------------------------------------
+#
+# A later base-table quantifier whose leading predicates compare one of
+# its columns with bound values bisects the table's sorted column instead
+# of filtering the cross product. It must return the cross product's rows
+# in the cross product's order, charge the same work, and fail as it fails.
+
+NAN = float("nan")
+
+
+def range_connection():
+    """``r`` is the outer side, ``u`` the inner one: NULLs on both sides,
+    a NaN on both, duplicate values and ties at every bound; ``s`` holds
+    strings, ``m`` mixes numbers and strings, ``e`` is empty."""
+    db = Database()
+    db.create_table(
+        "r", ["k", "x", "s"],
+        rows=[
+            (0, 3, "c"), (1, None, "a"), (2, 5, None), (3, 5, "e"),
+            (4, 0, "b"), (5, NAN, "c"), (6, 7.5, "d"), (7, -2, "a"),
+        ],
+    )
+    db.create_table(
+        "u", ["k", "y", "s", "m"],
+        rows=[
+            (10, 1, "b", 1), (11, 5, None, 2), (12, None, "c", 3),
+            (13, 5, "a", "x"), (14, 3, "c", 4), (15, NAN, "e", 5),
+            (16, 9, "d", 6), (17, 5, "b", 7), (18, 2.5, "a", 8),
+            (19, -1, "f", 9), (20, 7.5, "c", 10), (21, 3, None, 11),
+        ],
+    )
+    db.create_table("e", ["k", "y"])
+    return Connection(db)
+
+
+RANGE_OPS = ["<", "<=", ">", ">="]
+RANGE_QUERIES = (
+    # Each operator, with the inner column on the right and on the left.
+    ["SELECT r.k, u.k FROM r, u WHERE r.x %s u.y" % op for op in RANGE_OPS]
+    + ["SELECT r.k, u.k FROM r, u WHERE u.y %s r.x" % op for op in RANGE_OPS]
+    + [
+        # An expression over the outer side.
+        "SELECT r.k, u.k FROM r, u WHERE r.x * 2 < u.y",
+        # A two-sided band: the second bound narrows the first's range.
+        "SELECT r.k, u.k, u.y FROM r, u WHERE u.y > r.x AND u.y <= r.x + 4",
+        # A residual predicate after the range.
+        "SELECT r.k, u.k FROM r, u WHERE r.x <= u.y AND u.k <> r.k + 10",
+        # Strings.
+        "SELECT r.k, u.k FROM r, u WHERE r.s < u.s",
+        "SELECT r.s, u.s FROM r, u WHERE u.s >= r.s AND u.s < 'd'",
+        # An empty outer side and an empty inner one.
+        "SELECT r.k, u.k FROM r, u WHERE r.x < u.y AND r.k > 100",
+        "SELECT r.k, e.k FROM r, e WHERE r.x < e.y",
+        # LIMIT without ORDER BY keeps the first rows the join produces.
+        "SELECT r.k, u.k FROM r, u WHERE r.x < u.y LIMIT 7",
+        "SELECT COUNT(*) FROM r, u WHERE u.y > r.x",
+    ]
+)
+
+
+def same_rows_in_order(rows):
+    """``rows`` with NaN made comparable (NaN != NaN), order kept."""
+    return [
+        tuple("NaN" if value != value else value for value in row)
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize("sql", RANGE_QUERIES)
+def test_range_joins_agree_row_for_row(sql, strategy):
+    conn = range_connection()
+    assert "RANGEJOIN" in conn.explain(sql, strategy=strategy)
+    runs = {
+        executor: conn.prepare_statement(
+            sql, strategy=strategy, executor=executor
+        ).execute()
+        for executor in ("tuple", "batch")
+    }
+    (tuple_result, tuple_stats), (batch_result, batch_stats) = (
+        runs["tuple"], runs["batch"],
+    )
+    assert same_rows_in_order(batch_result.rows) == same_rows_in_order(
+        tuple_result.rows
+    )
+    for field in STAT_FIELDS:
+        assert getattr(batch_stats, field) == getattr(tuple_stats, field), field
+
+
+def test_a_range_join_bisects_instead_of_comparing_pairs():
+    conn = range_connection()
+    sql = "SELECT r.k, u.k FROM r, u WHERE u.y > r.x AND u.y <= r.x + 4"
+    result, stats = conn.prepare_statement(sql, strategy="original").execute()
+    # Two bisects per outer row whose bound is neither NULL nor NaN; the
+    # scan of r and every pair still count as join probes, as on the
+    # tuple engine.
+    assert stats.batch_probes == 2 * 6
+    assert stats.batch_probe_matches == len(result.rows)
+    assert stats.join_probes == 8 + 8 * 12
+
+
+@pytest.mark.parametrize("strategy", ["original", "emst"])
+@pytest.mark.parametrize("sql, message", [
+    # A column mixing numbers and strings has no sorted path.
+    ("SELECT r.k, u.k FROM r, u WHERE r.x < u.m", "cannot compare"),
+    # Outer strings against an inner column of numbers, both orientations.
+    ("SELECT r.k, u.k FROM r, u WHERE r.s < u.y", "cannot compare"),
+    ("SELECT r.k, u.k FROM r, u WHERE u.s >= r.x", "cannot compare"),
+    # A bound that fails to evaluate.
+    ("SELECT r.k, u.k FROM r, u WHERE r.s - 1 < u.y", "invalid operands"),
+])
+def test_mixed_type_range_joins_fail_alike(sql, message, strategy):
+    conn = range_connection()
+    assert "RANGEJOIN" in conn.explain(sql, strategy=strategy)
+    raised = {}
+    for executor in ("tuple", "batch"):
+        with pytest.raises(ExecutionError, match=message) as caught:
+            conn.execute(sql, strategy=strategy, executor=executor)
+        raised[executor] = str(caught.value)
+    assert raised["batch"] == raised["tuple"]

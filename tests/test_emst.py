@@ -2,8 +2,6 @@
 supplementary / condition-magic boxes, AMQ/NMQ handling, subquery
 decorrelation and semantic preservation."""
 
-import pytest
-
 from repro import Connection, Database
 from repro.sql import parse_statement
 from repro.qgm import (
@@ -18,7 +16,7 @@ from repro.optimizer.heuristic import optimize_with_heuristic
 from repro.rewrite import RewriteEngine, default_rules
 from repro.optimizer import optimize_graph
 
-from tests.helpers import canonical, run_all_strategies
+from tests.helpers import run_all_strategies
 
 QUERY_D = (
     "SELECT d.deptname, s.workdept, s.avgsalary "

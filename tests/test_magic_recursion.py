@@ -1,8 +1,6 @@
 """Recursive magic: the transformation that motivated magic sets in the
 first place — restricting a fixpoint to the bindings of interest."""
 
-import pytest
-
 from repro import Connection, Database
 from repro.sql import parse_script
 from repro.qgm import build_query_graph, validate_graph

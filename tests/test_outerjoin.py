@@ -6,8 +6,7 @@ import pytest
 from repro import Connection, Database
 from repro.errors import NotSupportedError
 from repro.sql import parse_statement, to_sql
-from repro.qgm import BoxKind, MagicRole, build_query_graph, validate_graph
-from repro.optimizer.heuristic import optimize_with_heuristic
+from repro.qgm import BoxKind, build_query_graph, validate_graph
 
 from tests.helpers import canonical, run_all_strategies
 

@@ -6,7 +6,6 @@ from repro.errors import QgmError
 from repro.sql import parse_statement
 from repro.qgm import (
     BoxKind,
-    DistinctMode,
     build_query_graph,
     graph_summary,
     render_dot,

@@ -2,9 +2,7 @@
 redundant-join elimination, distinct pullup — each checked structurally
 *and* for semantic preservation (results unchanged)."""
 
-import pytest
-
-from repro import Connection, Database
+from repro import Connection
 from repro.sql import parse_statement
 from repro.qgm import (
     BoxKind,

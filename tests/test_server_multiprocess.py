@@ -347,6 +347,50 @@ def test_dml_is_visible_to_workers():
         server.shutdown()
 
 
+SALARY_RANK = (
+    "SELECT COUNT(*) FROM employee e1, employee e2 "
+    "WHERE e1.salary < e2.salary AND e1.workdept = ?"
+)
+
+
+@needs_fork
+def test_workers_rebuild_sorted_paths_after_a_salary_update():
+    """The salary-rank self-join bisects employee's sorted salary column,
+    which each worker builds and keeps. An UPDATE of salary reaches the
+    workers through ``load_columns``, which drops the path: every worker
+    answers from the new salaries, as the oracle does at the new data
+    version."""
+    database = build_empdept_database(
+        n_departments=8, employees_per_department=4
+    )
+    server = _mp_server(database)
+    oracle = Connection(database).prepare_statement(
+        SALARY_RANK, strategy="norewrite", executor="tuple"
+    )
+
+    def answers():
+        # The idle queue hands requests to the workers in turn.
+        responses = [
+            server.handle_query(SALARY_RANK, params=["D0001"], fresh=True)
+            for _ in range(4)
+        ]
+        assert len({r["worker_pid"] for r in responses}) == 2
+        return {tuple(map(tuple, r["rows"])) for r in responses}
+
+    try:
+        before = answers()
+        assert before == {tuple(oracle.execute(["D0001"])[0].rows)}
+        server.handle_script(
+            "UPDATE employee SET salary = salary + 1000000 "
+            "WHERE workdept = 'D0000'"
+        )
+        after = answers()
+        assert after == {tuple(oracle.execute(["D0001"])[0].rows)}
+        assert after != before, "the update moved no count"
+    finally:
+        server.shutdown()
+
+
 def test_shared_store_publish_and_apply_sync_without_fork():
     """The publish/sync protocol itself, no processes involved: a
     deep-copied database (standing in for a forked snapshot) catches up

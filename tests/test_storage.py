@@ -216,3 +216,57 @@ def test_table_versions_unknown_name_raises():
 def test_initial_rows_leave_version_zero():
     table = make_table()
     assert table.version == 0
+
+
+# -- sorted access paths ------------------------------------------------------
+
+
+def test_sorted_path_leaves_out_null_and_nan():
+    nan = float("nan")
+    db = Database()
+    db.create_table(
+        "t", ["a", "b"],
+        rows=[(3, "x"), (None, "y"), (1.5, None), (nan, "x"), (3, "a"), (-1, "z")],
+    )
+    table = db.table("t")
+    values, positions = table.sorted_on("a")
+    # Equal values keep their row order.
+    assert values == [-1, 1.5, 3, 3]
+    assert positions == [5, 2, 0, 4]
+    assert [table.rows[p][0] for p in positions] == values
+    assert table.sorted_on(1) == (["a", "x", "x", "y", "z"], [4, 0, 3, 1, 5])
+    assert table.sorted_on("a") is table.sorted_on(0)  # kept until a write
+
+
+def test_a_column_mixing_families_has_no_sorted_path():
+    db = Database()
+    db.create_table("t", ["a", "b"], rows=[(1, None), ("x", None), (True, None)])
+    assert db.table("t").sorted_on("a") is None
+    # No non-NULL value: an empty path, not an unsortable one.
+    assert db.table("t").sorted_on("b") == ([], [])
+
+
+@pytest.mark.parametrize("statement", [
+    "INSERT INTO t VALUES (0, 'w')",
+    "UPDATE t SET a = 9 WHERE a = 1",
+    "DELETE FROM t WHERE a = 2",
+])
+def test_every_write_drops_the_sorted_path(statement):
+    from repro import Connection
+
+    db = Database()
+    db.create_table("t", ["a", "b"], rows=[(2, "x"), (1, "y"), (3, "z")])
+    table = db.table("t")
+    before = table.sorted_on("a")
+    Connection(db).run_script(statement)
+    after = table.sorted_on("a")
+    assert after is not before
+    column = table.column_data("a")
+    assert after == (sorted(column), sorted(range(len(column)), key=column.__getitem__))
+
+
+def test_load_columns_drops_the_sorted_path():
+    table = make_table()
+    assert table.sorted_on("a") == ([1, 2, 3], [0, 1, 2])
+    table.load_columns({0: (5, [3, 1, 2]), 1: (5, ["x", "y", "z"])}, 5)
+    assert table.sorted_on("a") == ([1, 2, 3], [1, 2, 0])
