@@ -15,9 +15,14 @@ joins, columnar group-by. Box kinds not lowered yet (set operations, outer
 joins, custom boxes), correlation handling, ``DISTINCT`` enforcement and
 fixpoint orchestration are inherited from the tuple
 :class:`~repro.engine.evaluator.Evaluator`, so the two engines share one
-semantics definition wherever rows are produced one at a time anyway. The
-tuple engine remains the differential-testing oracle: both must produce
-identical row sets, and raise the same error on the same input.
+semantics definition wherever rows are produced one at a time anyway: an
+outer join here is the tuple engine's, and a semi-join or anti-join tests
+each position with the tuple engine's ``quantifier_passes``. Those row
+paths call :func:`~repro.engine.expressions.compile_expr` closures, every
+operator a :func:`~repro.engine.columnar.vector.compile_vector` one —
+the only two definitions of what an expression means. The tuple engine
+remains the differential-testing oracle: both must produce identical row
+sets, and raise the same error on the same input.
 
 Cooperative cancellation keeps the tuple engine's contract — a governor
 checkpoint at least every :data:`~repro.engine.evaluator.CHECKPOINT_INTERVAL`

@@ -24,7 +24,11 @@ from repro.errors import ExecutionError
 from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind
 from repro.engine.aggregates import GROUPED_KERNELS, accumulator_factory
-from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
+from repro.engine.evaluator import (
+    CHECKPOINT_INTERVAL,
+    Evaluator,
+    quantifier_passes,
+)
 from repro.engine.expressions import compile_expr
 from repro.engine.storage import (
     NUMBER_TYPES,
@@ -449,22 +453,25 @@ class ScalarStep:
 
 class FilterQuantifierStep:
     """Semi-join (E) / anti-join (A): keep the positions whose binding
-    passes. Inherently one subquery evaluation per binding, so this runs
-    the inherited per-environment test over the predicates the compiler
-    attached to the quantifier."""
+    passes. Inherently one subquery evaluation per binding, so each
+    position's environment runs the reference test,
+    :func:`~repro.engine.evaluator.quantifier_passes`, over the predicates
+    the compiler attached to the quantifier, compiled here once."""
 
-    __slots__ = ("quantifier", "predicates")
+    __slots__ = ("quantifier", "predicate_fns")
 
     def __init__(self, quantifier, predicates):
         self.quantifier = quantifier
-        self.predicates = predicates
+        self.predicate_fns = [compile_expr(p) for p in predicates]
 
     def attach(self, state, batch):
-        passes = state._passes_filter_quantifier
+        quantifier = self.quantifier
+        child = quantifier.input_box
+        fns = self.predicate_fns
         positions = [
             i
             for i, env in enumerate(batch.row_envs())
-            if passes(self.quantifier, self.predicates, env)
+            if quantifier_passes(quantifier, fns, env, state.rows_for(child, env))
         ]
         if len(positions) != batch.length:
             return batch.take(positions)

@@ -33,11 +33,11 @@ from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.engine.evaluator import (
     Evaluator,
     dedupe,
+    hashable_equality,
     intersect_except,
     quantifier_passes,
     self_recursive,
 )
-from repro.engine.expressions import evaluate, predicate_holds
 from repro.engine.storage import index_matches
 
 
@@ -171,23 +171,13 @@ class CorrelatedEvaluator(Evaluator):
             bindable, post = self._split_bindable(
                 applicable, quantifier, plan.local, bound
             )
-            post = [self._pred(p) for p in post]
-            new_envs = []
-            for current in envs:
-                child_filters = _bind_filters(
-                    pushed.get(quantifier), bindable, current
-                )
-                if child_filters is None:
-                    continue
-                self.stats.correlated_evaluations += 1
-                for row in self.rows_for(quantifier.input_box, current, child_filters):
-                    self.stats.join_probes += 1
-                    self._checkpoint(box)
-                    extended = dict(current)
-                    extended[quantifier] = row
-                    if all(fn(extended) for fn in post):
-                        new_envs.append(extended)
-            envs = new_envs
+            envs = self._pair(
+                box, quantifier, envs,
+                self._pushdown_candidates(
+                    quantifier, pushed.get(quantifier), bindable
+                ),
+                [self._pred(p) for p in post],
+            )
             applied.update(id(p) for p in applicable)
             bound.add(quantifier)
             if not envs:
@@ -197,33 +187,49 @@ class CorrelatedEvaluator(Evaluator):
 
     def _split_bindable(self, predicates, quantifier, local, bound):
         """Divide ``predicates`` into the ``(column, compiled probe)`` pairs
-        of those that bind a column of ``quantifier`` to a value known from
-        ``bound`` or outer quantifiers (see :func:`_binding_equality`) and
-        the rest, to be checked row by row."""
+        of the hashable equalities (:func:`~repro.engine.evaluator.
+        hashable_equality`) whose key is a plain column of ``quantifier``
+        — each binds that column to a value known from ``bound`` or outer
+        quantifiers — and the rest, to be checked row by row."""
         bindable = []
         post = []
         for predicate in predicates:
-            binding = _binding_equality(predicate, quantifier, local, bound)
-            if binding is not None:
-                bindable.append((binding[0], self._fn(binding[1])))
+            pair = hashable_equality(predicate, quantifier, local, bound)
+            if pair is not None and isinstance(pair[0], qe.QColRef):
+                bindable.append((pair[0].column.lower(), self._fn(pair[1])))
             else:
                 post.append(predicate)
         return bindable, post
 
-    def _passes_filter_quantifier(self, quantifier, predicates, env):
-        filters = None
+    def _pushdown_candidates(self, quantifier, filters, bindable):
+        """``candidates(env)``: the rows of ``quantifier``'s input, from one
+        evaluation under ``env`` with ``filters`` and the values of the
+        ``bindable`` probes pushed down — none when a probe is NULL or two
+        bind one column differently."""
+        child = quantifier.input_box
+
+        def candidates(current):
+            child_filters = _bind_filters(filters, bindable, current)
+            if child_filters is None:
+                return ()
+            self.stats.correlated_evaluations += 1
+            return self.rows_for(child, current, child_filters)
+
+        return candidates
+
+    def _filter_test(self, quantifier, predicates):
+        # Push equality bindings into the subquery evaluation. ANTI gets
+        # no pushdown: NOT IN must observe NULLs in the inner table.
+        bindable = []
         if quantifier.qtype == QuantifierType.EXISTENTIAL:
-            # Push equality bindings into the subquery evaluation. ANTI gets
-            # no pushdown: NOT IN must observe NULLs in the inner table.
             bindable, predicates = self._split_bindable(
                 predicates, quantifier, {quantifier}, set()
             )
-            filters = _bind_filters(None, bindable, env)
-            if filters is None:
-                return False
-        self.stats.correlated_evaluations += 1
-        rows = self.rows_for(quantifier.input_box, env, filters)
-        return quantifier_passes(quantifier, predicates, env, rows)
+        fns = [self._fn(p) for p in predicates]
+        candidates = self._pushdown_candidates(quantifier, None, bindable)
+        return lambda env: quantifier_passes(
+            quantifier, fns, env, candidates(env)
+        )
 
     # -- groupby boxes --------------------------------------------------------------------
 
@@ -240,37 +246,28 @@ class CorrelatedEvaluator(Evaluator):
     def _outerjoin_rows(self, box, env, filters):
         """LEFT OUTER JOIN, tuple-at-a-time: filters on preserved-side
         columns push into the left child; everything else is residual (a
-        filter on the NULL-padded side cannot be pushed)."""
+        filter on the NULL-padded side cannot be pushed). Each preserved
+        row's ON equalities push into an evaluation of the right side."""
         left_q, right_q = box.quantifiers
         pushed, residual = _split_filters(box, filters, {left_q})
         left_rows = self.rows_for(left_q.input_box, env, pushed.get(left_q))
-        null_row = tuple([None] * len(right_q.input_box.columns))
-        # Per-tuple pushdown into the right side via ON equalities.
         bindable, post = self._split_bindable(
             box.predicates, right_q, set(box.quantifiers), {left_q}
         )
-        rows = []
-        for left_row in left_rows:
-            base_env = dict(env)
-            base_env[left_q] = left_row
-            right_filters = _bind_filters(None, bindable, base_env)
-            matched = False
-            if right_filters is not None:
-                self.stats.correlated_evaluations += 1
-                for right_row in self.rows_for(
-                    right_q.input_box, base_env, right_filters
-                ):
-                    extended = dict(base_env)
-                    extended[right_q] = right_row
-                    if all(predicate_holds(p, extended) for p in post):
-                        matched = True
-                        rows.append(
-                            tuple(evaluate(c.expr, extended) for c in box.columns)
-                        )
-            if not matched:
-                extended = dict(base_env)
-                extended[right_q] = null_row
-                rows.append(tuple(evaluate(c.expr, extended) for c in box.columns))
+        tests = [self._pred(p) for p in post]
+        candidates = self._pushdown_candidates(right_q, None, bindable)
+
+        def matches(current):
+            # Unlike a select box's join, no join probe is charged here.
+            matched = []
+            for row in candidates(current):
+                extended = dict(current)
+                extended[right_q] = row
+                if all(fn(extended) for fn in tests):
+                    matched.append(extended)
+            return matched
+
+        rows = self.outer_join(box, env, left_rows, matches)
         return _restrict(box, rows, residual)
 
 
@@ -333,24 +330,3 @@ def _map_positional(filters, box, child):
         position = own_names.index(name)
         out[child_names[position]] = value
     return out
-
-
-def _binding_equality(predicate, quantifier, local, bound):
-    """If ``predicate`` is ``quantifier.col = <expr over bound/outer>``,
-    return (column_name_lower, probe_expr); else None."""
-    if not (isinstance(predicate, qe.QBinary) and predicate.op == "="):
-        return None
-    for side, other in (
-        (predicate.left, predicate.right),
-        (predicate.right, predicate.left),
-    ):
-        if not isinstance(side, qe.QColRef) or side.quantifier is not quantifier:
-            continue
-        other_locals = {
-            ref.quantifier for ref in qe.column_refs(other) if ref.quantifier in local
-        }
-        if quantifier in other_locals:
-            continue
-        if other_locals <= bound:
-            return (side.column.lower(), other)
-    return None

@@ -10,15 +10,23 @@ Join processing inside a select box is pipelined in the supplied join order
 (the plan optimizer's choice): each quantifier is attached by hash join
 when an applicable equality predicate exists, else by nested loop, and
 every predicate is applied at the earliest point where all of its inputs
-are bound — which is exactly why the join order matters to EMST.
+are bound — which is exactly why the join order matters to EMST. A LEFT
+OUTER JOIN takes its matches from the same attach
+(:meth:`Evaluator._join_method` and :meth:`Evaluator._pair`) and pads a
+preserved row that has none.
 
 This module is also the one row-at-a-time definition of what each box kind
 means: the post-join phase of a select box (:meth:`Evaluator.surviving`),
-the groupby fold (:meth:`Evaluator.fold_groups`), bag INTERSECT/EXCEPT
+the groupby fold (:meth:`Evaluator.fold_groups`), the outer join
+(:meth:`Evaluator.outer_join`), bag INTERSECT/EXCEPT
 (:func:`intersect_except`) and the semi/anti-join test
 (:func:`quantifier_passes`) take rows (or environments) in and give rows
 out, whoever calls them — the Correlated strategy, which only reaches boxes
-differently. The batch operators are differentially tested against it.
+differently, and the batch engine for the boxes and E/A tests it runs one
+row at a time. Every expression on this path runs as the closure
+:func:`~repro.engine.expressions.compile_expr` made of it, compiled once
+per execution (:meth:`Evaluator._fn`, :meth:`Evaluator._pred`). The batch
+operators are differentially tested against it.
 """
 
 from __future__ import annotations
@@ -28,13 +36,7 @@ from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
 from repro.qgm.stratum import correlation_externals, reduced_dependency_graph
 from repro.engine.aggregates import make_accumulator
-from repro.engine.expressions import (
-    PARAMETERS,
-    compile_expr,
-    compile_predicate,
-    evaluate,
-    predicate_holds,
-)
+from repro.engine.expressions import PARAMETERS, compile_expr, compile_predicate
 from repro.engine.storage import index_matches
 
 #: Join-probe granularity of cooperative cancellation/deadline checks: the
@@ -339,11 +341,8 @@ class Evaluator:
                 )
         envs = self._keep_true(envs, plan.deferred)
         for quantifier, attached in plan.filters:
-            envs = [
-                current
-                for current in envs
-                if self._passes_filter_quantifier(quantifier, attached, current)
-            ]
+            passes = self._filter_test(quantifier, attached)
+            envs = [current for current in envs if passes(current)]
         return envs
 
     def _keep_true(self, envs, predicates):
@@ -363,43 +362,56 @@ class Evaluator:
 
     def _attach_quantifier(self, box, quantifier, envs, bound, plan, applied):
         """Join one foreach quantifier into the current environments."""
-        child = quantifier.input_box
         applicable = plan.applicable(quantifier, bound, applied)
-
-        hash_keys, residual = split_hashable(
-            applicable, quantifier, plan.local, bound
+        candidates, tests = self._join_method(
+            quantifier, applicable, plan.local, bound
         )
-        child_correlated = bool(self._externals(child))
-        use_index = hash_keys and not child_correlated
-
-        new_envs = []
-        if use_index:
-            index = self._hash_index(child, quantifier, tuple(k[0] for k in hash_keys))
-            probes = [self._fn(k[1]) for k in hash_keys]
-            residual_fns = [self._pred(p) for p in residual]
-            for current in envs:
-                probe = tuple(fn(current) for fn in probes)
-                if any(v is None for v in probe):
-                    continue  # NULL never equals anything
-                for row in index_matches(index, probe):
-                    self.stats.join_probes += 1
-                    self._checkpoint(box)
-                    extended = dict(current)
-                    extended[quantifier] = row
-                    if all(fn(extended) for fn in residual_fns):
-                        new_envs.append(extended)
-        else:
-            applicable_fns = [self._pred(p) for p in applicable]
-            for current in envs:
-                child_rows = self.rows_for(child, current)
-                for row in child_rows:
-                    self.stats.join_probes += 1
-                    self._checkpoint(box)
-                    extended = dict(current)
-                    extended[quantifier] = row
-                    if all(fn(extended) for fn in applicable_fns):
-                        new_envs.append(extended)
+        if candidates is None:
+            child = quantifier.input_box
+            rows_for = self.rows_for
+            candidates = lambda current: rows_for(child, current)
+        new_envs = self._pair(box, quantifier, envs, candidates, tests)
         applied.update(id(p) for p in applicable)
+        return new_envs
+
+    def _join_method(self, quantifier, predicates, local, bound):
+        """How ``quantifier`` joins an environment that binds ``bound``:
+        ``(candidates, tests)``.
+
+        With an equality among ``predicates`` to hash on (and an
+        uncorrelated input), ``candidates(env)`` probes an index of the
+        input's rows with the environment's key — none for a NULL key —
+        and ``tests`` are the compiled residual predicates. Otherwise
+        ``candidates`` is None (every row of the input is a candidate)
+        and ``tests`` are all of ``predicates``, compiled."""
+        child = quantifier.input_box
+        hash_keys, residual = split_hashable(predicates, quantifier, local, bound)
+        if not hash_keys or self._externals(child):
+            return None, [self._pred(p) for p in predicates]
+        index = self._hash_index(child, quantifier, tuple(k[0] for k in hash_keys))
+        probes = [self._fn(k[1]) for k in hash_keys]
+
+        def candidates(current):
+            key = tuple(fn(current) for fn in probes)
+            if any(v is None for v in key):
+                return ()  # NULL never equals anything
+            return index_matches(index, key)
+
+        return candidates, [self._pred(p) for p in residual]
+
+    def _pair(self, box, quantifier, envs, candidates, tests):
+        """Every environment of ``envs`` extended by each of its
+        ``candidates`` rows for ``quantifier`` that passes all ``tests``,
+        in order; each pair tried is one join probe."""
+        new_envs = []
+        for current in envs:
+            for row in candidates(current):
+                self.stats.join_probes += 1
+                self._checkpoint(box)
+                extended = dict(current)
+                extended[quantifier] = row
+                if all(fn(extended) for fn in tests):
+                    new_envs.append(extended)
         return new_envs
 
     def _hash_index(self, child, quantifier, key_exprs):
@@ -448,7 +460,7 @@ class Evaluator:
                 index = self._hash_index(
                     child, quantifier, tuple(k[0] for k in keyed)
                 )
-                probe = tuple(evaluate(k[1], env) for k in keyed)
+                probe = tuple(self._fn(k[1])(env) for k in keyed)
                 if any(v is None for v in probe):
                     return null_row
                 matches = index_matches(index, probe)
@@ -464,11 +476,12 @@ class Evaluator:
             raise ExecutionError(
                 "scalar subquery %r returned %d rows" % (quantifier.name, len(rows))
             )
+        tests = [self._pred(p) for p in selectors]
         matches = []
         for row in rows:
             extended = dict(env)
             extended[quantifier] = row
-            if all(predicate_holds(p, extended) for p in selectors):
+            if all(fn(extended) for fn in tests):
                 matches.append(row)
                 if len(matches) > 1:
                     raise ExecutionError(
@@ -479,10 +492,15 @@ class Evaluator:
             return matches[0]
         return null_row
 
-    def _passes_filter_quantifier(self, quantifier, predicates, env):
-        """Semi-join (E) / anti-join (A) test for one environment."""
-        rows = self.rows_for(quantifier.input_box, env)
-        return quantifier_passes(quantifier, predicates, env, rows)
+    def _filter_test(self, quantifier, predicates):
+        """The semi-join (E) / anti-join (A) test of E/A ``quantifier``
+        with its attached ``predicates`` (compiled here, whether or not
+        an environment reaches the test): ``passes(env) -> bool``."""
+        fns = [self._fn(p) for p in predicates]
+        child = quantifier.input_box
+        return lambda env: quantifier_passes(
+            quantifier, fns, env, self.rows_for(child, env)
+        )
 
     # -- groupby boxes -----------------------------------------------------------------
 
@@ -508,6 +526,12 @@ class Evaluator:
         arg_fns = [
             None if agg.arg is None else self._fn(agg.arg) for agg in aggregates
         ]
+        # Non-aggregate outputs read the group's first row environment.
+        output_fns = [
+            None if isinstance(column.expr, qe.QAggregate)
+            else self._fn(column.expr)
+            for column in box.columns
+        ]
         # key -> (accumulators, the group's first row environment)
         groups = {}
         for row in input_rows:
@@ -531,11 +555,11 @@ class Evaluator:
             rows.append(
                 tuple(
                     next(results)
-                    if isinstance(column.expr, qe.QAggregate)
+                    if fn is None
                     else None
                     if representative is None
-                    else evaluate(column.expr, representative)
-                    for column in box.columns
+                    else fn(representative)
+                    for fn in output_fns
                 )
             )
         return rows
@@ -543,53 +567,41 @@ class Evaluator:
     # -- outer joins ---------------------------------------------------------------------
 
     def _evaluate_outerjoin(self, box, env):
-        """LEFT OUTER JOIN: every preserved-side row survives, NULL-padded
-        when no right row satisfies the ON condition."""
+        """LEFT OUTER JOIN: each preserved-side row joins the right side
+        as a foreach quantifier joins in a select box — hash probe or
+        scan, the ON predicates as the tests — and is NULL-padded when
+        nothing matches."""
         left_q, right_q = box.quantifiers
         left_rows = self.rows_for(left_q.input_box, env)
-        null_row = tuple([None] * len(right_q.input_box.columns))
-
-        # Hash the right side when an ON equality allows it.
-        hash_keys, residual = split_hashable(
-            box.predicates, right_q, set(box.quantifiers), {left_q}
+        candidates, tests = self._join_method(
+            right_q, box.predicates, set(box.quantifiers), {left_q}
         )
-        use_index = bool(hash_keys)
-        index = None
-        if use_index:
-            index = self._hash_index(
-                right_q.input_box, right_q, tuple(k[0] for k in hash_keys)
-            )
-        else:
+        if candidates is None:
             right_rows = self.rows_for(right_q.input_box, env)
+            candidates = lambda current: right_rows
+        return self.outer_join(
+            box, env, left_rows,
+            lambda current: self._pair(box, right_q, [current], candidates, tests),
+        )
 
-        rows = []
+    def outer_join(self, box, env, left_rows, matches):
+        """The rows of OUTERJOIN ``box`` under ``env`` over its preserved
+        side's ``left_rows``: per row, the environments ``matches(env)``
+        extends it to, or — none — the row with NULLs on the right;
+        projected."""
+        left_q, right_q = box.quantifiers
+        null_row = (None,) * len(right_q.input_box.columns)
+        envs = []
         for left_row in left_rows:
-            base_env = dict(env)
-            base_env[left_q] = left_row
-            matched = False
-            if use_index:
-                probe = tuple(evaluate(k[1], base_env) for k in hash_keys)
-                candidates = (
-                    index_matches(index, probe)
-                    if all(v is not None for v in probe) else ()
-                )
+            current = dict(env)
+            current[left_q] = left_row
+            matched = matches(current)
+            if matched:
+                envs.extend(matched)
             else:
-                candidates = right_rows
-            for right_row in candidates:
-                self.stats.join_probes += 1
-                self._checkpoint(box)
-                extended = dict(base_env)
-                extended[right_q] = right_row
-                if all(predicate_holds(p, extended) for p in (residual if use_index else box.predicates)):
-                    matched = True
-                    rows.append(
-                        tuple(evaluate(c.expr, extended) for c in box.columns)
-                    )
-            if not matched:
-                extended = dict(base_env)
-                extended[right_q] = null_row
-                rows.append(tuple(evaluate(c.expr, extended) for c in box.columns))
-        return rows
+                current[right_q] = null_row
+                envs.append(current)
+        return self.project(box, envs)
 
 
 class SelectPlan:
@@ -715,9 +727,11 @@ def dedupe(rows):
     return list(dict.fromkeys(rows))
 
 
-def quantifier_passes(quantifier, predicates, env, rows):
+def quantifier_passes(quantifier, predicate_fns, env, rows):
     """Semi-join (E) / anti-join (A) test of one environment against
-    ``rows``, the rows of the quantifier's input under that environment.
+    ``rows``, the rows of the quantifier's input under that environment;
+    ``predicate_fns`` are the compiled value closures of the predicates
+    attached to the quantifier.
 
     E passes when some row makes every predicate TRUE. A passes when no
     row does — and, for a NULL-aware quantifier (NOT IN), when none leaves
@@ -726,14 +740,14 @@ def quantifier_passes(quantifier, predicates, env, rows):
         for row in rows:
             extended = dict(env)
             extended[quantifier] = row
-            if all(predicate_holds(p, extended) for p in predicates):
+            if all(fn(extended) is True for fn in predicate_fns):
                 return True
         return False
     saw_unknown = False
     for row in rows:
         extended = dict(env)
         extended[quantifier] = row
-        values = [evaluate(p, extended) for p in predicates]
+        values = [fn(extended) for fn in predicate_fns]
         if all(v is True for v in values):
             return False
         if quantifier.null_aware and all(v is not False for v in values):

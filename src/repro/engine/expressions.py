@@ -1,11 +1,24 @@
-"""Runtime evaluation of QGM expressions with SQL three-valued logic.
+"""Row-wise semantics of QGM expressions, with SQL three-valued logic.
+
+:func:`compile_expr` is the one definition of what a scalar expression
+means one row at a time: it turns an expression into a closure
+``fn(env) -> value`` once, and every row-at-a-time site of the engines
+(join and post-join predicates, hash-probe keys, E/A tests, scalar
+subquery selectors, outer-join conditions, projections) calls such a
+closure per environment. Its column-wise twin is
+:func:`~repro.engine.columnar.vector.compile_vector`, which applies the
+same operator helpers defined here (:func:`compare`, :func:`arithmetic`,
+:func:`like_match`, the scalar-function registry) to whole columns; the
+differential suite pins the two against each other.
 
 An *environment* maps :class:`~repro.qgm.model.Quantifier` objects to the
 current row (a tuple laid out per the quantifier's input box columns), and
 the reserved key :data:`PARAMETERS` to the statement's parameter vector
 when the graph still carries :class:`~repro.qgm.expr.QParam` nodes.
 Boolean expressions evaluate to ``True``, ``False`` or ``None`` (UNKNOWN);
-predicates accept a row only when the result is ``True``.
+predicates accept a row only when the result is ``True``. An expression
+that cannot be evaluated at all (an unknown scalar function, an aggregate
+outside a groupby box) fails when it is compiled, not per row.
 """
 
 from __future__ import annotations
@@ -226,76 +239,6 @@ def _fn_substr(value, start, length=None):
     return text[begin : begin + int(length)]
 
 
-def evaluate(expr, env):
-    """Evaluate a QGM expression in environment ``env``.
-
-    ``env`` maps quantifiers to rows. A reference to a quantifier missing
-    from the environment is an internal error (the evaluator must always
-    bind correlated quantifiers before descending).
-    """
-    if isinstance(expr, qe.QParam):
-        return parameter_value(env, expr.index)
-    if isinstance(expr, qe.QLiteral):
-        return expr.value
-    if isinstance(expr, qe.QColRef):
-        row = env.get(expr.quantifier)
-        if row is None:
-            raise ExecutionError(
-                "unbound quantifier %r while evaluating %s"
-                % (expr.quantifier.name, expr)
-            )
-        ordinal = expr.quantifier.input_box.column_ordinal(expr.column)
-        return row[ordinal]
-    if isinstance(expr, qe.QBinary):
-        if expr.op == "AND":
-            return sql_and(evaluate(expr.left, env), evaluate(expr.right, env))
-        if expr.op == "OR":
-            return sql_or(evaluate(expr.left, env), evaluate(expr.right, env))
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-            return compare(expr.op, left, right)
-        return arithmetic(expr.op, left, right)
-    if isinstance(expr, qe.QUnary):
-        value = evaluate(expr.operand, env)
-        if expr.op == "NOT":
-            return sql_not(value)
-        if expr.op == "-":
-            return None if value is None else -value
-        raise ExecutionError("unknown unary operator %r" % expr.op)
-    if isinstance(expr, qe.QIsNull):
-        value = evaluate(expr.operand, env)
-        result = value is None
-        return not result if expr.negated else result
-    if isinstance(expr, qe.QLike):
-        result = like_match(evaluate(expr.operand, env), evaluate(expr.pattern, env))
-        if result is None:
-            return None
-        return not result if expr.negated else result
-    if isinstance(expr, qe.QFunc):
-        fn = _SCALAR_FUNCTIONS.get(expr.name.upper())
-        if fn is None:
-            raise ExecutionError("unknown scalar function %r" % expr.name)
-        return fn(*[evaluate(arg, env) for arg in expr.args])
-    if isinstance(expr, qe.QCase):
-        for cond, value in expr.branches:
-            if evaluate(cond, env) is True:
-                return evaluate(value, env)
-        if expr.default is not None:
-            return evaluate(expr.default, env)
-        return None
-    if isinstance(expr, qe.QAggregate):
-        raise ExecutionError(
-            "aggregate %s evaluated outside a groupby box" % expr.func
-        )
-    raise ExecutionError("cannot evaluate expression %r" % type(expr).__name__)
-
-
-def predicate_holds(expr, env):
-    """True only when the predicate evaluates to TRUE (not UNKNOWN)."""
-    return evaluate(expr, env) is True
-
-
 # ---------------------------------------------------------------------------
 # Expression compilation
 # ---------------------------------------------------------------------------
@@ -304,11 +247,11 @@ def predicate_holds(expr, env):
 def compile_expr(expr):
     """Compile a QGM expression into a closure ``fn(env) -> value``.
 
-    Semantically identical to :func:`evaluate` but resolves dispatch,
-    column ordinals and operator lookups once, at compile time — the
-    evaluator uses this on its hot paths. Expressions must not be mutated
-    after compilation (rewrite rules rebuild expressions rather than
-    mutating, so anything reachable during execution is stable).
+    Dispatch, column ordinals, operator and function lookups are resolved
+    here, once; the closure only reads the environment. Expressions must
+    not be mutated after compilation (rewrite rules rebuild expressions
+    rather than mutating, so anything reachable during execution is
+    stable).
     """
     if isinstance(expr, qe.QParam):
         index = expr.index

@@ -7,8 +7,10 @@ call, that a program follows the data, that a recursive rule's round
 costs what its delta costs, that parameter values never touch the cached
 graph, that one program is re-entrant, that budgets, cancel tokens and
 injected faults still reach the compiled operators, that a unique
-build side joins in one pass at the bucketed path's cost, and that an
-inequality join over a base table bisects its sorted column.
+build side joins in one pass at the bucketed path's cost, that an
+inequality join over a base table bisects its sorted column, and that
+the row-at-a-time path (outer joins, E/A tests) runs closures compiled
+once per execution, never per row.
 """
 
 import sys
@@ -21,6 +23,7 @@ import repro.engine.columnar.operators as operators
 import repro.engine.columnar.program as program_module
 import repro.engine.columnar.vector as vector
 import repro.engine.evaluator as evaluator_module
+import repro.engine.expressions as expressions
 import repro.engine.storage as storage
 import repro.optimizer.cardinality as cardinality
 import repro.qgm.expr as qe
@@ -29,7 +32,7 @@ import repro.qgm.stratum as stratum
 from repro import Connection, Database
 from repro.engine import BatchEvaluator
 from repro.engine.columnar import compile_program
-from repro.engine.evaluator import CHECKPOINT_INTERVAL
+from repro.engine.evaluator import CHECKPOINT_INTERVAL, SelectPlan
 from repro.engine.storage import UniqueIndex
 from repro.errors import (
     ExecutionError,
@@ -780,3 +783,107 @@ def test_a_governed_range_join_cancels_inside_its_loop(monkeypatch):
     # Cancelled after the first outer row's matches, before the second
     # bisect.
     assert bisects == [0]
+
+
+# -- (i) the row path compiles per execution, never per row ------------------------------
+#
+# Outer joins and E/A tests run one row at a time on both engines. Each of
+# their predicates is compiled once — per execution on the tuple path, at
+# lowering for the batch E/A step — and called per row: no interpreter,
+# no compile per row.
+
+OUTER_AND_SEMI_JOIN = (
+    "SELECT p.k, q.c FROM p LEFT JOIN q ON q.a = p.a AND q.c > p.b "
+    "WHERE p.a IN (SELECT r.a FROM r WHERE r.c > 0)"
+)
+
+
+def outer_and_semi_join_connection(size):
+    db = Database()
+    db.create_table(
+        "p", ["k", "a", "b"], rows=[(i, i % 7, i % 5) for i in range(size)]
+    )
+    db.create_table("q", ["a", "c"], rows=[(i % 7, i % 4) for i in range(size)])
+    db.create_table("r", ["a", "c"], rows=[(i % 9, i % 3) for i in range(size)])
+    return Connection(db)
+
+
+class CompileLog:
+    """Every expression :func:`~repro.engine.expressions.compile_expr` is
+    asked to compile (sub-expressions included), wherever a module holds
+    it by name."""
+
+    def __init__(self, monkeypatch):
+        self.compiled = []
+        original = expressions.compile_expr
+
+        def recorded(expr):
+            self.compiled.append(expr)
+            return original(expr)
+
+        for module in (expressions, evaluator_module, operators, vector):
+            monkeypatch.setattr(module, "compile_expr", recorded)
+
+    def take(self):
+        taken, self.compiled = self.compiled, []
+        return taken
+
+
+def row_path_predicates(graph):
+    """``(ON, E/A)`` of ``graph``: the expressions an outer join compiles
+    (its residual ON predicates and the probe side of the equalities it
+    hashes on) and the predicates attached to E/A quantifiers."""
+    on, attached = [], []
+    for box in graph.boxes():
+        if box.kind == BoxKind.OUTERJOIN:
+            left, right = box.quantifiers
+            pairs, residual = evaluator_module.split_hashable(
+                box.predicates, right, set(box.quantifiers), {left}
+            )
+            on.extend(residual + [probe for _, probe in pairs])
+        elif box.kind == BoxKind.SELECT:
+            for _, predicates in SelectPlan(box).filters:
+                attached.extend(predicates)
+    return on, attached
+
+
+def compiled_ids(expressions_compiled):
+    return {id(expr) for expr in expressions_compiled}
+
+
+@pytest.mark.parametrize("executor", ["tuple", "batch"])
+def test_the_row_path_compiles_per_execution_not_per_row(monkeypatch, executor):
+    log = CompileLog(monkeypatch)
+    counts = {}
+    for size in (20, 200):
+        conn = outer_and_semi_join_connection(size)
+        prepared = conn.prepare_statement(
+            OUTER_AND_SEMI_JOIN, strategy="original", executor=executor
+        )
+        log.take()
+        prepared.execute()
+        first = log.take()
+        on, attached = row_path_predicates(prepared.graph)
+        assert on and attached
+        # Every ON and E/A predicate ran as a compiled closure.
+        assert compiled_ids(on + attached) <= compiled_ids(first)
+        result, _ = prepared.execute()
+        counts[size] = len(log.take())
+        assert canonical(result.rows) == oracle(conn, OUTER_AND_SEMI_JOIN)
+        assert len(result.rows) > size // 2
+    # Ten times the rows, the same compiles: none happens per row.
+    assert counts[20] == counts[200] > 0
+
+
+def test_a_second_batch_execute_compiles_no_e_or_a_predicate(monkeypatch):
+    log = CompileLog(monkeypatch)
+    conn = outer_and_semi_join_connection(50)
+    prepared = conn.prepare_statement(
+        OUTER_AND_SEMI_JOIN, strategy="original", executor="batch"
+    )
+    _, attached = row_path_predicates(prepared.graph)
+    prepared.execute()
+    assert compiled_ids(attached) <= compiled_ids(log.take())
+    prepared.execute()
+    assert not compiled_ids(attached) & compiled_ids(log.take())
+

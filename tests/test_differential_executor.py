@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import Connection, Database
 from repro.api import PreparedQuery
+from repro.engine.columnar.operators import FailedOp
 from repro.engine.storage import UniqueIndex
 from repro.errors import ExecutionError
 from repro.sql import parse_statement
@@ -478,3 +479,208 @@ def test_mixed_type_range_joins_fail_alike(sql, message, strategy):
             conn.execute(sql, strategy=strategy, executor=executor)
         raised[executor] = str(caught.value)
     assert raised["batch"] == raised["tuple"]
+
+
+# -- outer joins, semi-joins and anti-joins ---------------------------------------
+#
+# A LEFT JOIN and an E/A test run one row at a time: on the tuple engine,
+# on the batch engine (the outer join through the reference code, the E/A
+# test per position), and under the Correlated strategy with their
+# bindings pushed down. Over NULL-heavy, duplicate-heavy data all three
+# must return the same rows and fail with the same error; tuple and batch
+# must charge the same work, and every count is the one recorded at the
+# commit before the row path lost its expression interpreter.
+
+ROW_PATH_CELLS = [
+    ("norewrite", "tuple"), ("norewrite", "batch"),
+    ("emst", "tuple"), ("emst", "batch"),
+    ("correlated", "tuple"),
+]
+
+
+def null_heavy_connection():
+    """``p`` is the outer side and ``q`` the inner one, both with NULLs
+    and repeated keys; ``z`` is empty, every ``n.a`` is NULL, and the view
+    ``qsum`` groups ``q`` (its NULL key included)."""
+    db = Database()
+    db.create_table("p", ["k", "a", "b"], rows=[
+        (1, 1, 10), (2, 1, None), (3, 2, 20), (4, None, 10), (5, 3, None),
+        (6, 2, 20), (7, None, None), (8, 9, 5),
+    ])
+    db.create_table("q", ["k", "a", "c"], rows=[
+        (10, 1, 10), (11, 1, 15), (12, 2, None), (13, None, 20),
+        (14, 2, 20), (15, 3, 5), (16, None, None), (17, 1, 10),
+    ])
+    db.create_table("z", ["a", "c"])
+    db.create_table("n", ["a", "c"], rows=[(None, 1), (None, None), (None, 20)])
+    conn = Connection(db)
+    conn.run_script(
+        "CREATE VIEW qsum (a, total, cnt) AS "
+        "SELECT q.a, SUM(q.c), COUNT(*) FROM q GROUP BY q.a;"
+    )
+    return conn
+
+
+#: ``(sql, {strategy: STAT_FIELDS values})``.
+ROW_PATH_QUERIES = [
+    # LEFT JOIN: no ON equality (every pair tested), an equality and a
+    # residual, NULL preserved-side keys, an empty right side (hashed and
+    # scanned), a grouped view on the right, and a chain of two.
+    ("SELECT p.k, q.k FROM p LEFT JOIN q ON q.c > p.b",
+     {"norewrite": (4, 48, 80, 0), "emst": (4, 48, 80, 0),
+      "correlated": (11, 104, 16, 9)}),
+    ("SELECT p.k, q.k, q.c FROM p LEFT JOIN q ON q.a = p.a AND q.c <> p.b",
+     {"norewrite": (3, 24, 19, 0), "emst": (3, 24, 19, 0),
+      "correlated": (9, 35, 8, 7)}),
+    ("SELECT p.k, p.a, q.c FROM p LEFT JOIN q ON q.a = p.a",
+     {"norewrite": (3, 36, 25, 0), "emst": (3, 36, 25, 0),
+      "correlated": (9, 47, 14, 7)}),
+    ("SELECT p.k, z.c FROM p LEFT JOIN z ON z.a = p.a",
+     {"norewrite": (3, 24, 8, 0), "emst": (3, 24, 8, 0),
+      "correlated": (9, 24, 8, 7)}),
+    ("SELECT p.k, z.c FROM p LEFT JOIN z ON z.c > p.b",
+     {"norewrite": (4, 24, 8, 0), "emst": (4, 24, 8, 0),
+      "correlated": (11, 24, 8, 9)}),
+    ("SELECT p.k, g.total, g.cnt FROM p LEFT JOIN qsum g ON g.a = p.a",
+     {"norewrite": (7, 48, 25, 0), "emst": (7, 48, 25, 0),
+      "correlated": (27, 56, 24, 19)}),
+    ("SELECT p.k, q.k, g.cnt FROM p LEFT JOIN q ON q.a = p.a "
+     "LEFT JOIN qsum g ON g.a = q.a AND g.cnt > 1",
+     {"norewrite": (8, 74, 48, 0), "emst": (8, 74, 48, 0),
+      "correlated": (54, 137, 52, 40)}),
+    # An ON predicate correlated to the outer query.
+    ("SELECT p.k, (SELECT COUNT(*) FROM q LEFT JOIN z "
+     "ON z.a = q.a AND z.c = p.b) FROM p",
+     {"norewrite": (35, 168, 80, 32), "emst": (35, 168, 80, 32),
+      "correlated": (72, 224, 80, 47)}),
+    ("SELECT p.k FROM p WHERE EXISTS (SELECT 1 FROM q LEFT JOIN n "
+     "ON n.c = p.b WHERE q.a = p.a AND n.a IS NULL)",
+     {"norewrite": (19, 96, 88, 16), "emst": (19, 96, 88, 16),
+      "correlated": (29, 50, 19, 22)}),
+    # IN / NOT IN over an empty inner, an all-NULL inner and a NULL-bearing
+    # one; NULL outer keys throughout.
+    ("SELECT p.k FROM p WHERE p.a IN (SELECT z.a FROM z)",
+     {"norewrite": (4, 8, 8, 0), "emst": (4, 8, 8, 0),
+      "correlated": (14, 8, 8, 13)}),
+    ("SELECT p.k FROM p WHERE p.a NOT IN (SELECT z.a FROM z)",
+     {"norewrite": (4, 16, 8, 0), "emst": (4, 16, 8, 0),
+      "correlated": (18, 16, 8, 17)}),
+    ("SELECT p.k FROM p WHERE p.a IN (SELECT n.a FROM n)",
+     {"norewrite": (4, 14, 11, 0), "emst": (4, 14, 11, 0),
+      "correlated": (14, 8, 8, 13)}),
+    ("SELECT p.k FROM p WHERE p.a NOT IN (SELECT n.a FROM n)",
+     {"norewrite": (4, 14, 11, 0), "emst": (4, 14, 11, 0),
+      "correlated": (18, 56, 32, 17)}),
+    ("SELECT p.k FROM p WHERE p.a IN (SELECT q.a FROM q)",
+     {"norewrite": (4, 29, 16, 0), "emst": (4, 29, 16, 0),
+      "correlated": (14, 35, 19, 13)}),
+    ("SELECT p.k FROM p WHERE p.a NOT IN "
+     "(SELECT q.a FROM q WHERE q.a IS NOT NULL)",
+     {"norewrite": (4, 23, 16, 0), "emst": (4, 23, 16, 0),
+      "correlated": (18, 121, 72, 17)}),
+    # ... correlated, with a residual predicate.
+    ("SELECT p.k FROM p WHERE p.a IN (SELECT q.a FROM q WHERE q.c > p.b)",
+     {"norewrite": (11, 28, 72, 8), "emst": (11, 28, 72, 8),
+      "correlated": (14, 21, 19, 13)}),
+    ("SELECT p.k FROM p WHERE p.a NOT IN "
+     "(SELECT q.a FROM q WHERE q.c >= p.b)",
+     {"norewrite": (11, 39, 72, 8), "emst": (11, 39, 72, 8),
+      "correlated": (18, 95, 72, 17)}),
+    # EXISTS / NOT EXISTS over an empty inner and an all-NULL inner, and
+    # with a residual predicate.
+    ("SELECT p.k FROM p WHERE EXISTS (SELECT 1 FROM z WHERE z.a = p.a)",
+     {"norewrite": (10, 8, 8, 8), "emst": (10, 8, 8, 8),
+      "correlated": (16, 8, 8, 15)}),
+    ("SELECT p.k FROM p WHERE NOT EXISTS (SELECT 1 FROM z WHERE z.a = p.a)",
+     {"norewrite": (10, 16, 8, 8), "emst": (10, 16, 8, 8),
+      "correlated": (16, 16, 8, 15)}),
+    ("SELECT p.k FROM p WHERE EXISTS (SELECT 1 FROM n WHERE n.c = p.b)",
+     {"norewrite": (10, 12, 10, 8), "emst": (10, 12, 10, 8),
+      "correlated": (15, 14, 10, 14)}),
+    ("SELECT p.k FROM p WHERE NOT EXISTS (SELECT 1 FROM n WHERE n.a = p.a)",
+     {"norewrite": (10, 16, 8, 8), "emst": (10, 16, 8, 8),
+      "correlated": (16, 16, 8, 15)}),
+    ("SELECT p.k FROM p WHERE EXISTS "
+     "(SELECT 1 FROM q WHERE q.a = p.a AND q.c > p.b)",
+     {"norewrite": (10, 10, 19, 8), "emst": (10, 10, 19, 8),
+      "correlated": (16, 21, 19, 15)}),
+    ("SELECT p.k FROM p WHERE NOT EXISTS "
+     "(SELECT 1 FROM q WHERE q.a = p.a AND q.c = p.b)",
+     {"norewrite": (10, 17, 12, 8), "emst": (10, 17, 12, 8),
+      "correlated": (14, 21, 12, 13)}),
+    # A semi-join over a grouped view beside an anti-join.
+    ("SELECT p.k, p.a FROM p WHERE p.a IN "
+     "(SELECT g.a FROM qsum g WHERE g.cnt > 1) "
+     "AND p.b NOT IN (SELECT q.c FROM q WHERE q.a = 3)",
+     {"norewrite": (8, 39, 25, 0), "emst": (7, 35, 21, 0),
+      "correlated": (40, 55, 33, 33)}),
+    # A scalar subquery and a group-by's non-aggregate column.
+    ("SELECT p.k, (SELECT MAX(q.c) FROM q WHERE q.a = p.a) FROM p",
+     {"norewrite": (26, 43, 27, 24), "emst": (6, 36, 35, 0),
+      "correlated": (32, 54, 27, 15)}),
+    ("SELECT p.a, COUNT(*), SUM(p.b) FROM p GROUP BY p.a",
+     {"norewrite": (4, 26, 13, 0), "emst": (4, 26, 13, 0),
+      "correlated": (4, 26, 13, 2)}),
+]
+
+
+@pytest.mark.parametrize("sql, counts", ROW_PATH_QUERIES)
+def test_outer_semi_and_anti_joins_agree(sql, counts):
+    conn = null_heavy_connection()
+    expected = None
+    for strategy, executor in ROW_PATH_CELLS:
+        prepared = conn.prepare_statement(
+            sql, strategy=strategy, executor=executor
+        )
+        # The second run reuses everything the first compiled.
+        for run in ("first", "second"):
+            result, stats = prepared.execute()
+            rows = canonical(result.rows)
+            if expected is None:
+                expected = rows
+            where = (strategy, executor, run)
+            assert rows == expected, where
+            assert tuple(
+                getattr(stats, field) for field in STAT_FIELDS
+            ) == counts[strategy], where
+
+
+#: ``(sql, lowered)``: an unknown scalar function inside an IN, an EXISTS
+#: and an ON, each over the empty ``z``. ``lowered``: the batch program
+#: holds a FailedOp for the box whose predicate cannot compile.
+ROW_PATH_ERRORS = [
+    ("SELECT p.k FROM p WHERE p.a IN (SELECT NOPE(z.a) FROM z)", True),
+    ("SELECT p.k FROM p WHERE EXISTS (SELECT 1 FROM z WHERE NOPE(z.c) = p.a)",
+     True),
+    ("SELECT p.k FROM p WHERE p.a NOT IN "
+     "(SELECT z.a FROM z WHERE NOPE(z.c) > p.b)", True),
+    ("SELECT p.k, z.c FROM p LEFT JOIN z ON z.a = NOPE(p.a)", False),
+    # No pair reaches these predicates, yet each fails when its box is
+    # evaluated, as every other predicate that cannot compile does.
+    ("SELECT p.k FROM p WHERE NOPE(p.a) IN (SELECT z.a FROM z)", True),
+    ("SELECT p.k, z.c FROM p LEFT JOIN z ON NOPE(z.c) = p.a", False),
+    ("SELECT p.k, z.c FROM p LEFT JOIN z ON z.a = p.a AND NOPE(z.c) > p.b",
+     False),
+]
+
+
+@pytest.mark.parametrize("sql, lowered", ROW_PATH_ERRORS)
+def test_an_unknown_function_on_the_row_path_fails_alike(sql, lowered):
+    conn = null_heavy_connection()
+    for strategy, executor in ROW_PATH_CELLS:
+        # Preparing succeeds: the error belongs to the execution.
+        prepared = conn.prepare_statement(
+            sql, strategy=strategy, executor=executor
+        )
+        for run in ("first", "second"):
+            with pytest.raises(ExecutionError) as caught:
+                prepared.execute()
+            assert str(caught.value) == "unknown scalar function 'NOPE'", (
+                strategy, executor, run,
+            )
+        if executor == "batch":
+            failed = [
+                op for op in prepared.program.operators.values()
+                if isinstance(op, FailedOp)
+            ]
+            assert bool(failed) == lowered, strategy

@@ -1,14 +1,15 @@
-"""Runtime expression evaluation: three-valued logic, NULL propagation,
-LIKE, scalar functions."""
+"""Row-wise expression semantics: three-valued logic, NULL propagation,
+LIKE, scalar functions, and the closures :func:`compile_expr` /
+:func:`compile_predicate` make of QGM expressions."""
 
 import pytest
 
 from repro.engine.expressions import (
     arithmetic,
     compare,
-    evaluate,
+    compile_expr,
+    compile_predicate,
     like_match,
-    predicate_holds,
     sql_and,
     sql_not,
     sql_or,
@@ -26,6 +27,11 @@ def make_env(values, columns=("a", "b")):
     )
     quantifier = Quantifier(name="t", qtype=QuantifierType.FOREACH, input_box=base)
     return quantifier, {quantifier: tuple(values)}
+
+
+def value_of(expr, env=None):
+    """``expr`` compiled, then called on ``env``."""
+    return compile_expr(expr)({} if env is None else env)
 
 
 # -- three-valued logic -------------------------------------------------------
@@ -127,18 +133,19 @@ def test_like_match(value, pattern, expected):
     assert like_match(value, pattern) is expected
 
 
-# -- evaluate over environments ---------------------------------------------------
+# -- compiled closures over environments ----------------------------------------
 
 
 def test_column_reference_lookup():
     quantifier, env = make_env((7, 8))
-    assert evaluate(quantifier.ref("b"), env) == 8
+    assert value_of(quantifier.ref("b"), env) == 8
+    assert value_of(quantifier.ref("a"), env) == 7
 
 
 def test_unbound_quantifier_raises():
     quantifier, _ = make_env((7, 8))
-    with pytest.raises(ExecutionError):
-        evaluate(quantifier.ref("a"), {})
+    with pytest.raises(ExecutionError, match="unbound quantifier 't'"):
+        value_of(quantifier.ref("a"), {})
 
 
 def test_case_expression_first_true_branch():
@@ -150,7 +157,7 @@ def test_case_expression_first_true_branch():
         ],
         default=qe.QLiteral("other"),
     )
-    assert evaluate(expr, env) == "two"
+    assert value_of(expr, env) == "two"
 
 
 def test_case_without_default_yields_null():
@@ -158,49 +165,54 @@ def test_case_without_default_yields_null():
     expr = qe.QCase(
         branches=[(qe.QBinary("=", quantifier.ref("a"), qe.QLiteral(1)), qe.QLiteral("one"))]
     )
-    assert evaluate(expr, env) is None
+    assert value_of(expr, env) is None
 
 
 def test_is_null_and_negation():
     quantifier, env = make_env((None, 1))
-    assert evaluate(qe.QIsNull(operand=quantifier.ref("a")), env) is True
-    assert evaluate(qe.QIsNull(operand=quantifier.ref("a"), negated=True), env) is False
+    assert value_of(qe.QIsNull(operand=quantifier.ref("a")), env) is True
+    assert value_of(qe.QIsNull(operand=quantifier.ref("a"), negated=True), env) is False
+    assert value_of(qe.QIsNull(operand=quantifier.ref("b")), env) is False
 
 
 def test_predicate_holds_only_on_true():
     quantifier, env = make_env((None, 1))
     unknown = qe.QBinary("=", quantifier.ref("a"), qe.QLiteral(1))
-    assert predicate_holds(unknown, env) is False
+    assert value_of(unknown, env) is None
+    assert compile_predicate(unknown)(env) is False
+    false = qe.QBinary("=", quantifier.ref("b"), qe.QLiteral(2))
+    assert compile_predicate(false)(env) is False
+    true = qe.QBinary("=", quantifier.ref("b"), qe.QLiteral(1))
+    assert compile_predicate(true)(env) is True
 
 
 # -- scalar functions ----------------------------------------------------------------
 
 
 def test_builtin_scalar_functions():
-    env = {}
-    assert evaluate(qe.QFunc("UPPER", [qe.QLiteral("ab")]), env) == "AB"
-    assert evaluate(qe.QFunc("LOWER", [qe.QLiteral("AB")]), env) == "ab"
-    assert evaluate(qe.QFunc("LENGTH", [qe.QLiteral("abc")]), env) == 3
-    assert evaluate(qe.QFunc("ABS", [qe.QLiteral(-4)]), env) == 4
-    assert evaluate(qe.QFunc("MOD", [qe.QLiteral(7), qe.QLiteral(3)]), env) == 1
+    assert value_of(qe.QFunc("UPPER", [qe.QLiteral("ab")])) == "AB"
+    assert value_of(qe.QFunc("LOWER", [qe.QLiteral("AB")])) == "ab"
+    assert value_of(qe.QFunc("LENGTH", [qe.QLiteral("abc")])) == 3
+    assert value_of(qe.QFunc("ABS", [qe.QLiteral(-4)])) == 4
+    assert value_of(qe.QFunc("MOD", [qe.QLiteral(7), qe.QLiteral(3)])) == 1
+    assert value_of(qe.QFunc("COALESCE", [qe.QLiteral(None), qe.QLiteral(5)])) == 5
     assert (
-        evaluate(qe.QFunc("COALESCE", [qe.QLiteral(None), qe.QLiteral(5)]), env) == 5
-    )
-    assert (
-        evaluate(qe.QFunc("SUBSTR", [qe.QLiteral("hello"), qe.QLiteral(2), qe.QLiteral(3)]), env)
+        value_of(qe.QFunc("SUBSTR", [qe.QLiteral("hello"), qe.QLiteral(2), qe.QLiteral(3)]))
         == "ell"
     )
 
 
 def test_scalar_functions_null_propagation():
-    env = {}
-    assert evaluate(qe.QFunc("UPPER", [qe.QLiteral(None)]), env) is None
-    assert evaluate(qe.QFunc("ABS", [qe.QLiteral(None)]), env) is None
+    assert value_of(qe.QFunc("UPPER", [qe.QLiteral(None)])) is None
+    assert value_of(qe.QFunc("ABS", [qe.QLiteral(None)])) is None
+    assert value_of(qe.QBinary("+", qe.QLiteral(None), qe.QLiteral(1))) is None
+    assert value_of(qe.QUnary("-", qe.QLiteral(None))) is None
 
 
 def test_unknown_function_raises():
-    with pytest.raises(ExecutionError):
-        evaluate(qe.QFunc("NOPE", [qe.QLiteral(1)]), {})
+    # At compile time: no environment is needed to find out.
+    with pytest.raises(ExecutionError, match="unknown scalar function 'NOPE'"):
+        compile_expr(qe.QFunc("NOPE", [qe.QLiteral(1)]))
 
 
 def test_custom_scalar_function_registration():
@@ -210,45 +222,69 @@ def test_custom_scalar_function_registration():
     def double_it(value):
         return None if value is None else value * 2
 
-    assert evaluate(qe.QFunc("DOUBLE_IT", [qe.QLiteral(21)]), {}) == 42
+    assert value_of(qe.QFunc("DOUBLE_IT", [qe.QLiteral(21)])) == 42
+    assert value_of(qe.QFunc("double_it", [qe.QLiteral(None)])) is None
 
 
 def test_aggregate_outside_groupby_raises():
-    with pytest.raises(ExecutionError):
-        evaluate(qe.QAggregate(func="SUM", arg=qe.QLiteral(1)), {})
+    with pytest.raises(ExecutionError, match="outside a groupby box"):
+        compile_expr(qe.QAggregate(func="SUM", arg=qe.QLiteral(1)))
 
 
 # -- compiled expressions ------------------------------------------------------
 
 
-def test_compile_expr_matches_evaluate():
-    from repro.engine.expressions import compile_expr
-
+def test_compile_expr_expected_values():
     quantifier, env = make_env((3, None))
+    a, b = quantifier.ref("a"), quantifier.ref("b")
     cases = [
-        qe.QLiteral(7),
-        quantifier.ref("a"),
-        qe.QBinary("+", quantifier.ref("a"), qe.QLiteral(4)),
-        qe.QBinary("=", quantifier.ref("a"), qe.QLiteral(3)),
-        qe.QBinary("AND", qe.QLiteral(True), qe.QIsNull(operand=quantifier.ref("b"))),
-        qe.QBinary("OR", qe.QLiteral(False), qe.QLiteral(None)),
-        qe.QUnary("NOT", qe.QLiteral(None)),
-        qe.QUnary("-", quantifier.ref("a")),
-        qe.QIsNull(operand=quantifier.ref("b"), negated=True),
-        qe.QLike(operand=qe.QLiteral("abc"), pattern=qe.QLiteral("a%")),
-        qe.QFunc("ABS", [qe.QUnary("-", quantifier.ref("a"))]),
-        qe.QCase(
-            branches=[(qe.QBinary("=", quantifier.ref("a"), qe.QLiteral(3)), qe.QLiteral("hit"))],
-            default=qe.QLiteral("miss"),
+        (qe.QLiteral(7), 7),
+        (a, 3),
+        (b, None),
+        (qe.QBinary("+", a, qe.QLiteral(4)), 7),
+        (qe.QBinary("/", a, qe.QLiteral(2)), 1.5),
+        (qe.QBinary("||", a, qe.QLiteral("x")), "3x"),
+        (qe.QBinary("=", a, qe.QLiteral(3)), True),
+        (qe.QBinary("<", b, qe.QLiteral(3)), None),
+        (qe.QBinary("AND", qe.QLiteral(True), qe.QIsNull(operand=b)), True),
+        (qe.QBinary("AND", qe.QLiteral(False), qe.QLiteral(None)), False),
+        (qe.QBinary("OR", qe.QLiteral(False), qe.QLiteral(None)), None),
+        (qe.QBinary("OR", qe.QLiteral(True), qe.QLiteral(None)), True),
+        (qe.QUnary("NOT", qe.QLiteral(None)), None),
+        (qe.QUnary("NOT", qe.QLiteral(False)), True),
+        (qe.QUnary("-", a), -3),
+        (qe.QIsNull(operand=b, negated=True), False),
+        (qe.QLike(operand=qe.QLiteral("abc"), pattern=qe.QLiteral("a%")), True),
+        (
+            qe.QLike(
+                operand=qe.QLiteral("abc"), pattern=qe.QLiteral("a%"), negated=True
+            ),
+            False,
+        ),
+        (qe.QLike(operand=b, pattern=qe.QLiteral("a%")), None),
+        (qe.QFunc("ABS", [qe.QUnary("-", a)]), 3),
+        (
+            qe.QCase(
+                branches=[(qe.QBinary("=", a, qe.QLiteral(3)), qe.QLiteral("hit"))],
+                default=qe.QLiteral("miss"),
+            ),
+            "hit",
+        ),
+        # An UNKNOWN condition does not take its branch.
+        (
+            qe.QCase(
+                branches=[(qe.QBinary("=", b, qe.QLiteral(3)), qe.QLiteral("hit"))],
+                default=qe.QLiteral("miss"),
+            ),
+            "miss",
         ),
     ]
-    for expr in cases:
-        assert compile_expr(expr)(env) == evaluate(expr, env), str(expr)
+    for expr, expected in cases:
+        value = compile_expr(expr)(env)
+        assert value == expected and type(value) is type(expected), str(expr)
 
 
 def test_compile_predicate_true_only():
-    from repro.engine.expressions import compile_predicate
-
     quantifier, env = make_env((3, None))
     unknown = qe.QBinary("=", quantifier.ref("b"), qe.QLiteral(1))
     assert compile_predicate(unknown)(env) is False
@@ -257,8 +293,6 @@ def test_compile_predicate_true_only():
 
 
 def test_compile_expr_unbound_quantifier_raises():
-    from repro.engine.expressions import compile_expr
-
     quantifier, _ = make_env((1, 2))
     fn = compile_expr(quantifier.ref("a"))
     with pytest.raises(ExecutionError):
@@ -266,7 +300,5 @@ def test_compile_expr_unbound_quantifier_raises():
 
 
 def test_compile_expr_rejects_aggregates():
-    from repro.engine.expressions import compile_expr
-
     with pytest.raises(ExecutionError):
         compile_expr(qe.QAggregate(func="SUM", arg=qe.QLiteral(1)))
